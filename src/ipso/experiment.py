@@ -67,24 +67,25 @@ def _check_test(test: str) -> None:
         raise ValueError(f"unknown test {test!r}; choose from {sorted(METRIC_TESTS)}")
 
 
-def _evaluation_topics(tags_topics: dict, qrels: Qrels) -> list:
-    """Topics to evaluate: judged topics retrieved by at least one system."""
-    union = set()
-    for topics in tags_topics.values():
-        union |= topics
-    judged = union & {t for t in qrels.topics()}
-    return sorted(judged, key=topic_sort_key)
+def _evaluation_topics(runs: Sequence[RunFile], judged: set) -> list:
+    """Topics to evaluate: judged topics retrieved by at least one of runs."""
+    return sorted(set().union(*(run.entries for run in runs)) & judged, key=topic_sort_key)
 
 
-def _warn_missing(tags_topics: dict, topics: Sequence[str]) -> None:
-    for tag, present in tags_topics.items():
-        missing = [t for t in topics if t not in present]
+def _pair_topics(run_a: RunFile, run_b: RunFile, judged: set) -> list:
+    """A pair's evaluation topics, warning for each run about those it lacks."""
+    topics = _evaluation_topics([run_a, run_b], judged)
+    if not topics:
+        raise ValueError(f"runs {run_a.system_tag} and {run_b.system_tag} share no judged topics")
+    for run in (run_a, run_b):
+        missing = [t for t in topics if t not in run.entries]
         if missing:
             warnings.warn(
-                f"system {tag}: {len(missing)} evaluated topic(s) absent from the "
+                f"system {run.system_tag}: {len(missing)} evaluated topic(s) absent from the "
                 "run; scored as all-0 SERPs",
                 stacklevel=3,
             )
+    return topics
 
 
 @dataclass(frozen=True)
@@ -301,14 +302,7 @@ def compare_systems(
     _check_test(test)
     spec = MetricSpec("P", k) if metric is None else _as_metric(metric)
     serp_set = build_serps([run_a, run_b], qrels, k)
-    tags_topics = {
-        run_a.system_tag: set(run_a.entries),
-        run_b.system_tag: set(run_b.entries),
-    }
-    topics = _evaluation_topics(tags_topics, qrels)
-    if not topics:
-        raise ValueError("runs share no judged topics")
-    _warn_missing(tags_topics, topics)
+    topics = _pair_topics(run_a, run_b, set(qrels.topics()))
     return _pair_report(
         run_a.system_tag, run_b.system_tag, serp_set, topics,
         qrels.relevant_counts(), k, spec, test, alpha,
@@ -345,14 +339,7 @@ def topic_table(
     """
     specs = [_as_metric(m) for m in metrics]
     serp_set = build_serps([run_a, run_b], qrels, k)
-    tags_topics = {
-        run_a.system_tag: set(run_a.entries),
-        run_b.system_tag: set(run_b.entries),
-    }
-    topics = _evaluation_topics(tags_topics, qrels)
-    if not topics:
-        raise ValueError("runs share no judged topics")
-    _warn_missing(tags_topics, topics)
+    topics = _pair_topics(run_a, run_b, set(qrels.topics()))
     rel_counts = qrels.relevant_counts()
 
     rows = []
@@ -522,6 +509,7 @@ def sweep_all_pairs(
     if not plan or not tests or not k_values:
         raise ValueError("k_values, metrics, and tests must all be non-empty")
     rel_counts = qrels.relevant_counts()
+    judged = set(qrels.topics())
     rows = []
     for k in k_values:
         serp_set = build_serps(runs, qrels, k)
@@ -530,16 +518,7 @@ def sweep_all_pairs(
             parse_metric(f"{m}@{k}") if isinstance(m, str) else m for m in plan
         ]
         for run_x, run_y in itertools.combinations(runs, 2):
-            tags_topics = {
-                run_x.system_tag: set(run_x.entries),
-                run_y.system_tag: set(run_y.entries),
-            }
-            topics = _evaluation_topics(tags_topics, qrels)
-            if not topics:
-                raise ValueError(
-                    f"runs {run_x.system_tag} and {run_y.system_tag} share no judged topics"
-                )
-            _warn_missing(tags_topics, topics)
+            topics = _pair_topics(run_x, run_y, judged)
             for spec in specs:
                 for test in tests:
                     report = _pair_report(
@@ -571,8 +550,7 @@ def category_fractions(runs: Sequence[RunFile], qrels: Qrels, k: int) -> Categor
     if len(runs) < 2:
         raise ValueError("category_fractions needs at least two runs")
     serp_set = build_serps(runs, qrels, k)
-    tags_topics = {run.system_tag: set(run.entries) for run in runs}
-    topics = _evaluation_topics(tags_topics, qrels)
+    topics = _evaluation_topics(runs, set(qrels.topics()))
     if not topics:
         raise ValueError("no judged topics in the supplied runs")
     matrices = {
@@ -607,8 +585,7 @@ def mean_metric_by_system(
     """
     spec = _as_metric(metric)
     serp_set = build_serps(runs, qrels, spec.depth)
-    tags_topics = {run.system_tag: set(run.entries) for run in runs}
-    topics = _evaluation_topics(tags_topics, qrels)
+    topics = _evaluation_topics(runs, set(qrels.topics()))
     rel_counts = qrels.relevant_counts()
     scored = [t for t in topics if rel_counts.get(t, 0) >= 1]
     if not scored:

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Union
+
+import numpy as np
 
 from .serp import Serp
 
@@ -57,12 +60,90 @@ class RunFile:
 Source = Union[str, Path, IO[str]]
 
 
-def _lines(source: Source):
+#: Records split into tokens at a time; bounds the token objects alive at once.
+_CHUNK = 1 << 12
+
+
+def _records(source: Source, n_fields: int, layout: str):
+    """Columnar tokenizer shared by the run and qrels parsers.
+
+    The source is read once as bytes (text is encoded to UTF-8) and must
+    be valid UTF-8.  Lines end at \\n, \\r\\n or a lone \\r; fields are
+    separated by ASCII whitespace; blank lines are skipped.  Returns
+    (chunks, tokens_at, lines, problems): chunks yields (first record
+    index, columns of bytes tokens); tokens_at(records, j) lists field j
+    of the given records; lines[i] is record i's 1-based line number.
+    Records stop before the first line with another field count, which is
+    then the one problem, at index len(records) so that a caller's
+    problems on earlier lines come first.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="ascii", errors="replace") as handle:
-            yield from enumerate(handle, start=1)
+        data = Path(source).read_bytes()
     else:
-        yield from enumerate(source, start=1)
+        data = source.read().encode("utf-8", "surrogatepass")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    crs = np.flatnonzero(buf == 13)
+    lone_crs = crs[buf[np.minimum(crs + 1, len(buf) - 1)] != 10]
+    breaks = np.sort(np.concatenate((np.flatnonzero(buf == 10), lone_crs)))
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = np.searchsorted(breaks, exc.start) + 1
+            raise TrecParseError(f"line {line}: not valid UTF-8") from None
+    # space[i + 1]: byte i is 9-13 or 32, the whitespace bytes.split() uses
+    space = np.empty(len(buf) + 1, dtype=bool)
+    space[0] = True
+    np.less(buf - np.uint8(9), 5, out=space[1:])
+    space[1:] |= buf == 32
+    # where each token starts, then len(buf), where the last token's span ends
+    bounds = np.append(np.flatnonzero(space[:-1] > space[1:]), len(buf))
+    del space
+    line_begins = np.concatenate(([0], breaks + 1))
+    counts = np.diff(np.searchsorted(bounds, line_begins), append=len(bounds) - 1)
+    misfit = np.flatnonzero((counts != 0) & (counts != n_fields))[:1]
+    record_lines = np.flatnonzero(counts[: misfit[0] if misfit.size else None])
+    begins = line_begins[record_lines]
+    ends = np.append(breaks, len(buf))[record_lines]
+    problems = [(len(begins), 0, f"expected {n_fields} fields ({layout}), got {counts[line]}")
+                for line in misfit.tolist()]
+
+    def chunks():
+        for lo in range(0, len(begins), _CHUNK):
+            tokens = data[begins[lo]:ends[min(lo + _CHUNK, len(ends)) - 1]].split()
+            yield lo, [tokens[j::n_fields] for j in range(n_fields)]
+
+    def tokens_at(records, j: int) -> list:
+        at = np.asarray(records, dtype=np.int64) * n_fields + j
+        return [data[a:b].rstrip() for a, b in zip(bounds[at].tolist(), bounds[at + 1].tolist())]
+
+    return chunks(), tokens_at, np.append(record_lines, misfit) + 1, problems
+
+
+def _numbers(convert, tokens: list, lo: int, problems: list, rank: int, what: str) -> list:
+    """tokens mapped by convert, up to a problem at the first token it rejects."""
+    values: list = []
+    try:
+        values.extend(map(convert, tokens))  # keeps the values before a failure
+    except ValueError:
+        problems.append((lo + len(values), rank, what.format(tokens[len(values)].decode())))
+    return values
+
+
+def _first_repeat(items):
+    """Index of the first item equal to an earlier one, or None."""
+    seen = set()
+    for index, item in enumerate(items):
+        if item in seen:
+            return index
+        seen.add(item)
+
+
+def _raise_first(problems: list, lines) -> None:
+    """Raise the (record index, rank, message) problem on the earliest line and rank."""
+    if problems:
+        index, _, message = min(problems)
+        raise TrecParseError(f"line {lines[index]}: {message}")
 
 
 def parse_run(
@@ -74,46 +155,68 @@ def parse_run(
 
     Entries are grouped per topic and ordered by score descending with
     document id descending on ties (or by the rank column when
-    strict_ranks is set), then truncated.  The system tag is taken from
-    the last field of the first line.
+    strict_ranks is set), then truncated.  Every line must carry the same
+    system tag, and scores must be finite.
     """
-    system_tag = None
-    raw: dict = {}
-    seen = set()
-    for lineno, line in _lines(source):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 6:
-            raise TrecParseError(
-                f"line {lineno}: expected 6 fields (topic Q0 doc rank score tag), "
-                f"got {len(fields)}"
-            )
-        topic_id, _, doc_id, rank_text, score_text, tag = fields
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise TrecParseError(f"line {lineno}: rank {rank_text!r} is not an integer") from None
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise TrecParseError(f"line {lineno}: score {score_text!r} is not numeric") from None
-        if (topic_id, doc_id) in seen:
-            raise TrecParseError(f"line {lineno}: duplicate document {doc_id!r} for topic {topic_id}")
-        seen.add((topic_id, doc_id))
-        if system_tag is None:
-            system_tag = tag
-        raw.setdefault(topic_id, []).append(RunEntry(doc_id, rank, score))
-    if system_tag is None:
-        raise TrecParseError("run contains no entries")
-    entries = {}
-    for topic_id, docs in raw.items():
+    chunks, tokens_at, lines, problems = _records(source, 6, "topic Q0 doc rank score tag")
+    topic_ids: dict = {}
+    tag = None
+    codes, pairs, ranks, scores = [], [], [], []
+    for lo, (topics, _, docs, rank_tokens, score_tokens, tags) in chunks:
+        for topic in dict.fromkeys(topics):
+            topic_ids.setdefault(topic, len(topic_ids))
+        codes.append(np.fromiter(map(topic_ids.__getitem__, topics), np.int64, len(topics)))
+        pairs.append(np.fromiter(map(hash, zip(topics, docs)), np.int64, len(topics)))
+        values = _numbers(int, rank_tokens, lo, problems, 0, "rank {!r} is not an integer")
         if strict_ranks:
-            docs = sorted(docs, key=lambda e: (e.rank, e.doc_id))
-        else:
-            docs = sorted(docs, key=lambda e: (e.score, e.doc_id), reverse=True)
-        entries[topic_id] = tuple(docs[:truncate])
-    return RunFile(system_tag=system_tag, entries=entries, truncation=truncate)
+            ranks.append(np.array(values))
+        scores.append(np.array(
+            _numbers(float, score_tokens, lo, problems, 1, "score {!r} is not numeric"), dtype=float
+        ))
+        for index in np.flatnonzero(~np.isfinite(scores[-1]))[:1].tolist():
+            text = score_tokens[index].decode()
+            problems.append((lo + index, 1, f"score {text!r} is not finite"))
+        tag = tag or tags[0]
+        if tags.count(tag) < len(tags):
+            index = next(i for i, other in enumerate(tags) if other != tag)
+            message = f"system tag {tags[index].decode()!r} differs from {tag.decode()!r}"
+            problems.append((lo + index, 3, message))
+        if problems:
+            break
+    topic_code = np.concatenate(codes or [np.zeros(0, np.int64)])
+    pair = np.sort(np.concatenate(pairs or [topic_code]))
+    if (pair[1:] == pair[:-1]).any():  # equal (topic, doc) hashes: confirm on the ids
+        index = _first_repeat(zip(topic_code.tolist(), tokens_at(range(len(pair)), 2)))
+        if index is not None:
+            doc = tokens_at([index], 2)[0].decode()
+            topic = list(topic_ids)[topic_code[index]].decode()
+            problems.append((index, 2, f"duplicate document {doc!r} for topic {topic}"))
+    _raise_first(problems, lines)
+    if tag is None:
+        raise TrecParseError("run contains no entries")
+    scores = np.concatenate(scores)
+    if strict_ranks:
+        key = np.concatenate(ranks)
+        if key.dtype == object:  # beyond 64 bits: clipping keeps the order up to ties
+            key = np.clip(key, -(2**63), 2**63 - 1).astype(np.int64)
+    else:
+        key = -scores
+    # Per topic, keep the first `truncate` rows of the numeric order plus
+    # every row tied with the last of them; doc ids then break the ties.
+    order = np.lexsort((key, topic_code))
+    ordered, size = key[order], np.bincount(topic_code)
+    depth = np.minimum(size, truncate if truncate > 0 else len(order))
+    kept = order[ordered <= np.repeat(ordered[np.cumsum(size) - size + depth - 1], size)]
+    kept_entries = list(map(RunEntry._make, zip(
+        map(bytes.decode, tokens_at(kept, 2)), map(int, tokens_at(kept, 3)), scores[kept].tolist()
+    )))
+    sort_key = itemgetter(1, 0) if strict_ranks else itemgetter(2, 0)  # (rank|score, doc_id)
+    entries, start = {}, 0
+    for topic_id, n in zip(topic_ids, np.bincount(topic_code[kept]).tolist()):
+        ranking = sorted(kept_entries[start:start + n], key=sort_key, reverse=not strict_ranks)
+        entries[topic_id.decode()] = tuple(ranking[:truncate])
+        start += n
+    return RunFile(system_tag=tag.decode(), entries=entries, truncation=truncate)
 
 
 def write_run(run: RunFile, stream: IO[str]) -> None:
@@ -161,23 +264,18 @@ def binarize(grade: int) -> int:
 
 def parse_qrels(source: Source) -> Qrels:
     """Parse a qrels file: four fields per line, grades kept raw."""
-    judgments: dict = {}
-    for lineno, line in _lines(source):
-        fields = line.split()
-        if not fields:
-            continue
-        if len(fields) != 4:
-            raise TrecParseError(
-                f"line {lineno}: expected 4 fields (topic iter doc grade), got {len(fields)}"
-            )
-        topic_id, _, doc_id, grade_text = fields
-        try:
-            grade = int(grade_text)
-        except ValueError:
-            raise TrecParseError(f"line {lineno}: grade {grade_text!r} is not an integer") from None
-        if (topic_id, doc_id) in judgments:
-            raise TrecParseError(f"line {lineno}: duplicate judgment for ({topic_id}, {doc_id})")
-        judgments[(topic_id, doc_id)] = grade
+    chunks, _, lines, problems = _records(source, 4, "topic iter doc grade")
+    keys, grades = [], []
+    for lo, (topics, _, docs, grade_tokens) in chunks:
+        keys += zip(map(bytes.decode, topics), map(bytes.decode, docs))
+        grades += _numbers(int, grade_tokens, lo, problems, 0, "grade {!r} is not an integer")
+        if problems:
+            break
+    judgments = dict(zip(keys, grades))
+    index = _first_repeat(keys) if len(judgments) < len(keys) else None
+    if index is not None:
+        problems.append((index, 1, "duplicate judgment for ({}, {})".format(*keys[index])))
+    _raise_first(problems, lines)
     return Qrels(judgments=judgments)
 
 
@@ -231,12 +329,16 @@ def build_serps(
     Position i of a SERP is 1 exactly when the i-th ranked document is
     judged with grade >= 1; unjudged documents count as non-relevant and
     short lists are padded with 0s.  Topics that appear only in the qrels
-    are added as all-0 SERPs when include_qrels_only_topics is set.
+    are added as all-0 SERPs when include_qrels_only_topics is set.  Runs
+    are keyed by system tag, so two different runs may not share one.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if isinstance(runs, RunFile):
-        runs = [runs]
+    runs = [runs] if isinstance(runs, RunFile) else list(runs)
+    by_tag: dict = {}
+    for run in runs:
+        if by_tag.setdefault(run.system_tag, run) != run:
+            raise ValueError(f"two different runs share the system tag {run.system_tag!r}")
     serps: dict = {}
     coverage: dict = {}
     for run in runs:

@@ -216,6 +216,41 @@ class TestSweep:
         assert "no run files" in err
 
 
+class TestDuplicateTags:
+    """Two different runs tagged alike are refused, not merged under one key."""
+
+    @pytest.fixture
+    def runs(self, tmp_path):
+        for name in ("alpha", "bravo"):
+            text = (RUNS / f"{name}.run").read_text().replace(f" {name}\n", " s\n")
+            (tmp_path / f"{name}.run").write_text(text)
+        return tmp_path
+
+    @pytest.mark.parametrize("command", ["compare", "topics"])
+    def test_pair_commands(self, capsys, runs, command):
+        code = main([command, "--run-a", str(runs / "alpha.run"),
+                     "--run-b", str(runs / "bravo.run"), "--qrels", str(QRELS), "--k", "5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "system tag 's'" in captured.err
+
+    def test_sweep_over_directory(self, capsys, runs):
+        code = main(["sweep", "--runs", str(runs), "--qrels", str(QRELS),
+                     "--k", "5", "--metrics", "P", "--tests", "t"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "system tag 's'" in captured.err
+
+    def test_same_file_twice_is_one_input(self, capsys):
+        code = main(["compare", "--run-a", str(RUNS / "alpha.run"),
+                     "--run-b", str(RUNS / "alpha.run"),
+                     "--qrels", str(QRELS), "--k", "5", "--format", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["ipso_counts"]["=="] == 6
+
+
 class TestCoverage:
     def test_csv(self, capsys):
         code = main(["coverage", "--runs", str(RUNS), "--qrels", str(QRELS)])

@@ -166,6 +166,12 @@ class TestCompareSystems:
         with pytest.raises(ValueError, match="judged"):
             compare_systems(stranger, stranger, qrels, 5)
 
+    def test_two_runs_with_one_tag_rejected(self, fixture):
+        runs, qrels = fixture
+        renamed = RunFile(system_tag="alpha", entries=runs["bravo"].entries)
+        with pytest.raises(ValueError, match="system tag 'alpha'"):
+            compare_systems(runs["alpha"], renamed, qrels, 5)
+
     def test_csv_row_matches_header(self, fixture):
         runs, qrels = fixture
         r = compare_systems(runs["alpha"], runs["bravo"], qrels, 5)
@@ -311,6 +317,21 @@ class TestSweep:
             sweep_all_pairs(list(runs.values()), qrels, [], ["P"], ["t"])
         with pytest.raises(ValueError):
             sweep_all_pairs(list(runs.values()), qrels, [5], ["P"], ["anova"])
+
+
+    def test_reads_judged_topics_once(self, fixture, monkeypatch):
+        runs, qrels = fixture
+        calls = []
+        topics = Qrels.topics
+        monkeypatch.setattr(Qrels, "topics", lambda self: calls.append(1) or topics(self))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sweep_all_pairs(list(runs.values()), qrels, [3, 5], ["P", "RR"], ["t", "sign"])
+            assert len(calls) == 1
+            category_fractions(list(runs.values()), qrels, 5)
+            assert len(calls) == 2
+            mean_metric_by_system(list(runs.values()), qrels, "P@5")
+            assert len(calls) == 3
 
 
 class TestAgreementCategory:

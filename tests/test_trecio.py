@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from ipso import trecio
 from ipso.serp import Serp
 from ipso.trecio import (
     CoverageReport,
@@ -121,6 +122,70 @@ class TestParseRun:
         assert again.system_tag == run.system_tag
         assert again.entries == run.entries
 
+    def test_utf8_doc_ids_stay_distinct(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_bytes("1 Q0 dé 1 5.0 s\n1 Q0 dè 2 4.0 s\n".encode())
+        assert [e.doc_id for e in parse_run(path).ranking("1")] == ["dé", "dè"]
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_bytes(b"1 Q0 d1 1 5.0 s\r\n\r\n1 Q0 d\xe9 2 4.0 s\n")
+        with pytest.raises(TrecParseError, match="line 3: not valid UTF-8"):
+            parse_run(path)
+
+    @pytest.mark.parametrize("score", ["nan", "-NaN", "inf", "-Infinity", "1e999"])
+    def test_non_finite_score_rejected(self, score):
+        text = f"1 Q0 d1 1 5.0 s\n\n1 Q0 d2 2 {score} s\n"
+        with pytest.raises(TrecParseError, match=f"line 3: score '{score}' is not finite"):
+            parse_run(io.StringIO(text))
+
+    def test_mixed_system_tags_rejected(self):
+        text = "1 Q0 d1 1 5.0 s\n1 Q0 d2 2 4.0 s\n2 Q0 d1 1 4.0 t\n"
+        with pytest.raises(TrecParseError, match="line 3: system tag 't' differs from 's'"):
+            parse_run(io.StringIO(text))
+
+    def test_line_breaks_and_separators(self):
+        # \r\n and a lone \r end lines; \x1c is not a field separator
+        text = "1\tQ0 d\x1c1 1 5.0 s\r\n\r1 Q0 d2 2 4.0 s\r1 Q0 d3 x 3.0 s\n"
+        with pytest.raises(TrecParseError, match="line 4: rank 'x'"):
+            parse_run(io.StringIO(text))
+        run = parse_run(io.StringIO(text.replace(" x ", " 3 ")))
+        assert [e.doc_id for e in run.ranking("1")] == ["d\x1c1", "d2", "d3"]
+
+    def test_earliest_problem_wins(self):
+        text = ("1 Q0 d1 1 5.0 s\n"
+                "1 Q0 d2 2 4.0 t\n"      # tag
+                "1 Q0 d1 3 3.0 s\n"      # duplicate
+                "1 Q0 d3 4\n")           # field count
+        with pytest.raises(TrecParseError, match="line 2: system tag"):
+            parse_run(io.StringIO(text))
+        with pytest.raises(TrecParseError, match="line 3: duplicate"):
+            parse_run(io.StringIO(text.replace(" t\n", " s\n")))
+        with pytest.raises(TrecParseError, match="line 4: expected 6 fields"):
+            parse_run(io.StringIO(text.replace(" t\n", " s\n").replace("d1 3", "d4 3")))
+        # on one line: field count, rank, score, duplicate, then system tag
+        with pytest.raises(TrecParseError, match="line 2: duplicate"):
+            parse_run(io.StringIO("1 Q0 d1 1 5.0 s\n1 Q0 d1 2 4.0 t\n"))
+        with pytest.raises(TrecParseError, match="line 2: score 'inf'"):
+            parse_run(io.StringIO("1 Q0 d1 1 5.0 s\n1 Q0 d1 2 inf t\n"))
+        with pytest.raises(TrecParseError, match="line 2: rank 'x'"):
+            parse_run(io.StringIO("1 Q0 d1 1 5.0 s\n1 Q0 d1 x y t\n"))
+        # a non-finite score before a score that is not a number
+        with pytest.raises(TrecParseError, match="line 2: score 'nan' is not finite"):
+            parse_run(io.StringIO("1 Q0 d1 1 5.0 s\n1 Q0 d2 2 nan s\n1 Q0 d3 3 x s\n"))
+
+    def test_equal_hashes_are_confirmed_on_the_ids(self, monkeypatch):
+        expected = parse_run(io.StringIO(RUN_A))
+        monkeypatch.setattr(trecio, "hash", lambda key: 0, raising=False)
+        assert parse_run(io.StringIO(RUN_A)) == expected
+        with pytest.raises(TrecParseError, match="line 7: duplicate document 'dY' for topic 2"):
+            parse_run(io.StringIO(RUN_A + "2 Q0 dY 3 1.0 sysA\n"))
+
+    def test_score_ties_at_the_cut(self):
+        text = "".join(f"1 Q0 {doc} 1 2.0 s\n" for doc in ("b", "d", "a", "c")) + "1 Q0 z 1 3.0 s\n"
+        run = parse_run(io.StringIO(text), truncate=3)
+        assert [e.doc_id for e in run.ranking("1")] == ["z", "d", "c"]
+
     def test_round_trip_preserves_awkward_scores(self):
         text = "1 Q0 d1 1 0.1000000000000001 s\n1 Q0 d2 2 -3.5e-07 s\n"
         run = parse_run(io.StringIO(text))
@@ -156,6 +221,12 @@ class TestQrels:
     def test_bad_grade_error(self):
         with pytest.raises(TrecParseError, match="grade"):
             parse_qrels(io.StringIO("1 0 d1 rel\n"))
+
+    def test_errors_name_the_line(self):
+        with pytest.raises(TrecParseError, match="line 3: grade 'x'"):
+            parse_qrels(io.StringIO("1 0 d1 1\n\n1 0 d2 x\n1 0 d1 0\n"))
+        with pytest.raises(TrecParseError, match="line 4: duplicate"):
+            parse_qrels(io.StringIO("1 0 d1 1\n\n1 0 d2 1\n1 0 d1 0\n1 0\n"))
 
     def test_duplicate_judgment_rejected(self):
         text = "1 0 d1 1\n1 0 d1 0\n"
@@ -219,6 +290,14 @@ class TestBuildSerps:
         serp_set = build_serps([run_a, run_b], qrels, 2)
         assert serp_set.systems() == ["sysA", "sysB"]
         assert serp_set.get("sysB", "1") == Serp([1, 0])
+
+    def test_rejects_two_runs_with_one_tag(self):
+        run_a = parse_run(io.StringIO(RUN_A))
+        run_b = parse_run(io.StringIO("1 Q0 d3 1 2.0 sysA\n"))
+        qrels = parse_qrels(io.StringIO(QRELS))
+        with pytest.raises(ValueError, match="system tag 'sysA'"):
+            build_serps([run_a, run_b], qrels, 2)
+        assert build_serps([run_a, run_a], qrels, 2).systems() == ["sysA"]
 
     def test_rejects_bad_depth(self):
         run = parse_run(io.StringIO(RUN_A))
