@@ -55,6 +55,33 @@ def classify_pair_rows(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
     return (been_pos + 2 * been_neg).astype(np.uint8)
 
 
+def first_crossings(bits_a: np.ndarray, bits_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First depths (0-based) where the running sum of a - b goes positive / negative.
+
+    Works over any leading axes of two (..., k) 0/1 array-likes; a walk that
+    never crosses in a direction reports k for it.
+    """
+    k = np.shape(bits_a)[-1]
+    dtype = np.int8 if k <= 120 else np.int16
+    walk = np.cumsum(np.subtract(bits_a, bits_b, dtype=dtype), axis=-1, dtype=dtype)
+    pos, neg = walk > 0, walk < 0
+    return (np.where(pos.any(axis=-1), pos.argmax(axis=-1), k),
+            np.where(neg.any(axis=-1), neg.argmax(axis=-1), k))
+
+
+def group_codes(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
+    """Per row, the five-way group as an index into serp.GROUP_TABLE_ORDER.
+
+    The code is 2 + sign(neg - pos), the sign doubled when the walk
+    crosses both ways: neither crossing is equal (2), a positive one only
+    ni (3), a negative one only ns (1); with both, the earlier names the
+    midpoint, **/ni (4) or **/ns (0).
+    """
+    pos, neg = first_crossings(bits_a, bits_b)
+    both = np.maximum(pos, neg) < np.shape(bits_a)[-1]
+    return 2 + np.sign(neg - pos) * (1 + both)
+
+
 def category_matrix(k: int, block: int = 256) -> np.ndarray:
     """(2^k, 2^k) uint8 matrix of category codes for every ordered pair.
 

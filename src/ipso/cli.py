@@ -33,6 +33,7 @@ from .trecio import (
     CoverageReport,
     TrecParseError,
     build_serps,
+    distinct_runs,
     judgment_coverage,
     parse_qrels,
     parse_run,
@@ -158,7 +159,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    runs = _load_runs_dir(args.runs)
+    runs = distinct_runs(_load_runs_dir(args.runs))
     qrels = parse_qrels(args.qrels)
     reports = [judgment_coverage(build_serps(run, qrels, 1)) for run in runs]
     merged = CoverageReport.merged(reports)

@@ -40,7 +40,7 @@ from .stats import (
     t_test_paired,
     wilcoxon_signed_rank,
 )
-from .trecio import Qrels, RunFile, SerpSet, build_serps, topic_sort_key
+from .trecio import Qrels, RunFile, build_serps, distinct_runs, topic_sort_key
 
 METRIC_TESTS = {
     "t": t_test_paired,
@@ -70,6 +70,40 @@ def _check_test(test: str) -> None:
 def _evaluation_topics(runs: Sequence[RunFile], judged: set) -> list:
     """Topics to evaluate: judged topics retrieved by at least one of runs."""
     return sorted(set().union(*(run.entries for run in runs)) & judged, key=topic_sort_key)
+
+
+class _Collection(NamedTuple):
+    """Every run's binary relevance over the evaluation topics, in topic order."""
+
+    topics: list
+    rel: dict  # system tag -> (topics x depth) int8 matrix; all-0 rows for absent topics
+    serps: dict  # (system tag, k) -> depth-k Serp per topic, built on first use
+    scores: dict  # (system tag, k, metric label) -> {topic: score}, computed on first use
+
+
+def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int],
+                judged: set) -> _Collection:
+    """One pass over the runs, reading only the first max(k) documents of each ranking."""
+    if min(k_values) < 1:
+        raise ValueError(f"k must be >= 1, got {min(k_values)}")
+    depth = max(k_values)
+    runs = distinct_runs(runs)
+    topics = _evaluation_topics(runs, judged)
+    grades = qrels.by_topic()
+    rel = {}
+    for run in runs:
+        matrix = rel[run.system_tag] = np.zeros((len(topics), depth), dtype=np.int8)
+        for row, t in zip(matrix, topics):
+            judged_docs = grades[t]
+            bits = [judged_docs.get(e.doc_id, 0) >= 1 for e in run.ranking(t)[:depth]]
+            row[:len(bits)] = bits
+    return _Collection(topics, rel, {}, {})
+
+
+def _group_tally(bits_a: np.ndarray, bits_b: np.ndarray) -> dict:
+    """TopicGroup -> count of row pairs in that group."""
+    counts = np.bincount(_bits.group_codes(bits_a, bits_b), minlength=5)
+    return {g: int(n) for g, n in zip(GROUP_TABLE_ORDER, counts)}
 
 
 def _pair_topics(run_a: RunFile, run_b: RunFile, judged: set) -> list:
@@ -192,50 +226,37 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _scores_for(
-    serp_set: SerpSet,
-    tag: str,
-    topics: Sequence[str],
-    metric: MetricSpec,
-    rel_counts: dict,
-    cache: dict | None = None,
-) -> dict:
-    """topic -> metric score for one system, memoised when a cache is shared."""
-    key = (tag, metric.label)
-    if cache is not None and key in cache:
-        return cache[key]
-    scores = {
-        t: evaluate(metric, serp_set.serp_or_empty(tag, t),
-                    TopicContext(rel_counts.get(t, 0)))
-        for t in topics
-    }
-    if cache is not None:
-        cache[key] = scores
-    return scores
+def _scores_for(collection: _Collection, tag: str, k: int, metric: MetricSpec,
+                rel_counts: dict) -> dict:
+    """topic -> one system's depth-k score on each topic with a relevant document."""
+    if (tag, k) not in collection.serps:
+        collection.serps[(tag, k)] = [Serp(row) for row in collection.rel[tag][:, :k].tolist()]
+    key = (tag, k, metric.label)
+    if key not in collection.scores:
+        collection.scores[key] = {
+            t: evaluate(metric, serp, TopicContext(rel_counts[t]))
+            for t, serp in zip(collection.topics, collection.serps[(tag, k)])
+            if rel_counts[t] >= 1
+        }
+    return collection.scores[key]
 
 
 def _pair_report(
     tag_a: str,
     tag_b: str,
-    serp_set: SerpSet,
+    collection: _Collection,
     topics: Sequence[str],
+    groups: dict,
     rel_counts: dict,
     k: int,
     metric: MetricSpec,
     test: str,
     alpha: float,
-    score_cache: dict | None = None,
 ) -> ComparisonReport:
-    groups = {g: 0 for g in GROUP_TABLE_ORDER}
-    for t in topics:
-        group = classify_group(serp_set.serp_or_empty(tag_a, t),
-                               serp_set.serp_or_empty(tag_b, t), k)
-        groups[group] += 1
-
-    zero_rel = tuple(t for t in topics if rel_counts.get(t, 0) == 0)
-    scored = [t for t in topics if rel_counts.get(t, 0) >= 1]
-    scores_a = _scores_for(serp_set, tag_a, scored, metric, rel_counts, score_cache)
-    scores_b = _scores_for(serp_set, tag_b, scored, metric, rel_counts, score_cache)
+    zero_rel = tuple(t for t in topics if rel_counts[t] == 0)
+    scored = [t for t in topics if rel_counts[t] >= 1]
+    scores_a = _scores_for(collection, tag_a, k, metric, rel_counts)
+    scores_b = _scores_for(collection, tag_b, k, metric, rel_counts)
     diffs = [scores_a[t] - scores_b[t] for t in scored]
 
     if scored:
@@ -301,10 +322,12 @@ def compare_systems(
     _check_alpha(alpha)
     _check_test(test)
     spec = MetricSpec("P", k) if metric is None else _as_metric(metric)
-    serp_set = build_serps([run_a, run_b], qrels, k)
-    topics = _pair_topics(run_a, run_b, set(qrels.topics()))
+    judged = set(qrels.topics())
+    collection = _collection([run_a, run_b], qrels, [k], judged)
+    topics = _pair_topics(run_a, run_b, judged)
+    groups = _group_tally(collection.rel[run_a.system_tag], collection.rel[run_b.system_tag])
     return _pair_report(
-        run_a.system_tag, run_b.system_tag, serp_set, topics,
+        run_a.system_tag, run_b.system_tag, collection, topics, groups,
         qrels.relevant_counts(), k, spec, test, alpha,
     )
 
@@ -510,20 +533,24 @@ def sweep_all_pairs(
         raise ValueError("k_values, metrics, and tests must all be non-empty")
     rel_counts = qrels.relevant_counts()
     judged = set(qrels.topics())
+    collection = _collection(runs, qrels, k_values, judged)
+    row_of = {t: i for i, t in enumerate(collection.topics)}
+    pairs = []
+    for x, y in itertools.combinations(runs, 2):
+        topics = _pair_topics(x, y, judged)
+        pairs.append((x.system_tag, y.system_tag, topics, [row_of[t] for t in topics]))
     rows = []
     for k in k_values:
-        serp_set = build_serps(runs, qrels, k)
-        score_cache: dict = {}
         specs = [
             parse_metric(f"{m}@{k}") if isinstance(m, str) else m for m in plan
         ]
-        for run_x, run_y in itertools.combinations(runs, 2):
-            topics = _pair_topics(run_x, run_y, judged)
+        for tag_x, tag_y, topics, at in pairs:
+            groups = _group_tally(collection.rel[tag_x][at, :k], collection.rel[tag_y][at, :k])
             for spec in specs:
                 for test in tests:
                     report = _pair_report(
-                        run_x.system_tag, run_y.system_tag, serp_set, topics,
-                        rel_counts, k, spec, test, alpha, score_cache,
+                        tag_x, tag_y, collection, topics, groups,
+                        rel_counts, k, spec, test, alpha,
                     )
                     ipso_significant = report.ipso_p is not None and report.ipso_p < alpha
                     rows.append(SweepRow(
@@ -549,26 +576,17 @@ def category_fractions(runs: Sequence[RunFile], qrels: Qrels, k: int) -> Categor
     """
     if len(runs) < 2:
         raise ValueError("category_fractions needs at least two runs")
-    serp_set = build_serps(runs, qrels, k)
-    topics = _evaluation_topics(runs, set(qrels.topics()))
-    if not topics:
+    collection = _collection(runs, qrels, [k], set(qrels.topics()))
+    if not collection.topics:
         raise ValueError("no judged topics in the supplied runs")
-    matrices = {
-        run.system_tag: np.array(
-            [tuple(serp_set.serp_or_empty(run.system_tag, t)) for t in topics],
-            dtype=np.int8,
-        )
-        for run in runs
-    }
     tally = np.zeros(4, dtype=np.int64)
-    for tag_x, tag_y in itertools.combinations(matrices, 2):
-        cats = _bits.classify_pair_rows(matrices[tag_x], matrices[tag_y])
-        tally += np.bincount(cats, minlength=4)
+    for bits_x, bits_y in itertools.combinations(collection.rel.values(), 2):
+        tally += np.bincount(_bits.classify_pair_rows(bits_x, bits_y), minlength=4)
     eq, ni, ns, xx = (int(x) for x in tally)
     n_pairs = len(runs) * (len(runs) - 1) // 2
     return CategoryCounts(
         k=k, equal=eq, separable=ni + ns, non_separable=xx,
-        total=len(topics) * n_pairs, mode="exact",
+        total=len(collection.topics) * n_pairs, mode="exact",
     )
 
 
@@ -584,21 +602,13 @@ def mean_metric_by_system(
     run did not retrieve.
     """
     spec = _as_metric(metric)
-    serp_set = build_serps(runs, qrels, spec.depth)
-    topics = _evaluation_topics(runs, set(qrels.topics()))
+    collection = _collection(runs, qrels, [spec.depth], set(qrels.topics()))
     rel_counts = qrels.relevant_counts()
-    scored = [t for t in topics if rel_counts.get(t, 0) >= 1]
-    if not scored:
+    if not any(rel_counts[t] >= 1 for t in collection.topics):
         raise ValueError("no topics with relevant documents to score")
-    means = {}
-    for run in runs:
-        total = sum(
-            evaluate(spec, serp_set.serp_or_empty(run.system_tag, t),
-                     TopicContext(rel_counts[t]))
-            for t in scored
-        )
-        means[run.system_tag] = total / len(scored)
-    return means
+    scores = {run.system_tag: _scores_for(collection, run.system_tag, spec.depth, spec, rel_counts)
+              for run in runs}
+    return {tag: sum(s.values()) / len(s) for tag, s in scores.items()}
 
 
 def percentile_run(

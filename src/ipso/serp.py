@@ -297,20 +297,11 @@ def classify_group(s1: SerpLike, s2: SerpLike, k: int) -> TopicGroup:
     pairs split by the direction they held immediately before the first
     non-separable depth (the midpoint).
     """
+    from ._bits import group_codes  # _bits imports this module
+
     a, b = as_serp(s1), as_serp(s2)
     _check_depth(a, b, k)
-    traj = trajectory(a.prefix(k), b.prefix(k))
-    final = traj[-1]
-    if final is Relationship.EQUAL:
-        return TopicGroup.EQUAL
-    if final is Relationship.NON_INFERIOR:
-        return TopicGroup.SEPARABLE_NI
-    if final is Relationship.NON_SUPERIOR:
-        return TopicGroup.SEPARABLE_NS
-    mid = traj.midpoint()
-    if mid is Relationship.NON_INFERIOR:
-        return TopicGroup.NON_SEP_NI_MIDPOINT
-    return TopicGroup.NON_SEP_NS_MIDPOINT
+    return GROUP_TABLE_ORDER[int(group_codes(a[:k], b[:k]))]
 
 
 def group_sort_key(traj: Sequence[Relationship]) -> tuple:

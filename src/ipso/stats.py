@@ -3,7 +3,7 @@
 All tests are two-tailed.  The Sign test and the small-sample Wilcoxon
 null distribution are computed exactly with integer arithmetic; larger
 Wilcoxon samples fall back to the usual normal approximation with
-continuity and tie corrections.
+continuity and tie corrections.  A tie is |difference| <= SCORE_TOLERANCE.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+import scipy.special
 import scipy.stats
+
+from .metrics import SCORE_TOLERANCE
 
 
 class UndefinedTestError(ValueError):
@@ -51,14 +54,20 @@ def sign_test(n_pos: int, n_neg: int) -> TestResult:
     return TestResult(p_value=p, statistic=float(lo), n_effective=n, method="exact")
 
 
+def _untied(diffs: Sequence[float]) -> np.ndarray:
+    """The differences as floats, each within SCORE_TOLERANCE of 0 snapped to 0."""
+    d = np.asarray(diffs, dtype=np.float64)
+    return np.where(np.abs(d) <= SCORE_TOLERANCE, 0.0, d)
+
+
 def sign_test_diffs(diffs: Sequence[float]) -> TestResult:
     """Sign test over paired differences; zeros are dropped as ties.
 
     With every difference zero there is nothing to test and the result is
     a degenerate p = 1.
     """
-    n_pos = sum(1 for d in diffs if d > 0)
-    n_neg = sum(1 for d in diffs if d < 0)
+    d = _untied(diffs)
+    n_pos, n_neg = int((d > 0).sum()), int((d < 0).sum())
     if n_pos + n_neg == 0:
         return TestResult(p_value=1.0, statistic=0.0, n_effective=0,
                           method="exact", degenerate=True)
@@ -68,23 +77,23 @@ def sign_test_diffs(diffs: Sequence[float]) -> TestResult:
 def t_test_paired(diffs: Sequence[float]) -> TestResult:
     """Two-tailed paired Student t test on a sequence of differences.
 
-    A zero-variance sample has no spread to test against: the result is
-    flagged degenerate, with p = 1 for a zero mean and p = 0 otherwise.
+    A sample whose differences all tie has no spread to test against: the
+    result is degenerate, with p = 1 for a zero mean and p = 0 otherwise.
     """
-    d = np.asarray(diffs, dtype=np.float64)
+    d = _untied(diffs)
     n = d.size
     if n < 2:
         raise UndefinedTestError(f"paired t test needs n >= 2, got {n}")
     mean = float(d.mean())
     sd = float(d.std(ddof=1))
-    if sd == 0.0:
+    if np.ptp(d) <= SCORE_TOLERANCE:
         if mean == 0.0:
             return TestResult(p_value=1.0, statistic=0.0, n_effective=n,
                               method="exact", degenerate=True)
         return TestResult(p_value=0.0, statistic=math.copysign(math.inf, mean),
                           n_effective=n, method="exact", degenerate=True)
     t = mean / (sd / math.sqrt(n))
-    p = min(1.0, 2.0 * float(scipy.stats.t.sf(abs(t), n - 1)))
+    p = min(1.0, 2.0 * float(scipy.special.stdtr(n - 1, -abs(t))))
     return TestResult(p_value=p, statistic=t, n_effective=n, method="exact")
 
 
@@ -116,7 +125,7 @@ def wilcoxon_signed_rank(diffs: Sequence[float], exact_cutover: int = 25) -> Tes
     null distribution is exact up to exact_cutover untied observations
     and normal-approximated (continuity and tie corrections) beyond.
     """
-    d = np.asarray(diffs, dtype=np.float64)
+    d = _untied(diffs)
     d = d[d != 0.0]
     n = d.size
     if n == 0:

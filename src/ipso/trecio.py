@@ -241,20 +241,20 @@ class Qrels:
     def grade(self, topic_id: str, doc_id: str, default: int | None = None):
         return self.judgments.get((topic_id, doc_id), default)
 
+    def by_topic(self) -> dict:
+        """topic_id -> {doc_id: grade}, built in one pass over the judgments."""
+        grades: dict = {}
+        for (topic_id, doc_id), grade in self.judgments.items():
+            grades.setdefault(topic_id, {})[doc_id] = grade
+        return grades
+
     def relevant_count(self, topic_id: str) -> int:
         """Number of documents judged relevant (grade >= 1) for a topic."""
-        return sum(
-            1 for (t, _), g in self.judgments.items() if t == topic_id and g >= 1
-        )
+        return self.relevant_counts().get(topic_id, 0)
 
     def relevant_counts(self) -> dict:
         """topic_id -> count of documents judged relevant."""
-        counts: dict = {}
-        for (topic_id, _), grade in self.judgments.items():
-            counts.setdefault(topic_id, 0)
-            if grade >= 1:
-                counts[topic_id] += 1
-        return counts
+        return {t: sum(g >= 1 for g in docs.values()) for t, docs in self.by_topic().items()}
 
 
 def binarize(grade: int) -> int:
@@ -318,6 +318,16 @@ class SerpSet:
             writer.writerow([system_tag, topic_id, self.serps[(system_tag, topic_id)].bitstring])
 
 
+def distinct_runs(runs: Union[RunFile, Iterable[RunFile]]) -> list:
+    """The runs as a list; two different runs may not share a system tag."""
+    runs = [runs] if isinstance(runs, RunFile) else list(runs)
+    by_tag: dict = {}
+    for run in runs:
+        if by_tag.setdefault(run.system_tag, run) != run:
+            raise ValueError(f"two different runs share the system tag {run.system_tag!r}")
+    return runs
+
+
 def build_serps(
     runs: Union[RunFile, Iterable[RunFile]],
     qrels: Qrels,
@@ -334,40 +344,22 @@ def build_serps(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    runs = [runs] if isinstance(runs, RunFile) else list(runs)
-    by_tag: dict = {}
-    for run in runs:
-        if by_tag.setdefault(run.system_tag, run) != run:
-            raise ValueError(f"two different runs share the system tag {run.system_tag!r}")
+    grades = qrels.by_topic()
     serps: dict = {}
     coverage: dict = {}
-    for run in runs:
+    for run in distinct_runs(runs):
         topics = set(run.entries)
         if include_qrels_only_topics:
-            topics |= set(t for t in qrels.topics())
+            topics |= set(grades)
         for topic_id in topics:
             ranking = run.ranking(topic_id)
-            bits = []
-            first_unjudged = None
-            n_unjudged = 0
-            for position, entry in enumerate(ranking, start=1):
-                grade = qrels.grade(topic_id, entry.doc_id)
-                if grade is None:
-                    n_unjudged += 1
-                    if first_unjudged is None:
-                        first_unjudged = position
-                    relevant = 0
-                else:
-                    relevant = binarize(grade)
-                if position <= k:
-                    bits.append(relevant)
-            bits.extend([0] * (k - len(bits)))
-            serps[(run.system_tag, topic_id)] = Serp(bits)
+            judged = grades.get(topic_id, {})
+            found = [judged.get(entry.doc_id) for entry in ranking]
+            unjudged = [rank for rank, grade in enumerate(found, start=1) if grade is None]
+            bits = [0 if grade is None else binarize(grade) for grade in found[:k]]
+            serps[(run.system_tag, topic_id)] = Serp(bits + [0] * (k - len(bits)))
             coverage[(run.system_tag, topic_id)] = CoverageEntry(
-                first_unjudged_rank=first_unjudged,
-                n_unjudged=n_unjudged,
-                n_retrieved=len(ranking),
-            )
+                unjudged[0] if unjudged else None, len(unjudged), len(ranking))
     return SerpSet(k=k, serps=serps, coverage=coverage)
 
 

@@ -243,6 +243,13 @@ class TestDuplicateTags:
         assert captured.out == ""
         assert "system tag 's'" in captured.err
 
+    def test_coverage_over_directory(self, capsys, runs):
+        code = main(["coverage", "--runs", str(runs), "--qrels", str(QRELS)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "system tag 's'" in captured.err
+
     def test_same_file_twice_is_one_input(self, capsys):
         code = main(["compare", "--run-a", str(RUNS / "alpha.run"),
                      "--run-b", str(RUNS / "alpha.run"),

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from ipso.experiment import (
     AgreementCategory,
     ComparisonReport,
+    _collection,
     category_fractions,
     compare_systems,
     mean_metric_by_system,
@@ -17,9 +19,9 @@ from ipso.experiment import (
     topic_table,
     write_topic_csv,
 )
-from ipso.metrics import MetricSpec
+from ipso.metrics import PHI, MetricSpec
 from ipso.serp import TopicGroup
-from ipso.trecio import Qrels, RunEntry, RunFile, parse_qrels, parse_run
+from ipso.trecio import Qrels, RunEntry, RunFile, build_serps, parse_qrels, parse_run
 
 DATA = Path(__file__).parent / "data"
 
@@ -392,3 +394,83 @@ class TestAggregates:
             percentile_run(ordered, qrels, metric, 0)
         with pytest.raises(ValueError):
             percentile_run(ordered, qrels, metric, 101)
+
+
+def gapped_runs():
+    """Runs a and b lack topic 3, which only c retrieved; all three topics are judged."""
+    judgments = {(t, d): int(d.startswith("r")) for t in "123" for d in ("r1", "r2", "n1", "n2")}
+
+    def run(tag, topics, docs):
+        ranking = tuple(RunEntry(doc, i + 1, float(-i)) for i, doc in enumerate(docs))
+        return RunFile(system_tag=tag, entries={t: ranking for t in topics})
+
+    return [
+        run("a", "12", ["r1", "n1", "r2"]),
+        run("b", "12", ["n1", "r1", "r2"]),
+        run("c", "123", ["r1", "r2", "n1"]),
+    ], Qrels(judgments=judgments)
+
+
+class TestCollection:
+    def test_rows_match_build_serps(self, fixture):
+        runs, qrels = fixture
+        judged = set(qrels.topics())
+        collection = _collection(list(runs.values()), qrels, [5], judged)
+        serps = build_serps(list(runs.values()), qrels, 5)
+        assert collection.topics == ["601", "602", "603", "604", "605", "606"]
+        for tag, matrix in collection.rel.items():
+            for t, row in zip(collection.topics, matrix.tolist()):
+                assert tuple(row) == serps.serp_or_empty(tag, t)
+
+    def test_sweep_with_missing_topics_matches_compare(self):
+        runs, qrels = gapped_runs()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            # NDCG@3 keeps its label at k=2, where it scores the depth-2 SERPs
+            sweep = sweep_all_pairs(runs, qrels, [2, 3], ["P", "AP", "NDCG@3"], ["t", "sign"])
+            by_tag = {run.system_tag: run for run in runs}
+            assert len(sweep.rows) == 3 * 2 * 3 * 2
+            for row in sweep.rows:
+                direct = compare_systems(by_tag[row.system_a], by_tag[row.system_b], qrels,
+                                         row.k, metric=row.metric, test=row.test)
+                assert (row.metric_p, row.ipso_p) == (direct.metric_p, direct.ipso_p)
+                assert row.category is AgreementCategory.from_flags(
+                    direct.metric_significant, direct.ipso_p is not None and direct.ipso_p < 0.05)
+            # topic 3 is scored for a as an all-0 SERP against c's 110
+            report = compare_systems(by_tag["a"], by_tag["c"], qrels, 3, test="sign")
+            rows = {r.topic_id: r for r in topic_table(by_tag["a"], by_tag["c"], qrels, 3)}
+        assert report.n_topics == 3
+        assert (rows["3"].serp_a, rows["3"].serp_b, rows["3"].group.label) == ("000", "110", "ns")
+
+    def test_missing_topic_warnings_once_per_pair(self, fixture):
+        runs, qrels = fixture
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sweep_all_pairs(list(runs.values()), qrels, [3, 5], ["P", "RR"], ["t", "sign"])
+        # charlie lacks a topic; it meets alpha and bravo once each
+        assert [str(w.message).split(":")[0] for w in caught] == ["system charlie"] * 2
+
+
+class TestTies:
+    """A tie is |difference| <= SCORE_TOLERANCE for every metric test."""
+
+    def test_rbp_phi_noise_ties(self):
+        # RBP at phi scores 100 and 011 alike; floating point leaves -5.6e-17
+        sup, inf, qrels = synthetic_pair([((1, 0, 0), (0, 1, 1))] * 10)
+        for test in ("sign", "wilcoxon", "t"):
+            r = compare_systems(sup, inf, qrels, 3, metric=MetricSpec("RBP", 3, PHI), test=test)
+            assert r.effect_size == pytest.approx(0.0, abs=1e-15)
+            assert r.metric_degenerate, test
+            assert r.metric_p == 1.0, test
+            assert not r.metric_significant
+
+    def test_noisy_constant_gap_is_degenerate(self):
+        # one more relevant document on every topic: P@10 gaps of 0.1 up to noise
+        profile = [(tuple([1] * (n + 1) + [0] * (9 - n)), tuple([1] * n + [0] * (10 - n)))
+                   for n in range(2, 8)]
+        sup, inf, qrels = synthetic_pair(profile)
+        r = compare_systems(sup, inf, qrels, 10, metric="P@10", test="t")
+        assert r.metric_degenerate
+        assert r.metric_p == 0.0
+        assert r.metric_statistic == math.inf
+        assert r.effect_size == pytest.approx(-0.1)

@@ -1,0 +1,112 @@
+"""Property tests: the vectorised group kernel against the scalar relation.
+
+Every row's group from _bits.group_codes must equal classify_group and an
+independent prefix-walk oracle; first_crossings must report the depths
+that the walk itself shows.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ipso import _bits
+from ipso.serp import GROUP_TABLE_ORDER, TopicGroup, classify_group
+
+
+def walk_group(a, b) -> str:
+    """Five-way group from the running difference of relevant counts."""
+    walk, first = 0, {}
+    for depth, (x, y) in enumerate(zip(a, b)):
+        walk += x - y
+        if walk:
+            first.setdefault(walk > 0, depth)
+    if not first:
+        return "=="
+    if len(first) == 1:
+        return "ni" if True in first else "ns"
+    return "**/ni" if first[True] < first[False] else "**/ns"
+
+
+def walk_crossings(a, b) -> tuple:
+    k, walk, pos, neg = len(a), 0, None, None
+    for depth, (x, y) in enumerate(zip(a, b)):
+        walk += x - y
+        if walk > 0 and pos is None:
+            pos = depth
+        if walk < 0 and neg is None:
+            neg = depth
+    return (k if pos is None else pos, k if neg is None else neg)
+
+
+def assert_rows_agree(bits_a: np.ndarray, bits_b: np.ndarray) -> None:
+    codes = _bits.group_codes(bits_a, bits_b)
+    pos, neg = _bits.first_crossings(bits_a, bits_b)
+    k = bits_a.shape[1]
+    for i, (a, b) in enumerate(zip(bits_a.tolist(), bits_b.tolist())):
+        label = GROUP_TABLE_ORDER[codes[i]].label
+        assert label == classify_group(a, b, k).label == walk_group(a, b), (a, b)
+        assert (pos[i], neg[i]) == walk_crossings(a, b), (a, b)
+
+
+@st.composite
+def row_pairs(draw, max_k=24):
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(1, 12))
+    bits = st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k), min_size=n, max_size=n)
+    return np.array(draw(bits), dtype=np.int8), np.array(draw(bits), dtype=np.int8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=row_pairs())
+def test_random_rows(pair):
+    assert_rows_agree(*pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pair=row_pairs())
+def test_equal_rows_are_equal(pair):
+    rows, _ = pair
+    assert (_bits.group_codes(rows, rows) == TopicGroup.EQUAL.table_order).all()
+    assert_rows_agree(rows, rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=row_pairs())
+def test_rows_differing_only_at_the_last_rank(pair):
+    rows, _ = pair
+    other = rows.copy()
+    other[:, -1] ^= 1
+    codes = _bits.group_codes(rows, other)
+    # the walk stays at 0 until the last rank, so only one direction is possible
+    assert set(codes.tolist()) <= {1, 3}
+    assert_rows_agree(rows, other)
+
+
+def test_depth_one_covers_every_pair():
+    a = np.array([[0], [0], [1], [1]], dtype=np.int8)
+    b = np.array([[0], [1], [0], [1]], dtype=np.int8)
+    assert [GROUP_TABLE_ORDER[c].label for c in _bits.group_codes(a, b)] == [
+        "==", "ns", "ni", "=="]
+    assert_rows_agree(a, b)
+
+
+def test_every_pair_at_depth_eight():
+    bits = _bits.bit_matrix(8)
+    a = np.repeat(bits, len(bits), axis=0)
+    b = np.tile(bits, (len(bits), 1))
+    sample = np.random.default_rng(0).choice(len(a), size=2000, replace=False)
+    assert_rows_agree(a[sample], b[sample])
+    # grouping agrees with the four-way category kernel on all 2^16 pairs
+    codes = _bits.group_codes(a, b)
+    cats = _bits.classify_pair_rows(a, b)
+    as_category = np.array([_bits.XX, _bits.NS, _bits.EQ, _bits.NI, _bits.XX])[codes]
+    assert (as_category == cats).all()
+
+
+def test_leading_axes():
+    rng = np.random.default_rng(5)
+    a = rng.integers(0, 2, size=(3, 4, 10))
+    b = rng.integers(0, 2, size=(3, 4, 10))
+    codes = _bits.group_codes(a, b)
+    assert codes.shape == (3, 4)
+    assert (codes.reshape(-1) == _bits.group_codes(a.reshape(12, 10), b.reshape(12, 10))).all()

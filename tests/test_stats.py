@@ -6,6 +6,7 @@ import pytest
 import scipy.stats
 from numpy.testing import assert_allclose
 
+from ipso.metrics import SCORE_TOLERANCE
 from ipso.stats import (
     TestResult,
     UndefinedTestError,
@@ -177,6 +178,9 @@ class TestPairedT:
             assert mine.p_value == pytest.approx(float(ref.pvalue), abs=1e-14)
             assert mine.statistic == pytest.approx(float(ref.statistic), abs=1e-12)
             assert mine.n_effective == n
+            # the p-value is the t distribution's own tail, bit for bit
+            assert mine.p_value == min(1.0, 2.0 * float(
+                scipy.stats.t.sf(abs(mine.statistic), n - 1)))
 
     def test_constant_nonzero_is_certain(self):
         r = t_test_paired([0.5, 0.5, 0.5])
@@ -200,6 +204,39 @@ class TestPairedT:
             t_test_paired([0.3])
         with pytest.raises(UndefinedTestError):
             t_test_paired([])
+
+
+class TestTieTolerance:
+    """Differences within SCORE_TOLERANCE of 0 are ties for every test."""
+
+    TESTS = (sign_test_diffs, wilcoxon_signed_rank, t_test_paired)
+
+    @pytest.mark.parametrize("test", TESTS)
+    def test_noise_is_a_tie(self, test):
+        r = test([-5.551115123125783e-17] * 10)
+        assert (r.p_value, r.degenerate) == (1.0, True)
+
+    @pytest.mark.parametrize("test", TESTS)
+    def test_tolerance_is_inclusive(self, test):
+        assert test([SCORE_TOLERANCE, -SCORE_TOLERANCE] * 3).degenerate
+        assert not test([2 * SCORE_TOLERANCE] * 5 + [-3 * SCORE_TOLERANCE]).degenerate
+
+    def test_noise_ties_dropped_among_real_differences(self):
+        noisy = [0.5, 0.25, -0.125, 1e-17, -1e-17]
+        clean = [0.5, 0.25, -0.125, 0.0, 0.0]
+        for test in self.TESTS:
+            assert test(noisy) == test(clean)
+
+    def test_noisy_constant_gap_is_degenerate(self):
+        r = t_test_paired([0.09999999999999998, 0.10000000000000003, 0.1] * 3)
+        assert (r.p_value, r.statistic, r.degenerate) == (0.0, math.inf, True)
+        r = t_test_paired([-0.1, -0.1 - 2e-13, -0.1 + 2e-13])
+        assert (r.p_value, r.statistic, r.degenerate) == (0.0, -math.inf, True)
+
+    def test_spread_above_tolerance_is_tested(self):
+        r = t_test_paired([0.1, 0.1 + 3 * SCORE_TOLERANCE, 0.1 - 3 * SCORE_TOLERANCE])
+        assert not r.degenerate
+        assert r.p_value < 1e-9
 
 
 class TestResultType:
