@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
-import scipy.stats
 
 from . import _bits
+from .stats import kendall_tau_b
 from .metrics import MetricSpec, TopicContext, score_all
 from .serp import Relationship, Serp
 
@@ -324,4 +324,4 @@ def kendall_tau(
         # identical score vectors correlate exactly; skip the floating-point
         # tie arithmetic, which can land a hair under 1.0
         return 1.0
-    return float(scipy.stats.kendalltau(scores_a, scores_b).statistic)
+    return kendall_tau_b(scores_a, scores_b)

@@ -1,4 +1,4 @@
-"""Paired significance tests: exact Sign test, Wilcoxon signed-rank, paired t.
+"""Paired significance tests (exact Sign test, Wilcoxon signed-rank, paired t) and rank statistics.
 
 All tests are two-tailed.  The Sign test and the small-sample Wilcoxon
 null distribution are computed exactly with integer arithmetic; larger
@@ -14,7 +14,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.special
-import scipy.stats
 
 from .metrics import SCORE_TOLERANCE
 
@@ -97,6 +96,12 @@ def t_test_paired(diffs: Sequence[float]) -> TestResult:
     return TestResult(p_value=p, statistic=t, n_effective=n, method="exact")
 
 
+def _midranks(values: np.ndarray) -> tuple:
+    """Average 1-based ranks of values, and the size of each tie group in sorted order."""
+    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    return ((2 * np.cumsum(sizes) - sizes + 1) / 2.0)[group], sizes
+
+
 def _exact_signed_rank_p(ranks: np.ndarray, t_lo: float) -> float:
     """Exact doubled-tail p for the signed-rank statistic via subset sums.
 
@@ -108,11 +113,8 @@ def _exact_signed_rank_p(ranks: np.ndarray, t_lo: float) -> float:
     total = int(doubled.sum())
     dist = np.zeros(total + 1, dtype=np.int64)
     dist[0] = 1
-    for r in doubled:
-        r = int(r)
-        shifted = np.zeros_like(dist)
-        shifted[r:] = dist[:-r] if r else dist
-        dist = dist + shifted
+    for r in doubled:  # every doubled rank is >= 2
+        dist[r:] = dist[r:] + dist[:-r]
     cut = int(round(2.0 * t_lo))
     tail = int(dist[: cut + 1].sum())
     return min(1.0, (2 * tail) / (1 << len(ranks)))
@@ -131,7 +133,7 @@ def wilcoxon_signed_rank(diffs: Sequence[float], exact_cutover: int = 25) -> Tes
     if n == 0:
         return TestResult(p_value=1.0, statistic=0.0, n_effective=0,
                           method="exact", degenerate=True)
-    ranks = scipy.stats.rankdata(np.abs(d))
+    ranks, tie_sizes = _midranks(np.abs(d))
     t_plus = float(ranks[d > 0].sum())
     t_minus = float(ranks[d < 0].sum())
     statistic = min(t_plus, t_minus)
@@ -139,13 +141,49 @@ def wilcoxon_signed_rank(diffs: Sequence[float], exact_cutover: int = 25) -> Tes
         p = _exact_signed_rank_p(ranks, statistic)
         return TestResult(p_value=p, statistic=statistic, n_effective=n, method="exact")
     mean = n * (n + 1) / 4.0
-    _, tie_sizes = np.unique(ranks, return_counts=True)
     tie_term = float((tie_sizes.astype(np.float64) ** 3 - tie_sizes).sum()) / 48.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     delta = t_plus - mean
     if delta != 0.0:
         delta -= math.copysign(0.5, delta)  # continuity correction
     z = delta / math.sqrt(var)
-    p = min(1.0, 2.0 * float(scipy.stats.norm.sf(abs(z))))
+    p = min(1.0, 2.0 * float(scipy.special.ndtr(-abs(z))))
     return TestResult(p_value=p, statistic=statistic, n_effective=n,
                       method="approximate")
+
+
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for non-negative integer ranks.
+
+    Counted one rank bit b at a time, from the top: among positions whose
+    ranks agree above b, kept in order by a stable sort, each 1 at b that
+    precedes a 0 at b is one inversion.
+    """
+    total = 0
+    for b in reversed(range(int(ranks.max(initial=0)).bit_length())):
+        key = ranks[np.argsort(ranks >> (b + 1), kind="stable")] >> b
+        high, bit = key >> 1, key & 1
+        ones = np.bincount(high[bit == 1], minlength=int(high[-1]) + 1)
+        ones_before_run = (np.cumsum(ones) - ones)[high]
+        total += int(((np.cumsum(bit) - ones_before_run) * (1 - bit)).sum())
+    return total
+
+
+def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
+    """Kendall's tau-b of two equal-length samples; NaN when either is constant.
+
+    Discordant pairs are the inversions of y's dense ranks once the pairs
+    are sorted by (x, y) (Knight 1966).  The integer counts and float steps
+    are scipy.stats.kendalltau's, so the results are equal.
+    """
+    _, x = np.unique(np.asarray(x), return_inverse=True)
+    _, y = np.unique(np.asarray(y), return_inverse=True)
+    pairs = np.sort(x * x.size + y)  # by x, then y
+    ntie, xtie, ytie = (int((c * (c - 1) // 2).sum()) for c in (
+        np.unique(pairs, return_counts=True)[1], np.bincount(x), np.bincount(y)))
+    tot = x.size * (x.size - 1) // 2
+    if xtie == tot or ytie == tot:
+        return math.nan
+    dis = _inversions(pairs % x.size)
+    tau = (tot - xtie - ytie + ntie - 2 * dis) / np.sqrt(tot - xtie) / np.sqrt(tot - ytie)
+    return float(np.minimum(1.0, max(-1.0, tau)))

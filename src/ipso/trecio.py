@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
+from types import MappingProxyType
 from typing import IO, Iterable, NamedTuple, Union
 
 import numpy as np
@@ -235,26 +237,35 @@ class Qrels:
 
     judgments: dict  # (topic_id, doc_id) -> grade
 
-    def topics(self) -> list:
-        return sorted({t for t, _ in self.judgments}, key=topic_sort_key)
-
-    def grade(self, topic_id: str, doc_id: str, default: int | None = None):
-        return self.judgments.get((topic_id, doc_id), default)
-
-    def by_topic(self) -> dict:
-        """topic_id -> {doc_id: grade}, built in one pass over the judgments."""
+    @cached_property
+    def _by_topic(self) -> dict:
+        """topic_id -> {doc_id: grade}, built on first use in one pass over the judgments."""
         grades: dict = {}
         for (topic_id, doc_id), grade in self.judgments.items():
             grades.setdefault(topic_id, {})[doc_id] = grade
         return grades
 
+    @cached_property
+    def _relevant(self) -> dict:
+        return {t: sum(g >= 1 for g in docs.values()) for t, docs in self._by_topic.items()}
+
+    def topics(self) -> list:
+        return sorted(self._by_topic, key=topic_sort_key)
+
+    def grade(self, topic_id: str, doc_id: str, default: int | None = None):
+        return self.judgments.get((topic_id, doc_id), default)
+
+    def by_topic(self) -> MappingProxyType:
+        """topic_id -> {doc_id: grade}, as read-only views of the one shared index."""
+        return MappingProxyType({t: MappingProxyType(docs) for t, docs in self._by_topic.items()})
+
     def relevant_count(self, topic_id: str) -> int:
         """Number of documents judged relevant (grade >= 1) for a topic."""
-        return self.relevant_counts().get(topic_id, 0)
+        return self._relevant.get(topic_id, 0)
 
     def relevant_counts(self) -> dict:
         """topic_id -> count of documents judged relevant."""
-        return {t: sum(g >= 1 for g in docs.values()) for t, docs in self.by_topic().items()}
+        return dict(self._relevant)
 
 
 def binarize(grade: int) -> int:

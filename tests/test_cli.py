@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ipso
 from ipso.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -291,3 +295,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--k", "3", "--format", "xml"])
         assert exc.value.code == 2
+
+
+
+def test_cli_runs_without_loading_scipy_stats():
+    """scipy.stats takes about a second to import; no subcommand may load it."""
+    script = f"""
+import contextlib, io, sys
+import ipso, ipso.cli
+pair = ["--run-a", {str(RUNS / "alpha.run")!r}, "--run-b", {str(RUNS / "bravo.run")!r},
+        "--qrels", {str(QRELS)!r}, "--k", "5"]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["enumerate", "--k", "6"], ["grid", "--k", "4", "--rows", "RBP0.5@4",
+                 "--cols", "NDCG@4"], ["compare", *pair]):
+        assert ipso.cli.main(argv) == 0, argv
+sys.exit("scipy.stats" in sys.modules)
+"""
+    src = str(Path(ipso.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

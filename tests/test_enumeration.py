@@ -313,8 +313,7 @@ class TestKendallTau:
         metric_a, metric_b = MetricSpec("RR", 5), MetricSpec("AP", 5)
         xs = [evaluate(metric_a, Serp.from_int(c, 5)) for c in range(32)]
         ys = [evaluate(metric_b, Serp.from_int(c, 5)) for c in range(32)]
-        assert kendall_tau(metric_a, metric_b, 5) == pytest.approx(
-            float(kendalltau(xs, ys).statistic), abs=1e-12)
+        assert kendall_tau(metric_a, metric_b, 5) == float(kendalltau(xs, ys).statistic)
 
     def test_respects_depth_limit(self):
         with pytest.raises(ValueError):

@@ -209,6 +209,35 @@ class TestQrels:
         assert qrels.relevant_count("1") == 2  # d2 has grade 0
         assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}
 
+    def test_judgments_scanned_once(self):
+        class CountingDict(dict):
+            scans = 0
+
+            def items(self):
+                CountingDict.scans += 1
+                return super().items()
+
+        qrels = Qrels(judgments=CountingDict(parse_qrels(io.StringIO(QRELS)).judgments))
+        for _ in range(3):
+            assert qrels.topics() == ["1", "2", "3"]
+            assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}
+            assert dict(qrels.by_topic()["1"]) == {"d1": 1, "d2": 0, "d3": 2}
+            build_serps(parse_run(io.StringIO(RUN_A)), qrels, 3)
+        assert CountingDict.scans == 1
+
+    def test_index_cannot_be_mutated_by_callers(self):
+        qrels = parse_qrels(io.StringIO(QRELS))
+        grades = qrels.by_topic()
+        with pytest.raises(TypeError):
+            grades["1"]["d1"] = 0
+        with pytest.raises(TypeError):
+            grades["9"] = {}
+        qrels.relevant_counts()["1"] = 99
+        qrels.topics().append("9")
+        assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}
+        assert qrels.topics() == ["1", "2", "3"]
+        assert qrels.relevant_count("1") == 2
+
     def test_negative_grades_kept_raw(self):
         qrels = parse_qrels(io.StringIO("1 0 d1 -2\n"))
         assert qrels.grade("1", "d1") == -2
