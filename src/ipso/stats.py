@@ -97,8 +97,13 @@ def t_test_paired(diffs: Sequence[float]) -> TestResult:
 
 
 def _midranks(values: np.ndarray) -> tuple:
-    """Average 1-based ranks of values, and the size of each tie group in sorted order."""
-    _, group, sizes = np.unique(values, return_inverse=True, return_counts=True)
+    """Average 1-based ranks of values, and the size of each tie group in sorted order.
+
+    A value within SCORE_TOLERANCE of the next smaller one joins its tie group.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    group = np.cumsum(np.r_[True, np.diff(distinct) > SCORE_TOLERANCE])[inverse] - 1
+    sizes = np.bincount(group)
     return ((2 * np.cumsum(sizes) - sizes + 1) / 2.0)[group], sizes
 
 

@@ -10,6 +10,7 @@ from ipso.metrics import SCORE_TOLERANCE
 from ipso.stats import (
     TestResult,
     UndefinedTestError,
+    _midranks,
     sign_test,
     sign_test_diffs,
     t_test_paired,
@@ -226,6 +227,23 @@ class TestTieTolerance:
         clean = [0.5, 0.25, -0.125, 0.0, 0.0]
         for test in self.TESTS:
             assert test(noisy) == test(clean)
+
+    def test_wilcoxon_noise_ties_share_midranks(self):
+        noisy = [.3 - .2, .4 - .3, .5 - .4, .6 - .5, -.1, .2]  # 0.1 give or take 3e-17
+        clean = [.1, .1, .1, .1, -.1, .2]
+        assert wilcoxon_signed_rank(noisy) == wilcoxon_signed_rank(clean)
+        assert wilcoxon_signed_rank(noisy).p_value == 0.1875
+
+    def test_wilcoxon_noise_ties_in_the_normal_tail(self):
+        clean = np.repeat([0.1, 0.2, -0.3, 0.4], 8)
+        noisy = clean + np.tile([0.0, 2e-13, -3e-13, 4e-13], 8)
+        assert wilcoxon_signed_rank(noisy).method == "approximate"
+        assert wilcoxon_signed_rank(noisy) == wilcoxon_signed_rank(clean)
+
+    def test_midrank_ties_chain_within_tolerance(self):
+        ranks, sizes = _midranks(np.array([0.1, 0.1 + 5e-13, 0.1 + 1e-12, 0.3, 0.3 + 3e-12]))
+        assert ranks.tolist() == [2.0, 2.0, 2.0, 4.0, 5.0]
+        assert sizes.tolist() == [3, 1, 1]
 
     def test_noisy_constant_gap_is_degenerate(self):
         r = t_test_paired([0.09999999999999998, 0.10000000000000003, 0.1] * 3)
