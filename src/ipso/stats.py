@@ -175,12 +175,14 @@ def _inversions(ranks: np.ndarray) -> int:
 
 
 def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
-    """Kendall's tau-b of two equal-length samples; NaN when either is constant.
+    """Kendall's tau-b of two equal-length finite samples; NaN when either is constant.
 
     Discordant pairs are the inversions of y's dense ranks once the pairs
     are sorted by (x, y) (Knight 1966).  The integer counts and float steps
     are scipy.stats.kendalltau's, so the results are equal.
     """
+    if len(x) != len(y):
+        raise ValueError(f"samples differ in length: {len(x)} vs {len(y)}")
     _, x = np.unique(np.asarray(x), return_inverse=True)
     _, y = np.unique(np.asarray(y), return_inverse=True)
     pairs = np.sort(x * x.size + y)  # by x, then y

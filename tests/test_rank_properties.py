@@ -42,6 +42,11 @@ def test_tau_is_nan_for_a_constant_side():
     assert math.isnan(kendall_tau_b([1.0], [2.0]))
 
 
+def test_tau_rejects_samples_of_different_length():
+    with pytest.raises(ValueError, match="differ in length"):
+        kendall_tau_b([1.0], [1.0, 2.0, 3.0])
+
+
 @st.composite
 def tied_samples(draw, n_min=0, n_max=60):
     """Equal-length int or float samples with many ties.
