@@ -17,9 +17,9 @@ from typing import IO
 import numpy as np
 
 from . import _bits
-from .stats import kendall_tau_b
 from .metrics import MetricSpec, TopicContext, score_all
 from .serp import Relationship, Serp
+from .stats import kendall_tau_b
 
 #: Largest depth enumerated exhaustively (2^{2k} ordered pairs).
 EXHAUSTIVE_LIMIT = 15
