@@ -44,15 +44,63 @@ def prefix_ones(k: int) -> np.ndarray:
     return pc
 
 
+@lru_cache(maxsize=1)
+def _block_walk_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(total, lowest prefix, highest prefix) of a - b over every 8-position block.
+
+    Entry (a_byte << 8) | b_byte summarises the block whose MSB-first bytes,
+    as np.packbits lays them out, are a_byte and b_byte; the empty prefix
+    counts, so lowest <= 0 <= highest.
+    """
+    index = np.arange(1 << 16, dtype=np.uint16)
+    total = np.zeros(1 << 16, dtype=np.int16)
+    low, high = total.copy(), total.copy()
+    for pos in range(8):
+        total += index >> (15 - pos) & 1
+        total -= index >> (7 - pos) & 1
+        np.minimum(low, total, out=low)
+        np.maximum(high, total, out=high)
+    for table in (total, low, high):
+        table.setflags(write=False)
+    return total, low, high
+
+
+def _pack_blocks(bits: np.ndarray) -> np.ndarray:
+    """(..., k) 0/1 array -> (..., ceil(k/8)) uint8 of MSB-first 8-position blocks."""
+    k = np.shape(bits)[-1]
+    padded = np.zeros((*np.shape(bits)[:-1], -(-k // 8) * 8), dtype=np.uint8)
+    padded[..., :k] = bits
+    # packing the flat buffer, not along a short last axis, releases the GIL
+    return np.packbits(padded, axis=None).reshape(*padded.shape[:-1], -1)
+
+
 def classify_pair_rows(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
-    """Category code per row for two (m, k) 0/1 matrices compared rowwise."""
-    k = bits_a.shape[1]
-    dtype = np.int8 if k <= 120 else np.int16
-    diff = bits_a.astype(dtype) - bits_b.astype(dtype)
-    walk = np.cumsum(diff, axis=1, dtype=dtype)
-    been_pos = (walk > 0).any(axis=1)
-    been_neg = (walk < 0).any(axis=1)
-    return (been_pos + 2 * been_neg).astype(np.uint8)
+    """Category code per row for two (..., k) 0/1 arrays compared rowwise.
+
+    Leading axes broadcast.  Each 8-position block of a row pair indexes
+    the walk-summary table, and the blocks fold in depth order into a
+    running sum and the lowest and highest prefix so far.
+    """
+    index = np.left_shift(_pack_blocks(bits_a), 8, dtype=np.uint16) | _pack_blocks(bits_b)
+    # block-major, so each fold step reads one contiguous row of indices
+    index = np.moveaxis(index, -1, 0).astype(np.intp, order="C")
+    total, low, high = _block_walk_table()
+    run, lowest, highest = (np.take(t, index[0]) for t in (total, low, high))
+    step = np.empty_like(run)
+    # mode="clip" clips nothing (indices are < 2^16) but, unlike the
+    # default, writes straight into out instead of through a copy
+    for block in index[1:]:
+        np.take(low, block, out=step, mode="clip")
+        step += run
+        np.minimum(lowest, step, out=lowest)
+        np.take(high, block, out=step, mode="clip")
+        step += run
+        np.maximum(highest, step, out=highest)
+        np.take(total, block, out=step, mode="clip")
+        run += step
+    codes = (lowest < 0).view(np.uint8) << 1
+    codes |= highest > 0
+    return codes
 
 
 def first_crossings(bits_a: np.ndarray, bits_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,22 +130,24 @@ def group_codes(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
     return 2 + np.sign(neg - pos) * (1 + both)
 
 
-def category_matrix(k: int, block: int = 256) -> np.ndarray:
+def category_matrix(k: int) -> np.ndarray:
     """(2^k, 2^k) uint8 matrix of category codes for every ordered pair.
 
-    Entry [a, b] classifies SERP a against SERP b.  Blocked to keep the
-    intermediate prefix-difference tensor small; k <= 12 by contract.
+    Entry [a, b] classifies SERP a against SERP b.  The been-positive and
+    been-negative masks are ORed up one depth at a time; k <= 12 by
+    contract.
     """
     if not 1 <= k <= 12:
         raise ValueError(f"category_matrix supports 1 <= k <= 12, got {k}")
     n = 1 << k
     pc = prefix_ones(k)
-    out = np.empty((n, n), dtype=np.uint8)
-    for start in range(0, n, block):
-        d = pc[start:start + block, None, :].astype(np.int8) - pc[None, :, :]
-        been_pos = (d > 0).any(axis=2)
-        been_neg = (d < 0).any(axis=2)
-        out[start:start + block] = been_pos + 2 * been_neg
+    been_pos = np.zeros((n, n), dtype=bool)
+    been_neg = np.zeros((n, n), dtype=bool)
+    for i in range(k):
+        been_pos |= pc[:, i, None] > pc[None, :, i]
+        been_neg |= pc[:, i, None] < pc[None, :, i]
+    out = been_neg.view(np.uint8) << 1
+    out |= been_pos
     return out
 
 
@@ -112,6 +162,8 @@ def _pack_bits(flags: np.ndarray) -> np.ndarray:
 def relationship_counts_exact(k: int, block: int = 1024) -> tuple[int, int, int, int]:
     """Exact (equal, ni, ns, non_separable) counts over all 2^{2k} ordered pairs.
 
+    The bit-parallel cross-check that tests hold the dynamic program
+    behind enumeration.relationship_counts to; the two share no code.
     For each depth i and each possible prefix count v, the set of SERPs
     whose depth-i prefix count is below (resp. above) v is precomputed as
     a packed bitmask over all 2^k SERPs.  A row's been-positive /

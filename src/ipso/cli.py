@@ -14,7 +14,6 @@ import sys
 from pathlib import Path
 
 from .enumeration import (
-    EXHAUSTIVE_LIMIT,
     build_grid,
     enumerate_pairs,
     hasse_cover,
@@ -186,7 +185,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="count pair relationships at depth k")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=None,
-                   help=f"sample instead of enumerating (required for k > {EXHAUSTIVE_LIMIT})")
+                   help="estimate from this many random pairs instead of counting "
+                        "exactly (exact counts work at any k)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     _add_format(p)

@@ -1,8 +1,8 @@
 """Counting and structure over the whole space of length-k SERP pairs.
 
-Provides exact category counts (bit-parallel enumeration plus an
-independent dynamic-programming oracle), reproducible Monte Carlo
-estimates for depths beyond exhaustive reach, relationship grids under
+Provides exact category counts at any depth (a dynamic program over the
+difference walk, cross-checked in tests against bit-parallel
+enumeration), reproducible Monte Carlo estimates, relationship grids under
 metric-induced orderings, the Hasse cover of the dominance order, and
 metric-vs-metric rank correlations.
 """
@@ -21,12 +21,18 @@ from .metrics import MetricSpec, TopicContext, score_all
 from .serp import Relationship, Serp
 from .stats import kendall_tau_b
 
-#: Largest depth enumerated exhaustively (2^{2k} ordered pairs).
+#: Largest depth at which tests run _bits.relationship_counts_exact, the
+#: bit-parallel cross-check of the exact counts over all 2^{2k} pairs.
 EXHAUSTIVE_LIMIT = 15
 
 #: Pairs generated per Monte Carlo chunk; fixed so that results are
 #: bit-identical for any worker count.
 SAMPLE_CHUNK = 1 << 16
+
+#: Rows unpacked and classified at a time within a chunk, which bounds
+#: each worker's scratch memory.  A multiple of 4, so that every piece
+#: (2k bits a row) starts on a byte of the stream.
+SAMPLE_PIECE = 1 << 13
 
 COUNTS_CSV_HEADER = ("k", "equal", "separable", "non_separable", "total", "mode", "seed")
 
@@ -96,19 +102,28 @@ def write_counts_csv(rows, stream: IO[str]) -> None:
 
 
 def relationship_counts(k: int) -> dict:
-    """Exact per-relationship counts over all ordered pairs at depth k."""
-    if not 1 <= k <= EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"exhaustive counting supports 1 <= k <= {EXHAUSTIVE_LIMIT}; "
-            f"use sample_pairs for larger depths"
-        )
-    eq, ni, ns, xx = _bits.relationship_counts_exact(k)
-    return {
-        Relationship.EQUAL: eq,
-        Relationship.NON_INFERIOR: ni,
-        Relationship.NON_SUPERIOR: ns,
-        Relationship.NON_SEPARABLE: xx,
-    }
+    """Exact per-relationship counts over all ordered pairs at depth k.
+
+    Dynamic programming over the difference walk.  State is (cumulative
+    difference, been-negative, been-positive); a depth step changes the
+    difference by +1 one way (1 vs 0), -1 one way, and 0 two ways (0 vs 0,
+    1 vs 1).  Exact at any depth thanks to arbitrary-precision integers.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    states = {(0, False, False): 1}
+    for _ in range(k):
+        nxt: dict = {}
+        for (cumul, been_neg, been_pos), ways in states.items():
+            for step, mult in ((1, 1), (-1, 1), (0, 2)):
+                c = cumul + step
+                key = (c, been_neg or c < 0, been_pos or c > 0)
+                nxt[key] = nxt.get(key, 0) + ways * mult
+        states = nxt
+    counts = dict.fromkeys(Relationship, 0)
+    for (_, been_neg, been_pos), ways in states.items():
+        counts[_bits.CATEGORY_TO_RELATIONSHIP[been_pos + 2 * been_neg]] += ways
+    return counts
 
 
 def enumerate_pairs(k: int) -> CategoryCounts:
@@ -122,34 +137,8 @@ def enumerate_pairs(k: int) -> CategoryCounts:
 
 
 def dp_counts(k: int) -> CategoryCounts:
-    """Exact category counts by dynamic programming over the difference walk.
-
-    State is (cumulative difference, been-negative, been-positive); a
-    depth step changes the difference by +1 one way (1 vs 0), -1 one way,
-    and 0 two ways (0 vs 0, 1 vs 1).  Independent of the enumeration path
-    and exact at any depth thanks to arbitrary-precision integers.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    states = {(0, False, False): 1}
-    for _ in range(k):
-        nxt: dict = {}
-        for (cumul, been_neg, been_pos), ways in states.items():
-            for step, mult in ((1, 1), (-1, 1), (0, 2)):
-                c = cumul + step
-                key = (c, been_neg or c < 0, been_pos or c > 0)
-                nxt[key] = nxt.get(key, 0) + ways * mult
-        states = nxt
-    eq = sep = xx = 0
-    for (_, been_neg, been_pos), ways in states.items():
-        if been_neg and been_pos:
-            xx += ways
-        elif been_neg or been_pos:
-            sep += ways
-        else:
-            eq += ways
-    return CategoryCounts(k=k, equal=eq, separable=sep, non_separable=xx,
-                          total=1 << (2 * k), mode="exact")
+    """Exact category counts by dynamic programming: enumerate_pairs by another name."""
+    return enumerate_pairs(k)
 
 
 def _sample_chunk(k: int, seed: int, chunk_index: int, size: int) -> np.ndarray:
@@ -157,11 +146,13 @@ def _sample_chunk(k: int, seed: int, chunk_index: int, size: int) -> np.ndarray:
     # counter-based generator: each chunk owns a disjoint counter range,
     # so the stream is identical no matter which worker draws it
     rng = np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 64))
-    nbits = size * 2 * k
-    raw = np.frombuffer(rng.bytes((nbits + 7) // 8), dtype=np.uint8)
-    bits = np.unpackbits(raw, count=nbits).reshape(size, 2, k)
-    cats = _bits.classify_pair_rows(bits[:, 0, :], bits[:, 1, :])
-    return np.bincount(cats, minlength=4)
+    raw = np.frombuffer(rng.bytes((size * 2 * k + 7) // 8), dtype=np.uint8)
+    tally = np.zeros(4, dtype=np.int64)
+    for start in range(0, size, SAMPLE_PIECE):
+        rows = min(SAMPLE_PIECE, size - start)
+        bits = np.unpackbits(raw[start * k // 4:], count=rows * 2 * k).reshape(rows, 2, k)
+        tally += np.bincount(_bits.classify_pair_rows(bits[:, 0, :], bits[:, 1, :]), minlength=4)
+    return tally
 
 
 def sample_pairs(k: int, n_samples: int, seed: int = 0, workers: int = 1) -> CategoryCounts:
@@ -223,22 +214,26 @@ class RelationshipGrid:
             for code, count in enumerate(tallies)
         }
 
+    def _code_rows(self):
+        """Each row of cells as a list of relationship text codes ("==", "ni", ...)."""
+        lut = np.array([_bits.CATEGORY_TO_RELATIONSHIP[c].code for c in range(4)], dtype=object)
+        # row by row: the whole grid as Python lists would be 2^{2k} references
+        return (lut[row].tolist() for row in self.cells)
+
     def write_csv(self, stream: IO[str]) -> None:
         writer = csv.writer(stream)
-        codes = {code: rel.code for code, rel in _bits.CATEGORY_TO_RELATIONSHIP.items()}
         writer.writerow([""] + self.col_bitstrings())
-        for label, row in zip(self.row_bitstrings(), self.cells):
-            writer.writerow([label] + [codes[int(c)] for c in row])
+        for label, row in zip(self.row_bitstrings(), self._code_rows()):
+            writer.writerow([label] + row)
 
     def to_dict(self) -> dict:
-        codes = {code: rel.code for code, rel in _bits.CATEGORY_TO_RELATIONSHIP.items()}
         return {
             "k": self.k,
             "row_metric": self.row_metric.label,
             "col_metric": self.col_metric.label,
             "rows": self.row_bitstrings(),
             "cols": self.col_bitstrings(),
-            "cells": [[codes[int(c)] for c in row] for row in self.cells],
+            "cells": list(self._code_rows()),
         }
 
 

@@ -48,7 +48,11 @@ def sign_test(n_pos: int, n_neg: int) -> TestResult:
     if n == 0:
         raise UndefinedTestError("sign test needs at least one untied observation")
     lo = min(n_pos, n_neg)
-    tail = sum(math.comb(n, j) for j in range(lo + 1))
+    # sum C(n, 0..lo) with a running exact term, C(n, j) = C(n, j-1) (n-j+1) / j
+    term = tail = 1
+    for j in range(1, lo + 1):
+        term = term * (n - j + 1) // j
+        tail += term
     p = min(1.0, (2 * tail) / (1 << n))
     return TestResult(p_value=p, statistic=float(lo), n_effective=n, method="exact")
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ipso import _bits
 from ipso.enumeration import (
     dp_counts,
     enumerate_pairs,
@@ -127,7 +128,11 @@ def test_criterion_02_sampled_non_separable_rates():
 
 def test_criterion_03_dual_route_agreement():
     for k in range(1, 13):
-        assert dp_counts(k) == enumerate_pairs(k), k
+        eq, ni, ns, xx = _bits.relationship_counts_exact(k)
+        counts = relationship_counts(k)
+        assert (counts[EQ], counts[NI], counts[NS], counts[XX]) == (eq, ni, ns, xx), k
+        c = dp_counts(k)
+        assert (c.equal, c.separable, c.non_separable) == (eq, ni + ns, xx), k
     for k in range(1, 11):
         serps = [Serp.from_int(code, k) for code in range(1 << k)]
         for a in serps:

@@ -51,12 +51,20 @@ class TestEnumerate:
                               "--seed", "7", "--workers", "4")
         assert single == multi
 
-    def test_oversized_k_needs_samples(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--k", "16")
-        assert code == 2
-        assert "sample" in err
+    def test_oversized_k_is_exact(self, capsys):
+        for k in (16, 30):
+            code, out, _ = run_cli(capsys, "enumerate", "--k", str(k), "--format", "json")
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["mode"] == "exact"
+            assert payload["equal"] == 2 ** k
+            assert payload["equal"] + payload["separable"] + payload["non_separable"] \
+                == payload["total"] == 4 ** k
         code, out, _ = run_cli(capsys, "enumerate", "--k", "16", "--samples", "1000")
         assert code == 0
+        code, _, err = run_cli(capsys, "enumerate", "--k", "0")
+        assert code == 2
+        assert err
 
 
 class TestGrid:

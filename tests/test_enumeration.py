@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ipso import _bits
 from ipso.enumeration import (
     COUNTS_CSV_HEADER,
     EXHAUSTIVE_LIMIT,
@@ -42,6 +43,7 @@ class TestRelationshipCounts:
     def test_known_values(self, k):
         counts = relationship_counts(k)
         assert (counts[EQ], counts[NI], counts[NS], counts[XX]) == KNOWN_COUNTS[k]
+        assert _bits.relationship_counts_exact(k) == KNOWN_COUNTS[k]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
     def test_matches_pairwise_compare(self, k):
@@ -58,9 +60,14 @@ class TestRelationshipCounts:
         assert counts[NI] == counts[NS]
         assert sum(counts.values()) == 1 << (2 * k)
 
-    def test_refuses_oversized_k(self):
-        with pytest.raises(ValueError, match="sample_pairs"):
-            relationship_counts(EXHAUSTIVE_LIMIT + 1)
+    def test_exact_beyond_exhaustive_limit(self):
+        for k in (EXHAUSTIVE_LIMIT + 1, 30):
+            counts = relationship_counts(k)
+            assert counts[EQ] == 1 << k
+            assert counts[NI] == counts[NS] > 0
+            assert sum(counts.values()) == 4 ** k
+        with pytest.raises(ValueError):
+            relationship_counts(0)
 
 
 class TestEnumeratePairs:
@@ -83,17 +90,31 @@ class TestEnumeratePairs:
             "non_separable": "32.82",
         }
 
-    def test_refuses_oversized_k(self):
-        with pytest.raises(ValueError, match="sample_pairs"):
-            enumerate_pairs(16)
+    def test_exact_beyond_exhaustive_limit(self):
+        for k in (16, 30):
+            c = enumerate_pairs(k)
+            assert (c.equal, c.total, c.mode) == (1 << k, 4 ** k, "exact")
+            assert c.equal + c.separable + c.non_separable == 4 ** k
         with pytest.raises(ValueError):
             enumerate_pairs(0)
+
+
+def assert_dp_matches_bit_parallel(k):
+    eq, ni, ns, xx = _bits.relationship_counts_exact(k)
+    counts = relationship_counts(k)
+    assert (counts[EQ], counts[NI], counts[NS], counts[XX]) == (eq, ni, ns, xx)
+    c = dp_counts(k)
+    assert (c.equal, c.separable, c.non_separable, c.total) == (eq, ni + ns, xx, 4 ** k)
 
 
 class TestDpCounts:
     @pytest.mark.parametrize("k", sorted(KNOWN_COUNTS))
     def test_agrees_with_enumeration(self, k):
-        assert dp_counts(k) == enumerate_pairs(k)
+        assert_dp_matches_bit_parallel(k)
+
+    @pytest.mark.parametrize("k", range(13, EXHAUSTIVE_LIMIT + 1))
+    def test_agrees_with_enumeration_up_to_the_limit(self, k):
+        assert_dp_matches_bit_parallel(k)
 
     def test_large_depths_exact(self):
         for k, pct in [(20, "51.05"), (50, "68.48"), (100, "77.57")]:
@@ -163,6 +184,20 @@ class TestSampling:
             p = getattr(exact, attr)
             se = (p * (1 - p) / n) ** 0.5
             assert abs(getattr(c, attr) - p) < 5 * se + 1e-9
+
+    def test_frozen_seed_one_census(self):
+        # seed-1 draws of the benchmark's sampled census; a change to the
+        # stream or the classifier moves these counts
+        frozen = {20: (2, 489928, 510070), 50: (0, 314530, 685470), 100: (0, 224427, 775573)}
+        n = 10**6
+        for k, counts in frozen.items():
+            c = sample_pairs(k, n, seed=1)
+            assert (c.equal, c.separable, c.non_separable) == counts, k
+            exact = dp_counts(k)
+            for attr in ("equal", "separable", "non_separable"):
+                p = getattr(exact, attr) / exact.total
+                se = (n * p * (1 - p)) ** 0.5
+                assert abs(getattr(c, attr) - n * p) <= 5 * se, (k, attr)
 
     def test_deep_k_runs(self):
         c = sample_pairs(60, 10_000, seed=1)

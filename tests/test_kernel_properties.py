@@ -1,11 +1,13 @@
-"""Property tests: the vectorised group kernel against the scalar relation.
+"""Property tests: the vectorised relation kernels against the scalar relation.
 
 Every row's group from _bits.group_codes must equal classify_group and an
 independent prefix-walk oracle; first_crossings must report the depths
-that the walk itself shows.
+that the walk itself shows.  The four-way category from the block-walk
+classify_pair_rows and from category_matrix must equal the same walk's.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,15 @@ def walk_group(a, b) -> str:
     if len(first) == 1:
         return "ni" if True in first else "ns"
     return "**/ni" if first[True] < first[False] else "**/ns"
+
+
+def walk_category(a, b) -> int:
+    """Four-way category code: 1 if the walk went positive, plus 2 if negative."""
+    walk, pos, neg = 0, False, False
+    for x, y in zip(a, b):
+        walk += x - y
+        pos, neg = pos or walk > 0, neg or walk < 0
+    return pos + 2 * neg
 
 
 def walk_crossings(a, b) -> tuple:
@@ -110,3 +121,67 @@ def test_leading_axes():
     codes = _bits.group_codes(a, b)
     assert codes.shape == (3, 4)
     assert (codes.reshape(-1) == _bits.group_codes(a.reshape(12, 10), b.reshape(12, 10))).all()
+
+
+# depths next to the 8-position block edges and past the int8 range
+EDGE_DEPTHS = [8 * m + r for m in range(17) for r in (0, 1, 7) if 1 <= 8 * m + r <= 130]
+
+
+@st.composite
+def category_rows(draw):
+    k = draw(st.one_of(st.integers(1, 130), st.sampled_from(EDGE_DEPTHS)))
+    n = draw(st.integers(1, 12))
+    # each row drawn as one k-bit integer, MSB first, which shrinks cleanly
+    codes = st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n)
+    shifts = np.arange(k - 1, -1, -1)
+
+    def bits(dtype):
+        return np.array([[(c >> int(s)) & 1 for s in shifts] for c in draw(codes)], dtype=dtype)
+
+    return bits(np.uint8), bits(np.int8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=category_rows())
+def test_classify_pair_rows_matches_walk(pair):
+    a, b = pair
+    cats = _bits.classify_pair_rows(a, b)
+    assert cats.dtype == np.uint8
+    assert cats.tolist() == [walk_category(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=category_rows(), data=st.data())
+def test_classify_pair_rows_broadcasts_leading_axes(pair, data):
+    a, b = pair
+    cut = data.draw(st.integers(1, len(b)))
+    rows, cols = a[:, None, :], b[None, :cut, :]
+    cats = _bits.classify_pair_rows(rows, cols)
+    assert cats.shape == (len(a), cut)
+    expected = [[walk_category(x, y) for y in b[:cut].tolist()] for x in a.tolist()]
+    assert cats.tolist() == expected
+    # a bare (k,) row broadcasts against a matrix of rows
+    assert _bits.classify_pair_rows(a[0], b).tolist() == [
+        walk_category(a[0].tolist(), y) for y in b.tolist()]
+
+
+def test_category_oracle_at_depth_one():
+    assert [walk_category([x], [y]) for x in (0, 1) for y in (0, 1)] == [
+        _bits.EQ, _bits.NS, _bits.NI, _bits.EQ]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_category_matrix_matches_walk(k):
+    rows = _bits.bit_matrix(k).tolist()
+    expected = [[walk_category(a, b) for b in rows] for a in rows]
+    assert _bits.category_matrix(k).tolist() == expected
+
+
+def test_long_one_sided_walks_do_not_wrap():
+    # walks that climb past the int8 range, then end below zero
+    ones, zeros = np.ones((1, 130), dtype=np.int8), np.zeros((1, 130), dtype=np.int8)
+    assert _bits.classify_pair_rows(ones, zeros).tolist() == [_bits.NI]
+    assert _bits.classify_pair_rows(zeros, ones).tolist() == [_bits.NS]
+    late = np.concatenate([zeros[:, :65], ones[:, :65]], axis=1)
+    early = np.concatenate([ones[:, :64], zeros[:, :66]], axis=1)
+    assert _bits.classify_pair_rows(early, late).tolist() == [_bits.XX]

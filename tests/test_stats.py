@@ -53,6 +53,16 @@ class TestSignTest:
         expected = min(1.0, 2.0 * scipy.stats.binom.cdf(900, 2000, 0.5))
         assert p == pytest.approx(expected, rel=1e-10)
 
+    def test_tail_equals_comb_sum(self):
+        # the running-term tail must give the very float the math.comb sum gives
+        for n in range(1, 301):
+            tail = 0
+            for lo in range(n // 2 + 1):
+                tail += math.comb(n, lo)
+                expected = min(1.0, (2 * tail) / (1 << n))
+                assert sign_test(lo, n - lo).p_value == expected, (n, lo)
+                assert sign_test(n - lo, lo).p_value == expected, (n, lo)
+
     def test_more_imbalance_smaller_p(self):
         ps = [sign_test(20 - j, j).p_value for j in range(10, -1, -1)]
         assert ps == sorted(ps, reverse=True)
