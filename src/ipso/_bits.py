@@ -130,8 +130,9 @@ def group_codes(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
     return 2 + np.sign(neg - pos) * (1 + both)
 
 
+@lru_cache(maxsize=2)  # the k = 12 matrix alone is 16 MB
 def category_matrix(k: int) -> np.ndarray:
-    """(2^k, 2^k) uint8 matrix of category codes for every ordered pair.
+    """(2^k, 2^k) read-only uint8 matrix of category codes for every ordered pair.
 
     Entry [a, b] classifies SERP a against SERP b.  The been-positive and
     been-negative masks are ORed up one depth at a time; k <= 12 by
@@ -148,6 +149,7 @@ def category_matrix(k: int) -> np.ndarray:
         been_neg |= pc[:, i, None] < pc[None, :, i]
     out = been_neg.view(np.uint8) << 1
     out |= been_pos
+    out.setflags(write=False)
     return out
 
 

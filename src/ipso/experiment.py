@@ -15,6 +15,7 @@ import enum
 import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Sequence, Union
 
@@ -22,7 +23,8 @@ import numpy as np
 
 from . import _bits
 from .enumeration import CategoryCounts
-from .metrics import MetricSpec, TopicContext, evaluate, parse_metric
+# evaluate and build_serps are not called here; bench/tracer.py hooks both names in this module
+from .metrics import MetricSpec, evaluate, evaluate_rows, parse_metric  # noqa: F401
 from .serp import (
     GROUP_TABLE_ORDER,
     Serp,
@@ -33,24 +35,24 @@ from .serp import (
     trajectory,
 )
 from .stats import (
-    TestResult,
+    RowOutcomes,
     UndefinedTestError,
     sign_test,
-    sign_test_diffs,
-    t_test_paired,
-    wilcoxon_signed_rank,
+    sign_test_rows,
+    t_test_rows,
+    wilcoxon_rows,
 )
-from .trecio import Qrels, RunFile, build_serps, distinct_runs, topic_sort_key
+from .trecio import Qrels, RunFile, build_serps, distinct_runs, topic_sort_key  # noqa: F401
 
-METRIC_TESTS = {
-    "t": t_test_paired,
-    "wilcoxon": wilcoxon_signed_rank,
-    "sign": sign_test_diffs,
-}
+#: Each metric test, run over the rows of a (pairs x topics) array of differences.
+METRIC_TESTS = {"t": t_test_rows, "wilcoxon": wilcoxon_rows, "sign": sign_test_rows}
 
 DEFAULT_ALPHA = 0.05
 
 DAGGER, DOUBLE_DAGGER = "†", "‡"
+
+#: Most system pairs the sweep tests in one block.
+_BLOCK_PAIRS = 1024
 
 
 def _as_metric(metric: Union[MetricSpec, str]) -> MetricSpec:
@@ -67,18 +69,13 @@ def _check_test(test: str) -> None:
         raise ValueError(f"unknown test {test!r}; choose from {sorted(METRIC_TESTS)}")
 
 
-def _evaluation_topics(runs: Sequence[RunFile], judged: set) -> list:
-    """Topics to evaluate: judged topics retrieved by at least one of runs."""
-    return sorted(set().union(*(run.entries for run in runs)) & judged, key=topic_sort_key)
-
-
 class _Collection(NamedTuple):
     """Every run's binary relevance over the evaluation topics, in topic order."""
 
     topics: list
     rel: dict  # system tag -> (topics x depth) int8 matrix; all-0 rows for absent topics
-    serps: dict  # (system tag, k) -> depth-k Serp per topic, built on first use
-    scores: dict  # (system tag, k, metric label) -> {topic: score}, computed on first use
+    present: dict  # system tag -> bool per topic: the run ranks documents for it
+    relevant: np.ndarray  # R per topic: the count of documents judged relevant
 
 
 def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int],
@@ -88,38 +85,62 @@ def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int],
         raise ValueError(f"k must be >= 1, got {min(k_values)}")
     depth = max(k_values)
     runs = distinct_runs(runs)
-    topics = _evaluation_topics(runs, judged)
+    # the evaluation topics: judged topics that at least one run retrieved
+    topics = sorted(set().union(*(run.entries for run in runs)) & judged, key=topic_sort_key)
     grades = qrels.by_topic()
-    rel = {}
+    rel, present = {}, {}
     for run in runs:
         matrix = rel[run.system_tag] = np.zeros((len(topics), depth), dtype=np.int8)
         for row, t in zip(matrix, topics):
             judged_docs = grades[t]
             bits = [judged_docs.get(e.doc_id, 0) >= 1 for e in run.ranking(t)[:depth]]
             row[:len(bits)] = bits
-    return _Collection(topics, rel, {}, {})
+        present[run.system_tag] = np.array([t in run.entries for t in topics], dtype=bool)
+    relevant = np.array([qrels.relevant_count(t) for t in topics], dtype=np.int64)
+    return _Collection(topics, rel, present, relevant)
 
 
-def _group_tally(bits_a: np.ndarray, bits_b: np.ndarray) -> dict:
-    """TopicGroup -> count of row pairs in that group."""
-    counts = np.bincount(_bits.group_codes(bits_a, bits_b), minlength=5)
-    return {g: int(n) for g, n in zip(GROUP_TABLE_ORDER, counts)}
+def _score_matrix(collection: _Collection, k: int, metric: MetricSpec) -> np.ndarray:
+    """(systems x topics) scores of the depth-k SERPs, rows in collection.rel's order."""
+    bits = np.stack([matrix[:, :k] for matrix in collection.rel.values()])
+    flat = evaluate_rows(metric, bits.reshape(-1, k), np.tile(collection.relevant, len(bits)))
+    return flat.reshape(bits.shape[:2])
 
 
-def _pair_topics(run_a: RunFile, run_b: RunFile, judged: set) -> list:
-    """A pair's evaluation topics, warning for each run about those it lacks."""
-    topics = _evaluation_topics([run_a, run_b], judged)
-    if not topics:
+def _metric_test(test: str, diffs: np.ndarray) -> RowOutcomes | None:
+    """The metric test over each row of diffs; None where it is undefined."""
+    try:
+        return METRIC_TESTS[test](diffs)
+    except UndefinedTestError:
+        return None
+
+
+_NI, _NS = (GROUP_TABLE_ORDER.index(g) for g in (TopicGroup.SEPARABLE_NI, TopicGroup.SEPARABLE_NS))
+
+
+def _group_counts(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
+    """(m, 5) topic counts per group, in GROUP_TABLE_ORDER, of two (m, topics, k) 0/1 arrays."""
+    codes = _bits.group_codes(bits_a, bits_b) + 5 * np.arange(len(bits_a))[:, None]
+    return np.bincount(codes.ravel(), minlength=5 * len(bits_a)).reshape(-1, 5)
+
+
+def _ipso_p(ni: int, ns: int) -> float | None:
+    """The innate Sign test's p on the separable directions; None with no separable topic."""
+    return sign_test(ni, ns).p_value if ni + ns else None
+
+
+def _pair_topics(collection: _Collection, run_a: RunFile, run_b: RunFile) -> np.ndarray:
+    """Columns of a pair's evaluation topics, warning for each run about those it lacks."""
+    has_a, has_b = (collection.present[run.system_tag] for run in (run_a, run_b))
+    at = np.flatnonzero(has_a | has_b)
+    if not at.size:
         raise ValueError(f"runs {run_a.system_tag} and {run_b.system_tag} share no judged topics")
-    for run in (run_a, run_b):
-        missing = [t for t in topics if t not in run.entries]
+    for run, has in ((run_a, has_a), (run_b, has_b)):
+        missing = int(at.size - has[at].sum())
         if missing:
-            warnings.warn(
-                f"system {run.system_tag}: {len(missing)} evaluated topic(s) absent from the "
-                "run; scored as all-0 SERPs",
-                stacklevel=3,
-            )
-    return topics
+            warnings.warn(f"system {run.system_tag}: {missing} evaluated topic(s) absent from "
+                          "the run; scored as all-0 SERPs", stacklevel=3)
+    return at
 
 
 @dataclass(frozen=True)
@@ -226,82 +247,6 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
-def _scores_for(collection: _Collection, tag: str, k: int, metric: MetricSpec,
-                rel_counts: dict) -> dict:
-    """topic -> one system's depth-k score on each topic with a relevant document."""
-    if (tag, k) not in collection.serps:
-        collection.serps[(tag, k)] = [Serp(row) for row in collection.rel[tag][:, :k].tolist()]
-    key = (tag, k, metric.label)
-    if key not in collection.scores:
-        collection.scores[key] = {
-            t: evaluate(metric, serp, TopicContext(rel_counts[t]))
-            for t, serp in zip(collection.topics, collection.serps[(tag, k)])
-            if rel_counts[t] >= 1
-        }
-    return collection.scores[key]
-
-
-def _pair_report(
-    tag_a: str,
-    tag_b: str,
-    collection: _Collection,
-    topics: Sequence[str],
-    groups: dict,
-    rel_counts: dict,
-    k: int,
-    metric: MetricSpec,
-    test: str,
-    alpha: float,
-) -> ComparisonReport:
-    zero_rel = tuple(t for t in topics if rel_counts[t] == 0)
-    scored = [t for t in topics if rel_counts[t] >= 1]
-    scores_a = _scores_for(collection, tag_a, k, metric, rel_counts)
-    scores_b = _scores_for(collection, tag_b, k, metric, rel_counts)
-    diffs = [scores_a[t] - scores_b[t] for t in scored]
-
-    if scored:
-        mean_a = sum(scores_a[t] for t in scored) / len(scored)
-        mean_b = sum(scores_b[t] for t in scored) / len(scored)
-        effect = mean_b - mean_a
-    else:
-        mean_a = mean_b = effect = None
-
-    try:
-        metric_result = METRIC_TESTS[test](diffs)
-    except UndefinedTestError:
-        metric_result = None
-
-    ni, ns = groups[TopicGroup.SEPARABLE_NI], groups[TopicGroup.SEPARABLE_NS]
-    ipso_result = sign_test(ni, ns) if ni + ns else None
-
-    metric_p = metric_result.p_value if metric_result else None
-    ipso_p = ipso_result.p_value if ipso_result else None
-    significant = metric_p is not None and metric_p < alpha
-    corroborated = significant and ipso_p is not None and ipso_p < alpha
-
-    return ComparisonReport(
-        system_a=tag_a,
-        system_b=tag_b,
-        k=k,
-        metric=metric,
-        test=test,
-        alpha=alpha,
-        n_topics=len(topics),
-        n_scored_topics=len(scored),
-        mean_a=mean_a,
-        mean_b=mean_b,
-        effect_size=effect,
-        metric_p=metric_p,
-        metric_statistic=metric_result.statistic if metric_result else None,
-        metric_degenerate=bool(metric_result.degenerate) if metric_result else False,
-        ipso_counts=groups,
-        ipso_p=ipso_p,
-        metric_significant=significant,
-        ipso_corroborated=corroborated,
-        zero_relevant_topics=zero_rel,
-    )
-
-
 def compare_systems(
     run_a: RunFile,
     run_b: RunFile,
@@ -322,13 +267,31 @@ def compare_systems(
     _check_alpha(alpha)
     _check_test(test)
     spec = MetricSpec("P", k) if metric is None else _as_metric(metric)
-    judged = set(qrels.topics())
-    collection = _collection([run_a, run_b], qrels, [k], judged)
-    topics = _pair_topics(run_a, run_b, judged)
-    groups = _group_tally(collection.rel[run_a.system_tag], collection.rel[run_b.system_tag])
-    return _pair_report(
-        run_a.system_tag, run_b.system_tag, collection, topics, groups,
-        qrels.relevant_counts(), k, spec, test, alpha,
+    collection = _collection([run_a, run_b], qrels, [k], set(qrels.topics()))
+    at = _pair_topics(collection, run_a, run_b)
+    scored = collection.relevant >= 1
+    # rows are run_a's and run_b's, or one row when the two are the same run
+    a, b = _score_matrix(collection, k, spec)[[0, -1]][:, scored]
+    mean_a = mean_b = effect = None
+    if a.size:
+        mean_a, mean_b = (float(np.cumsum(x)[-1] / x.size) for x in (a, b))
+        effect = mean_b - mean_a
+    outcome = _metric_test(test, (a - b)[None, :])
+    result = outcome.result(0) if outcome else None
+    counts = _group_counts(*(collection.rel[run.system_tag][None] for run in (run_a, run_b)))[0]
+    ipso_p = _ipso_p(int(counts[_NI]), int(counts[_NS]))
+    metric_p = result.p_value if result else None
+    significant = metric_p is not None and metric_p < alpha
+    return ComparisonReport(
+        system_a=run_a.system_tag, system_b=run_b.system_tag, k=k, metric=spec, test=test,
+        alpha=alpha, n_topics=at.size, n_scored_topics=int(scored.sum()),
+        mean_a=mean_a, mean_b=mean_b, effect_size=effect, metric_p=metric_p,
+        metric_statistic=result.statistic if result else None,
+        metric_degenerate=result.degenerate if result else False,
+        ipso_counts={g: int(n) for g, n in zip(GROUP_TABLE_ORDER, counts)}, ipso_p=ipso_p,
+        metric_significant=significant,
+        ipso_corroborated=significant and ipso_p is not None and ipso_p < alpha,
+        zero_relevant_topics=tuple(collection.topics[i] for i in at if not scored[i]),
     )
 
 
@@ -361,27 +324,20 @@ def topic_table(
     (A minus B) are attached to every row.
     """
     specs = [_as_metric(m) for m in metrics]
-    serp_set = build_serps([run_a, run_b], qrels, k)
-    topics = _pair_topics(run_a, run_b, set(qrels.topics()))
-    rel_counts = qrels.relevant_counts()
+    collection = _collection([run_a, run_b], qrels, [k], set(qrels.topics()))
+    at = _pair_topics(collection, run_a, run_b)
+    # rows are run_a's and run_b's, or one row when the two are the same run
+    diffs = {spec.label: np.subtract(*_score_matrix(collection, k, spec)[[0, -1]]).tolist()
+             for spec in specs}
 
+    rel_a, rel_b = (collection.rel[run.system_tag].tolist() for run in (run_a, run_b))
     rows = []
-    for t in topics:
-        serp_a = serp_set.serp_or_empty(run_a.system_tag, t)
-        serp_b = serp_set.serp_or_empty(run_b.system_tag, t)
-        traj = trajectory(serp_a, serp_b)
-        ctx = TopicContext(rel_counts.get(t, 0))
-        diffs = {
-            spec.label: evaluate(spec, serp_a, ctx) - evaluate(spec, serp_b, ctx)
-            for spec in specs
-        }
+    for i in at.tolist():
+        serp_a, serp_b = Serp(rel_a[i]), Serp(rel_b[i])
         rows.append(TopicRow(
-            topic_id=t,
-            serp_a=serp_a.bitstring,
-            serp_b=serp_b.bitstring,
-            trajectory=traj,
-            group=classify_group(serp_a, serp_b, k),
-            score_diffs=diffs,
+            topic_id=collection.topics[i], serp_a=serp_a.bitstring, serp_b=serp_b.bitstring,
+            trajectory=trajectory(serp_a, serp_b), group=classify_group(serp_a, serp_b, k),
+            score_diffs={label: column[i] for label, column in diffs.items()},
         ))
     rows.sort(key=lambda r: (
         r.group.table_order, group_sort_key(r.trajectory), topic_sort_key(r.topic_id),
@@ -454,16 +410,11 @@ class SweepResult:
         significant, ipso_total the fraction the Sign test does; both
         include the pairs where the two agree.
         """
-        grouped: dict = {}
-        for row in self.rows:
-            grouped.setdefault((row.k, row.metric, row.test), []).append(row)
+        sizes = Counter((row.k, row.metric, row.test) for row in self.rows)
+        tally = Counter((row.k, row.metric, row.test, row.category) for row in self.rows)
         out = {}
-        for key, rows in grouped.items():
-            n = len(rows)
-            tally = {cat: 0 for cat in AgreementCategory}
-            for row in rows:
-                tally[row.category] += 1
-            fracs = {cat.label: tally[cat] / n for cat in AgreementCategory}
+        for key, n in sizes.items():
+            fracs = {cat.label: tally[(*key, cat)] / n for cat in AgreementCategory}
             fracs["metric_total"] = fracs["Both:Yes"] + fracs["Metric:Yes"]
             fracs["ipso_total"] = fracs["Both:Yes"] + fracs["Metric:No"]
             fracs["n_pairs"] = n
@@ -472,8 +423,7 @@ class SweepResult:
 
     def write_csv(self, stream: IO[str]) -> None:
         writer = csv.writer(stream)
-        writer.writerow(("system_a", "system_b", "k", "metric", "test",
-                         "metric_p", "ipso_p", "category"))
+        writer.writerow(SweepRow._fields)
         for row in self.rows:
             writer.writerow((
                 row.system_a, row.system_b, row.k, row.metric, row.test,
@@ -485,15 +435,7 @@ class SweepResult:
     def to_dict(self) -> dict:
         return {
             "alpha": self.alpha,
-            "rows": [
-                {
-                    "system_a": row.system_a, "system_b": row.system_b,
-                    "k": row.k, "metric": row.metric, "test": row.test,
-                    "metric_p": row.metric_p, "ipso_p": row.ipso_p,
-                    "category": row.category.label,
-                }
-                for row in self.rows
-            ],
+            "rows": [{**row._asdict(), "category": row.category.label} for row in self.rows],
             "fractions": [
                 {"k": k, "metric": metric, "test": test, **fracs}
                 for (k, metric, test), fracs in sorted(self.fractions().items())
@@ -531,39 +473,47 @@ def sweep_all_pairs(
             plan.append(_as_metric(m))
     if not plan or not tests or not k_values:
         raise ValueError("k_values, metrics, and tests must all be non-empty")
-    rel_counts = qrels.relevant_counts()
-    judged = set(qrels.topics())
-    collection = _collection(runs, qrels, k_values, judged)
-    row_of = {t: i for i, t in enumerate(collection.topics)}
-    pairs = []
+    collection = _collection(runs, qrels, k_values, set(qrels.topics()))
+    row_of = {tag: i for i, tag in enumerate(collection.rel)}
+    pairs, by_topics = [], {}
     for x, y in itertools.combinations(runs, 2):
-        topics = _pair_topics(x, y, judged)
-        pairs.append((x.system_tag, y.system_tag, topics, [row_of[t] for t in topics]))
+        at = _pair_topics(collection, x, y)
+        by_topics.setdefault(at.tobytes(), []).append(len(pairs))
+        pairs.append((x.system_tag, y.system_tag, at))
+    # pairs on the same topics are tested together, one row per pair, in
+    # blocks small enough that a block's arrays stay a few megabytes
+    blocks = [(np.array(members[lo:lo + _BLOCK_PAIRS]), pairs[members[0]][2])
+              for members in by_topics.values() for lo in range(0, len(members), _BLOCK_PAIRS)]
+    sides = np.array([(row_of[x], row_of[y]) for x, y, _ in pairs])
+    bits = np.stack(list(collection.rel.values()))
     rows = []
     for k in k_values:
-        specs = [
-            parse_metric(f"{m}@{k}") if isinstance(m, str) else m for m in plan
-        ]
-        for tag_x, tag_y, topics, at in pairs:
-            groups = _group_tally(collection.rel[tag_x][at, :k], collection.rel[tag_y][at, :k])
+        specs = [parse_metric(f"{m}@{k}") if isinstance(m, str) else m for m in plan]
+        scores = {spec: _score_matrix(collection, k, spec) for spec in specs}
+        ipso_p = [None] * len(pairs)
+        metric_p = {(spec, test): [None] * len(pairs) for spec in specs for test in tests}
+        for members, at in blocks:
+            a, b = sides[members, :1], sides[members, 1:]
+            counts = _group_counts(bits[a, at, :k], bits[b, at, :k])
+            for i, ni, ns in zip(members.tolist(), *counts[:, [_NI, _NS]].T.tolist()):
+                ipso_p[i] = _ipso_p(ni, ns)
+            scored = at[collection.relevant[at] >= 1]
             for spec in specs:
+                diffs = scores[spec][a, scored] - scores[spec][b, scored]
                 for test in tests:
-                    report = _pair_report(
-                        tag_x, tag_y, collection, topics, groups,
-                        rel_counts, k, spec, test, alpha,
-                    )
-                    ipso_significant = report.ipso_p is not None and report.ipso_p < alpha
-                    rows.append(SweepRow(
-                        system_a=report.system_a,
-                        system_b=report.system_b,
-                        k=k,
-                        metric=spec.label,
-                        test=test,
-                        metric_p=report.metric_p,
-                        ipso_p=report.ipso_p,
-                        category=AgreementCategory.from_flags(
-                            report.metric_significant, ipso_significant),
-                    ))
+                    outcome = _metric_test(test, diffs)
+                    if outcome:
+                        for i, p in zip(members.tolist(), outcome.p_value.tolist()):
+                            metric_p[spec, test][i] = p
+        cells = [(spec.label, test, metric_p[spec, test]) for spec in specs for test in tests]
+        for i, (tag_x, tag_y, _) in enumerate(pairs):
+            innate = ipso_p[i]
+            innate_significant = innate is not None and innate < alpha
+            for label, test, p_values in cells:
+                p = p_values[i]
+                rows.append(SweepRow(tag_x, tag_y, k, label, test, p, innate,
+                                     AgreementCategory.from_flags(p is not None and p < alpha,
+                                                                  innate_significant)))
     return SweepResult(rows=tuple(rows), alpha=alpha)
 
 
@@ -603,12 +553,11 @@ def mean_metric_by_system(
     """
     spec = _as_metric(metric)
     collection = _collection(runs, qrels, [spec.depth], set(qrels.topics()))
-    rel_counts = qrels.relevant_counts()
-    if not any(rel_counts[t] >= 1 for t in collection.topics):
+    scored = collection.relevant >= 1
+    if not scored.any():
         raise ValueError("no topics with relevant documents to score")
-    scores = {run.system_tag: _scores_for(collection, run.system_tag, spec.depth, spec, rel_counts)
-              for run in runs}
-    return {tag: sum(s.values()) / len(s) for tag, s in scores.items()}
+    scores = _score_matrix(collection, spec.depth, spec)[:, scored]
+    return dict(zip(collection.rel, (np.cumsum(scores, axis=1)[:, -1] / scored.sum()).tolist()))
 
 
 def percentile_run(

@@ -4,7 +4,8 @@ Six families: precision, reciprocal rank, success, rank-biased precision,
 average precision, and NDCG.  Scores are in [0, 1].  AP and NDCG need the
 topic's total number of relevant documents R; in enumeration settings
 without judgments, R defaults to the evaluation depth so that every
-possible SERP has a well-defined score.
+possible SERP has a well-defined score.  evaluate_rows scores a batch of
+SERPs; evaluate and the six family functions score a batch of one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from . import _bits
-from .serp import Relationship, Serp, SerpLike, as_serp
+from .serp import Serp, SerpLike, as_serp
 
 #: Persistence at which RBP weights satisfy w1 = w2 + w3, making a single
 #: early hit worth exactly two later ones.
@@ -89,73 +90,81 @@ class TopicContext:
             raise ValueError(f"total_relevant must be >= 0, got {self.total_relevant}")
 
 
-def _prefix(serp: SerpLike, k: int) -> Serp:
-    return as_serp(serp).padded(k).prefix(k)
+def evaluate_rows(metric: MetricSpec, bits, total_relevant=None) -> np.ndarray:
+    """Scores of the rows of an (n, w) 0/1 matrix under one metric.
+
+    Rows are truncated or zero-padded to the metric depth.  total_relevant
+    is R for AP and NDCG, one int or one per row, and defaults to the
+    depth; a row with more relevant documents than R is an error.  Sums
+    run left to right (cumsum), RBP weights come from repeated
+    multiplication and NDCG discounts from math.log2, so a row scores the
+    same alone as in any batch.
+    """
+    d = metric.depth
+    bits = np.asarray(bits)
+    hits = np.zeros((bits.shape[0], d), dtype=bool)
+    hits[:, :bits.shape[1]] = bits[:, :d] != 0
+    ones = hits.sum(axis=1)
+    if metric.family == "P":
+        return ones / d
+    if metric.family == "S":
+        return (ones > 0) * 1.0
+    if metric.family == "RR":
+        return np.where(ones > 0, 1.0 / (hits.argmax(axis=1) + 1), 0.0)
+    if metric.family == "RBP":
+        p = metric.persistence
+        return _running_sum(hits, np.cumprod(np.r_[1.0 - p, np.full(d - 1, p)]))
+    r = np.broadcast_to(d if total_relevant is None else total_relevant, ones.shape)
+    if (r < ones).any():
+        i = np.argmax(r < ones)
+        raise ValueError(f"total_relevant {r[i]} is smaller than the "
+                         f"{ones[i]} relevant documents in the prefix")
+    # with R = 0 no row has a hit, so each sum is 0 and any divisor gives 0.0
+    if metric.family == "AP":
+        return _running_sum(hits, np.cumsum(hits, axis=1) / np.arange(1, d + 1)) / np.maximum(r, 1)
+    discounts = np.array([1.0 / math.log2(i + 2) for i in range(d)])
+    ideal = np.cumsum(discounts)[np.clip(r, 1, d) - 1]
+    return _running_sum(hits, discounts) / ideal
+
+
+def _running_sum(hits: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per row, the terms at hit positions added left to right."""
+    return np.cumsum(np.where(hits, terms, 0.0), axis=1)[:, -1]
+
+
+def _one(metric: MetricSpec, serp: SerpLike, total_relevant: int | None = None) -> float:
+    bits = np.array(as_serp(serp), dtype=np.int8).reshape(1, -1)
+    return float(evaluate_rows(metric, bits, total_relevant)[0])
 
 
 def precision(serp: SerpLike, k: int) -> float:
     """Fraction of the top k that is relevant."""
-    return _prefix(serp, k).ones / k
+    return _one(MetricSpec("P", k), serp)
 
 
 def success(serp: SerpLike, k: int) -> float:
     """1 if anything relevant appears in the top k, else 0."""
-    return 1.0 if _prefix(serp, k).ones else 0.0
+    return _one(MetricSpec("S", k), serp)
 
 
 def reciprocal_rank(serp: SerpLike, k: int) -> float:
     """1/rank of the first relevant document in the top k, 0 if none."""
-    for i, v in enumerate(_prefix(serp, k)):
-        if v:
-            return 1.0 / (i + 1)
-    return 0.0
+    return _one(MetricSpec("RR", k), serp)
 
 
 def rbp(serp: SerpLike, persistence: float, k: int) -> float:
     """Rank-biased precision with the given persistence, truncated at k."""
-    if not 0.0 < persistence < 1.0:
-        raise ValueError(f"persistence must be in (0,1), got {persistence}")
-    score = 0.0
-    weight = 1.0 - persistence
-    for v in _prefix(serp, k):
-        if v:
-            score += weight
-        weight *= persistence
-    return score
-
-
-def _check_total_relevant(prefix: Serp, total_relevant: int) -> None:
-    if total_relevant < prefix.ones:
-        raise ValueError(
-            f"total_relevant {total_relevant} is smaller than the "
-            f"{prefix.ones} relevant documents in the prefix"
-        )
+    return _one(MetricSpec("RBP", k, persistence), serp)
 
 
 def average_precision(serp: SerpLike, k: int, total_relevant: int) -> float:
     """AP truncated at k: mean of precision at relevant ranks over R."""
-    p = _prefix(serp, k)
-    _check_total_relevant(p, total_relevant)
-    if total_relevant == 0:
-        return 0.0
-    seen = 0
-    acc = 0.0
-    for i, v in enumerate(p):
-        if v:
-            seen += 1
-            acc += seen / (i + 1)
-    return acc / total_relevant
+    return _one(MetricSpec("AP", k), serp, total_relevant)
 
 
 def ndcg(serp: SerpLike, k: int, total_relevant: int) -> float:
     """NDCG at k with 1/log2(rank+1) discounts and an ideal of min(R, k) ones."""
-    p = _prefix(serp, k)
-    _check_total_relevant(p, total_relevant)
-    if total_relevant == 0:
-        return 0.0
-    dcg = sum(v / math.log2(i + 2) for i, v in enumerate(p))
-    ideal = sum(1.0 / math.log2(i + 2) for i in range(min(total_relevant, k)))
-    return dcg / ideal
+    return _one(MetricSpec("NDCG", k), serp, total_relevant)
 
 
 def evaluate(metric: MetricSpec, serp: SerpLike, ctx: TopicContext | None = None) -> float:
@@ -164,19 +173,7 @@ def evaluate(metric: MetricSpec, serp: SerpLike, ctx: TopicContext | None = None
     ctx supplies R for AP and NDCG and is ignored by the other families;
     without a ctx, R defaults to the metric depth.
     """
-    k = metric.depth
-    if metric.family == "P":
-        return precision(serp, k)
-    if metric.family == "RR":
-        return reciprocal_rank(serp, k)
-    if metric.family == "S":
-        return success(serp, k)
-    if metric.family == "RBP":
-        return rbp(serp, metric.persistence, k)
-    total_relevant = ctx.total_relevant if ctx is not None else k
-    if metric.family == "AP":
-        return average_precision(serp, k, total_relevant)
-    return ndcg(serp, k, total_relevant)
+    return _one(metric, serp, None if ctx is None else ctx.total_relevant)
 
 
 def ordering_check(

@@ -1,19 +1,22 @@
 """Paired significance tests (exact Sign test, Wilcoxon signed-rank, paired t) and rank statistics.
 
-All tests are two-tailed.  The Sign test and the small-sample Wilcoxon
-null distribution are computed exactly with integer arithmetic; larger
-Wilcoxon samples fall back to the usual normal approximation with
-continuity and tie corrections.  A tie is |difference| <= SCORE_TOLERANCE.
+All tests are two-tailed, and each runs over the rows of an (m, n) array
+of paired differences at once; the one-sample functions are a row of one.
+The Sign test and the small-sample Wilcoxon null distribution are
+computed exactly with integer arithmetic; larger Wilcoxon samples fall
+back to the usual normal approximation with continuity and tie
+corrections.  A tie is |difference| <= SCORE_TOLERANCE.  scipy.special is
+imported on first use, so only the t and Wilcoxon tests pay for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.special
 
 from .metrics import SCORE_TOLERANCE
 
@@ -35,6 +38,22 @@ class TestResult:
     degenerate: bool = False
 
 
+class RowOutcomes(NamedTuple):
+    """One test's outcomes for every row of an (m, n) array of paired differences."""
+
+    p_value: np.ndarray
+    statistic: np.ndarray
+    n_effective: np.ndarray
+    exact: np.ndarray  # bool: the p-value is exact, not normal-approximated
+    degenerate: np.ndarray
+
+    def result(self, row: int) -> TestResult:
+        return TestResult(float(self.p_value[row]), float(self.statistic[row]),
+                          int(self.n_effective[row]), "exact" if self.exact[row] else "approximate",
+                          bool(self.degenerate[row]))
+
+
+@lru_cache(maxsize=1 << 16)
 def sign_test(n_pos: int, n_neg: int) -> TestResult:
     """Exact two-tailed Sign test on counts of positive vs negative outcomes.
 
@@ -57,58 +76,83 @@ def sign_test(n_pos: int, n_neg: int) -> TestResult:
     return TestResult(p_value=p, statistic=float(lo), n_effective=n, method="exact")
 
 
-def _untied(diffs: Sequence[float]) -> np.ndarray:
+def _untied(diffs) -> np.ndarray:
     """The differences as floats, each within SCORE_TOLERANCE of 0 snapped to 0."""
     d = np.asarray(diffs, dtype=np.float64)
     return np.where(np.abs(d) <= SCORE_TOLERANCE, 0.0, d)
 
 
-def sign_test_diffs(diffs: Sequence[float]) -> TestResult:
-    """Sign test over paired differences; zeros are dropped as ties.
+def sign_test_rows(diffs) -> RowOutcomes:
+    """Sign test on each row of paired differences; zeros are dropped as ties.
 
-    With every difference zero there is nothing to test and the result is
-    a degenerate p = 1.
+    A row whose differences are all zero has nothing to test: its result
+    is a degenerate p = 1.
     """
     d = _untied(diffs)
-    n_pos, n_neg = int((d > 0).sum()), int((d < 0).sum())
-    if n_pos + n_neg == 0:
-        return TestResult(p_value=1.0, statistic=0.0, n_effective=0,
-                          method="exact", degenerate=True)
-    return sign_test(n_pos, n_neg)
+    n_pos, n_neg = (d > 0).sum(axis=1).tolist(), (d < 0).sum(axis=1).tolist()
+    p = [sign_test(a, b).p_value if a + b else 1.0 for a, b in zip(n_pos, n_neg)]
+    n = np.add(n_pos, n_neg, dtype=np.int64)
+    return RowOutcomes(np.array(p), np.minimum(n_pos, n_neg) * 1.0, n,
+                       np.ones(n.size, dtype=bool), n == 0)
+
+
+def sign_test_diffs(diffs: Sequence[float]) -> TestResult:
+    """The Sign test of sign_test_rows on one sample of paired differences."""
+    return sign_test_rows([diffs]).result(0)
+
+
+def t_test_rows(diffs) -> RowOutcomes:
+    """Two-tailed paired Student t test on each row of paired differences.
+
+    A row whose differences all tie has no spread to test against: its
+    result is degenerate, with p = 1 for a zero mean and p = 0 otherwise.
+    Rows shorter than 2 raise UndefinedTestError.  Row-wise mean and std
+    reduce each contiguous row as numpy reduces a 1-d array, so a row gets
+    the bits it gets alone.
+    """
+    d = np.ascontiguousarray(_untied(diffs))
+    m, n = d.shape
+    if n < 2:
+        raise UndefinedTestError(f"paired t test needs n >= 2, got {n}")
+    import scipy.special  # loaded on first use: it dominates import time
+
+    mean = d.mean(axis=1)
+    flat = np.ptp(d, axis=1) <= SCORE_TOLERANCE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = mean / (d.std(axis=1, ddof=1) / math.sqrt(n))
+    p = np.minimum(1.0, 2.0 * scipy.special.stdtr(n - 1, -np.abs(t)))
+    t[flat] = np.where(mean[flat] == 0.0, 0.0, np.copysign(math.inf, mean[flat]))
+    p[flat] = mean[flat] == 0.0
+    return RowOutcomes(p, t, np.full(m, n), np.ones(m, dtype=bool), flat)
 
 
 def t_test_paired(diffs: Sequence[float]) -> TestResult:
-    """Two-tailed paired Student t test on a sequence of differences.
-
-    A sample whose differences all tie has no spread to test against: the
-    result is degenerate, with p = 1 for a zero mean and p = 0 otherwise.
-    """
-    d = _untied(diffs)
-    n = d.size
-    if n < 2:
-        raise UndefinedTestError(f"paired t test needs n >= 2, got {n}")
-    mean = float(d.mean())
-    sd = float(d.std(ddof=1))
-    if np.ptp(d) <= SCORE_TOLERANCE:
-        if mean == 0.0:
-            return TestResult(p_value=1.0, statistic=0.0, n_effective=n,
-                              method="exact", degenerate=True)
-        return TestResult(p_value=0.0, statistic=math.copysign(math.inf, mean),
-                          n_effective=n, method="exact", degenerate=True)
-    t = mean / (sd / math.sqrt(n))
-    p = min(1.0, 2.0 * float(scipy.special.stdtr(n - 1, -abs(t))))
-    return TestResult(p_value=p, statistic=t, n_effective=n, method="exact")
+    """The paired t test of t_test_rows on one sample of differences."""
+    return t_test_rows([diffs]).result(0)
 
 
 def _midranks(values: np.ndarray) -> tuple:
-    """Average 1-based ranks of values, and the size of each tie group in sorted order.
+    """Average 1-based ranks of values, and the size of each tie group in sorted order."""
+    order, ranks, _ = _tie_ranks(np.asarray(values, dtype=np.float64))
+    ranks = ranks[np.argsort(order)]  # back in the order of values
+    return ranks, np.unique(ranks, return_counts=True)[1]
 
-    A value within SCORE_TOLERANCE of the next smaller one joins its tie group.
+
+def _tie_ranks(values: np.ndarray) -> tuple:
+    """Sort along the last axis: the order, and each sorted value's midrank and tie-group size.
+
+    A value within SCORE_TOLERANCE of the next smaller one joins its tie
+    group.  Midranks are exact half-integers, so any sum of them is exact.
     """
-    distinct, inverse = np.unique(values, return_inverse=True)
-    group = np.cumsum(np.r_[True, np.diff(distinct) > SCORE_TOLERANCE])[inverse] - 1
-    sizes = np.bincount(group)
-    return ((2 * np.cumsum(sizes) - sizes + 1) / 2.0)[group], sizes
+    order = np.argsort(values, axis=-1)
+    ordered = np.take_along_axis(values, order, axis=-1)
+    # flattened, every row starts a group, so the groups of all rows are found at once
+    starts = (np.diff(ordered, axis=-1, prepend=-math.inf) > SCORE_TOLERANCE).ravel()
+    group = np.cumsum(starts) - 1
+    first = np.flatnonzero(starts)
+    sizes = np.diff(first, append=starts.size)[group].reshape(values.shape)
+    ranks = (first[group] % values.shape[-1]).reshape(values.shape) + (sizes + 1) / 2.0
+    return order, ranks, sizes
 
 
 def _exact_signed_rank_p(ranks: np.ndarray, t_lo: float) -> float:
@@ -129,36 +173,44 @@ def _exact_signed_rank_p(ranks: np.ndarray, t_lo: float) -> float:
     return min(1.0, (2 * tail) / (1 << len(ranks)))
 
 
-def wilcoxon_signed_rank(diffs: Sequence[float], exact_cutover: int = 25) -> TestResult:
-    """Two-tailed Wilcoxon signed-rank test on paired differences.
+def wilcoxon_rows(diffs, exact_cutover: int = 25) -> RowOutcomes:
+    """Two-tailed Wilcoxon signed-rank test on each row of paired differences.
 
     Zero differences are dropped; tied magnitudes receive midranks.  The
-    null distribution is exact up to exact_cutover untied observations
-    and normal-approximated (continuity and tie corrections) beyond.
+    null distribution is exact up to exact_cutover untied observations, one
+    row at a time, and normal-approximated (continuity and tie corrections)
+    beyond.  Sorted by magnitude, a row's zeros come first, in a tie group
+    of their own, so its n nonzero differences are the last n and their
+    ranks are the midranks less the zero count.
     """
     d = _untied(diffs)
-    d = d[d != 0.0]
-    n = d.size
-    if n == 0:
-        return TestResult(p_value=1.0, statistic=0.0, n_effective=0,
-                          method="exact", degenerate=True)
-    ranks, tie_sizes = _midranks(np.abs(d))
-    t_plus = float(ranks[d > 0].sum())
-    t_minus = float(ranks[d < 0].sum())
-    statistic = min(t_plus, t_minus)
-    if n <= exact_cutover:
-        p = _exact_signed_rank_p(ranks, statistic)
-        return TestResult(p_value=p, statistic=statistic, n_effective=n, method="exact")
-    mean = n * (n + 1) / 4.0
-    tie_term = float((tie_sizes.astype(np.float64) ** 3 - tie_sizes).sum()) / 48.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
-    delta = t_plus - mean
-    if delta != 0.0:
-        delta -= math.copysign(0.5, delta)  # continuity correction
-    z = delta / math.sqrt(var)
-    p = min(1.0, 2.0 * float(scipy.special.ndtr(-abs(z))))
-    return TestResult(p_value=p, statistic=statistic, n_effective=n,
-                      method="approximate")
+    order, ranks, sizes = _tie_ranks(np.abs(d))
+    signs = np.sign(np.take_along_axis(d, order, axis=-1))
+    n = np.count_nonzero(signs, axis=1)
+    zeros = d.shape[1] - n
+    ranks -= zeros[:, None]
+    t_plus = np.where(signs > 0, ranks, 0.0).sum(axis=1)
+    statistic = np.minimum(t_plus, np.where(signs < 0, ranks, 0.0).sum(axis=1))
+    exact = (n <= exact_cutover) | (n == 0)
+    p = np.ones(n.size)
+    for i in np.flatnonzero(exact & (n > 0)):
+        p[i] = _exact_signed_rank_p(ranks[i, zeros[i]:], statistic[i])
+    if (approx := ~exact).any():
+        import scipy.special  # loaded on first use: it dominates import time
+
+        m = n[approx]
+        # a tie group of size s adds s^2 - 1 once per member, s^3 - s in all
+        tie_term = np.where(signs != 0, sizes * sizes - 1, 0).sum(axis=1)[approx] / 48.0
+        var = m * (m + 1) * (2 * m + 1) / 24.0 - tie_term
+        delta = t_plus[approx] - m * (m + 1) / 4.0
+        delta -= np.where(delta != 0.0, np.copysign(0.5, delta), 0.0)  # continuity correction
+        p[approx] = np.minimum(1.0, 2.0 * scipy.special.ndtr(-np.abs(delta / np.sqrt(var))))
+    return RowOutcomes(p, statistic, n, exact, n == 0)
+
+
+def wilcoxon_signed_rank(diffs: Sequence[float], exact_cutover: int = 25) -> TestResult:
+    """The signed-rank test of wilcoxon_rows on one sample of paired differences."""
+    return wilcoxon_rows([diffs], exact_cutover).result(0)
 
 
 def _inversions(ranks: np.ndarray) -> int:

@@ -1,7 +1,11 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -307,7 +311,11 @@ class TestParser:
 
 
 def test_cli_runs_without_loading_scipy_stats():
-    """scipy.stats takes about a second to import; no subcommand may load it."""
+    """scipy.stats takes about a second to import; no subcommand may load it.
+
+    scipy.special is loaded only by the t and Wilcoxon tests that need it,
+    so the subcommands without a significance test never load scipy.
+    """
     script = f"""
 import contextlib, io, sys
 import ipso, ipso.cli
@@ -315,8 +323,11 @@ pair = ["--run-a", {str(RUNS / "alpha.run")!r}, "--run-b", {str(RUNS / "bravo.ru
         "--qrels", {str(QRELS)!r}, "--k", "5"]
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["enumerate", "--k", "6"], ["grid", "--k", "4", "--rows", "RBP0.5@4",
-                 "--cols", "NDCG@4"], ["compare", *pair]):
+                 "--cols", "NDCG@4"], ["hasse", "--k", "3"],
+                 ["coverage", "--runs", {str(RUNS)!r}, "--qrels", {str(QRELS)!r}]):
         assert ipso.cli.main(argv) == 0, argv
+    assert "scipy.special" not in sys.modules, "scipy.special loaded"
+    assert ipso.cli.main(["compare", *pair]) == 0
 sys.exit("scipy.stats" in sys.modules)
 """
     src = str(Path(ipso.__file__).resolve().parent.parent)
@@ -324,3 +335,42 @@ sys.exit("scipy.stats" in sys.modules)
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+#: SHA-256 of the fixture's sweep, compare and topics outputs, as the
+#: per-topic scalar scoring and per-cell tests printed them.
+GOLDEN = {
+    "sweep": "103a3b6f96f5a8b52aa902fba5067fd2af23c6216ec56d1f8c831ada77fa8a61",
+    "compare": "23cf6c127cef54076dccafdbb1e1c3b76db08dec201002aa6e97d36042599678",
+    "topics": "723bc3781bfe3c30aae8886feee0a29e0aafca273c2566e8c9510921e8c2caba",
+}
+
+
+def golden_outputs() -> dict:
+    """The bundled fixture's sweep, compare and topics outputs, one text each."""
+    def cli(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # charlie lacks a topic
+            assert main([str(a) for a in argv]) == 0, argv
+        return out.getvalue()
+
+    pairs = [("alpha", "bravo"), ("alpha", "charlie"), ("bravo", "charlie")]
+    texts = {"sweep": cli("sweep", "--runs", RUNS, "--qrels", QRELS, "--k", "5,10,20",
+                          "--metrics", "P,AP,NDCG,RBP0.8", "--tests", "t,sign,wilcoxon",
+                          "--format", "json")}
+    texts["compare"] = texts["topics"] = ""
+    for a, b in pairs:
+        pair = ["--run-a", RUNS / f"{a}.run", "--run-b", RUNS / f"{b}.run", "--qrels", QRELS]
+        for k in ("5", "10"):
+            for metric in ("P", "AP", "NDCG", "RBP0.8"):
+                for test in ("t", "sign", "wilcoxon"):
+                    texts["compare"] += cli("compare", *pair, "--k", k, "--metric", metric,
+                                            "--test", test, "--format", "json")
+            texts["compare"] += cli("compare", *pair, "--k", k, "--format", "text")
+            texts["topics"] += cli("topics", *pair, "--k", k, "--metrics", "P,AP,NDCG,RBP0.8,RR")
+    return {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+
+
+def test_fixture_outputs_match_golden_digests():
+    assert golden_outputs() == GOLDEN
