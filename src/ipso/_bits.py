@@ -12,16 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .serp import Relationship
-
 EQ, NI, NS, XX = 0, 1, 2, 3
-
-CATEGORY_TO_RELATIONSHIP = {
-    EQ: Relationship.EQUAL,
-    NI: Relationship.NON_INFERIOR,
-    NS: Relationship.NON_SUPERIOR,
-    XX: Relationship.NON_SEPARABLE,
-}
 
 
 @lru_cache(maxsize=32)
@@ -117,17 +108,22 @@ def first_crossings(bits_a: np.ndarray, bits_b: np.ndarray) -> tuple[np.ndarray,
             np.where(neg.any(axis=-1), neg.argmax(axis=-1), k))
 
 
-def group_codes(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
-    """Per row, the five-way group as an index into serp.GROUP_TABLE_ORDER.
+def group_code(pos, neg, k: int):
+    """The five-way group, as an index into serp.GROUP_TABLE_ORDER, from a walk's crossings.
 
-    The code is 2 + sign(neg - pos), the sign doubled when the walk
-    crosses both ways: neither crossing is equal (2), a positive one only
-    ni (3), a negative one only ns (1); with both, the earlier names the
-    midpoint, **/ni (4) or **/ns (0).
+    pos and neg are first_crossings' depths (ints or arrays) for walks of
+    length k.  The code is 2 + sign(neg - pos), the sign doubled when the
+    walk crosses both ways: neither crossing is equal (2), a positive one
+    only ni (3), a negative one only ns (1); with both, the earlier names
+    the midpoint, **/ni (4) or **/ns (0).
     """
-    pos, neg = first_crossings(bits_a, bits_b)
-    both = np.maximum(pos, neg) < np.shape(bits_a)[-1]
+    both = np.maximum(pos, neg) < k
     return 2 + np.sign(neg - pos) * (1 + both)
+
+
+def group_codes(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
+    """Per row, the five-way group code (see group_code) of two (..., k) 0/1 arrays."""
+    return group_code(*first_crossings(bits_a, bits_b), np.shape(bits_a)[-1])
 
 
 @lru_cache(maxsize=2)  # the k = 12 matrix alone is 16 MB

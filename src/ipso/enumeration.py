@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _bits
 from .metrics import MetricSpec, TopicContext, score_all
-from .serp import Relationship, Serp
+from .serp import CATEGORY_TO_RELATIONSHIP, Relationship, Serp
 from .stats import kendall_tau_b
 
 #: Largest depth at which tests run _bits.relationship_counts_exact, the
@@ -122,7 +122,7 @@ def relationship_counts(k: int) -> dict:
         states = nxt
     counts = dict.fromkeys(Relationship, 0)
     for (_, been_neg, been_pos), ways in states.items():
-        counts[_bits.CATEGORY_TO_RELATIONSHIP[been_pos + 2 * been_neg]] += ways
+        counts[CATEGORY_TO_RELATIONSHIP[been_pos + 2 * been_neg]] += ways
     return counts
 
 
@@ -166,6 +166,8 @@ def sample_pairs(k: int, n_samples: int, seed: int = 0, workers: int = 1) -> Cat
         raise ValueError(f"k must be >= 1, got {k}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     sizes = [SAMPLE_CHUNK] * (n_samples // SAMPLE_CHUNK)
     if n_samples % SAMPLE_CHUNK:
         sizes.append(n_samples % SAMPLE_CHUNK)
@@ -205,18 +207,18 @@ class RelationshipGrid:
         return [Serp.from_int(c, self.k).bitstring for c in self.col_order]
 
     def relationship(self, i: int, j: int) -> Relationship:
-        return _bits.CATEGORY_TO_RELATIONSHIP[int(self.cells[i, j])]
+        return CATEGORY_TO_RELATIONSHIP[int(self.cells[i, j])]
 
     def category_counts(self) -> dict:
         tallies = np.bincount(self.cells.ravel(), minlength=4)
         return {
-            _bits.CATEGORY_TO_RELATIONSHIP[code]: int(count)
+            CATEGORY_TO_RELATIONSHIP[code]: int(count)
             for code, count in enumerate(tallies)
         }
 
     def _code_rows(self):
         """Each row of cells as a list of relationship text codes ("==", "ni", ...)."""
-        lut = np.array([_bits.CATEGORY_TO_RELATIONSHIP[c].code for c in range(4)], dtype=object)
+        lut = np.array([CATEGORY_TO_RELATIONSHIP[c].code for c in range(4)], dtype=object)
         # row by row: the whole grid as Python lists would be 2^{2k} references
         return (lut[row].tolist() for row in self.cells)
 

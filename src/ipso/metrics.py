@@ -128,8 +128,15 @@ def evaluate_rows(metric: MetricSpec, bits, total_relevant=None) -> np.ndarray:
 
 
 def _running_sum(hits: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Per row, the terms at hit positions added left to right."""
-    return np.cumsum(np.where(hits, terms, 0.0), axis=1)[:, -1]
+    """Per row, the terms at hit positions added left to right.
+
+    One depth at a time over all rows: the additions of a cumsum along
+    each row, in the same order, without a pass along a short last axis.
+    """
+    total = np.zeros(hits.shape[0])
+    for column in np.where(hits, terms, 0.0).T:
+        total += column
+    return total
 
 
 def _one(metric: MetricSpec, serp: SerpLike, total_relevant: int | None = None) -> float:
@@ -193,41 +200,10 @@ def ordering_check(
 def score_all(metric: MetricSpec, k: int, ctx: TopicContext | None = None) -> np.ndarray:
     """Scores for every length-k SERP, indexed by MSB-first encoding.
 
-    SERPs are truncated or zero-padded to the metric's own depth before
-    scoring, mirroring evaluate(); without a ctx, R defaults to k.
+    evaluate_rows over bit_matrix(k), so each SERP scores the bits
+    evaluate() gives it; without a ctx, R defaults to k.
     """
-    d = metric.depth
-    bits = _bits.bit_matrix(k).astype(np.float64)
-    if d <= k:
-        bits = bits[:, :d]
-    else:
-        bits = np.hstack([bits, np.zeros((bits.shape[0], d - k))])
-    if metric.family == "P":
-        return bits.sum(axis=1) / d
-    if metric.family == "S":
-        return bits.any(axis=1).astype(np.float64)
-    if metric.family == "RR":
-        first = np.argmax(bits, axis=1)
-        return bits.any(axis=1) / (first + 1.0)
-    if metric.family == "RBP":
-        p = metric.persistence
-        weights = (1.0 - p) * p ** np.arange(d)
-        return bits @ weights
-    total_relevant = ctx.total_relevant if ctx is not None else k
-    if total_relevant < min(k, d):
-        # the all-relevant SERP is in the enumeration, so a smaller R would
-        # make evaluate() reject it — fail the whole batch the same way
-        raise ValueError(
-            f"total_relevant {total_relevant} cannot cover every length-{k} "
-            f"SERP at depth {d}; need at least {min(k, d)}"
-        )
-    if metric.family == "AP":
-        ranks = np.arange(1, d + 1, dtype=np.float64)
-        prec = np.cumsum(bits, axis=1) / ranks
-        return (bits * prec).sum(axis=1) / total_relevant
-    discounts = 1.0 / np.log2(np.arange(2, d + 2, dtype=np.float64))
-    ideal = discounts[: min(total_relevant, d)].sum()
-    return (bits @ discounts) / ideal
+    return evaluate_rows(metric, _bits.bit_matrix(k), k if ctx is None else ctx.total_relevant)
 
 
 MetricLike = Union[MetricSpec, Callable[[Serp], float]]

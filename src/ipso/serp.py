@@ -13,6 +13,8 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Sequence, Union
 
+from . import _bits
+
 
 class Relationship(enum.Enum):
     """Outcome of comparing two SERPs at a fixed depth."""
@@ -44,6 +46,15 @@ class Relationship(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+#: Relationship per _bits category code.
+CATEGORY_TO_RELATIONSHIP = {
+    _bits.EQ: Relationship.EQUAL,
+    _bits.NI: Relationship.NON_INFERIOR,
+    _bits.NS: Relationship.NON_SUPERIOR,
+    _bits.XX: Relationship.NON_SEPARABLE,
+}
 
 
 class Serp(tuple):
@@ -124,6 +135,33 @@ def _check_depth(a: Serp, b: Serp, k: int) -> None:
         )
 
 
+def _crossings(a: Serp, b: Serp, k: int) -> tuple[int, int]:
+    """First depths (0-based) where the running sum of a - b goes positive / negative.
+
+    The one walk behind compare, trajectory and classify_group; a direction
+    the walk never crosses reports k, and the walk stops once it has both.
+    """
+    pos = neg = k
+    cumul = 0
+    for i in range(k):
+        cumul += a[i] - b[i]
+        if cumul > 0:
+            if pos == k:
+                pos = i
+                if neg < k:
+                    break
+        elif cumul < 0 and neg == k:
+            neg = i
+            if pos < k:
+                break
+    return pos, neg
+
+
+def _state(pos: int, neg: int, depth: int) -> Relationship:
+    """The relationship at a prefix depth, from the crossings made before it."""
+    return CATEGORY_TO_RELATIONSHIP[(pos < depth) + 2 * (neg < depth)]
+
+
 def compare(s1: SerpLike, s2: SerpLike, k: int) -> Relationship:
     """Classify the ordering of two SERPs when evaluated to depth k.
 
@@ -135,21 +173,7 @@ def compare(s1: SerpLike, s2: SerpLike, k: int) -> Relationship:
     """
     a, b = as_serp(s1), as_serp(s2)
     _check_depth(a, b, k)
-    cumul = 0
-    been_neg = been_pos = False
-    for i in range(k):
-        cumul += a[i] - b[i]
-        if cumul > 0:
-            been_pos = True
-        elif cumul < 0:
-            been_neg = True
-        if been_pos and been_neg:
-            return Relationship.NON_SEPARABLE
-    if been_pos:
-        return Relationship.NON_INFERIOR
-    if been_neg:
-        return Relationship.NON_SUPERIOR
-    return Relationship.EQUAL
+    return _state(*_crossings(a, b, k), k)
 
 
 class Trajectory(tuple):
@@ -212,51 +236,8 @@ def trajectory(s1: SerpLike, s2: SerpLike) -> Trajectory:
         raise ValueError(f"SERP lengths differ: {len(a)} vs {len(b)}")
     if len(a) < 1:
         raise ValueError("trajectory needs SERPs of length >= 1")
-    states = []
-    cumul = 0
-    been_neg = been_pos = False
-    for i in range(len(a)):
-        cumul += a[i] - b[i]
-        if cumul > 0:
-            been_pos = True
-        elif cumul < 0:
-            been_neg = True
-        if been_pos and been_neg:
-            states.append(Relationship.NON_SEPARABLE)
-        elif been_pos:
-            states.append(Relationship.NON_INFERIOR)
-        elif been_neg:
-            states.append(Relationship.NON_SUPERIOR)
-        else:
-            states.append(Relationship.EQUAL)
-    return Trajectory(states)
-
-
-def prefix_dominance_oracle(s1: SerpLike, s2: SerpLike, k: int) -> Relationship:
-    """Classify a pair from its prefix one-counts; must agree with compare().
-
-    Independent formulation kept as a cross-check: s1 is non-inferior
-    exactly when every prefix of s1 contains at least as many relevant
-    documents as the same-length prefix of s2, strictly more somewhere.
-    """
-    a, b = as_serp(s1), as_serp(s2)
-    _check_depth(a, b, k)
-    c1 = c2 = 0
-    counts1, counts2 = [], []
-    for i in range(k):
-        c1 += a[i]
-        c2 += b[i]
-        counts1.append(c1)
-        counts2.append(c2)
-    ge = all(x >= y for x, y in zip(counts1, counts2))
-    le = all(x <= y for x, y in zip(counts1, counts2))
-    if ge and le:
-        return Relationship.EQUAL
-    if ge:
-        return Relationship.NON_INFERIOR
-    if le:
-        return Relationship.NON_SUPERIOR
-    return Relationship.NON_SEPARABLE
+    pos, neg = _crossings(a, b, len(a))
+    return Trajectory(_state(pos, neg, depth) for depth in range(1, len(a) + 1))
 
 
 class TopicGroup(enum.Enum):
@@ -297,11 +278,10 @@ def classify_group(s1: SerpLike, s2: SerpLike, k: int) -> TopicGroup:
     pairs split by the direction they held immediately before the first
     non-separable depth (the midpoint).
     """
-    from ._bits import group_codes  # _bits imports this module
-
     a, b = as_serp(s1), as_serp(s2)
     _check_depth(a, b, k)
-    return GROUP_TABLE_ORDER[int(group_codes(a[:k], b[:k]))]
+    pos, neg = _crossings(a, b, k)
+    return GROUP_TABLE_ORDER[int(_bits.group_code(pos, neg, k))]
 
 
 def group_sort_key(traj: Sequence[Relationship]) -> tuple:

@@ -1,6 +1,7 @@
 """Scalar reference formulas that the batch kernels are held to, bit for bit.
 
-The metric formulas score one SERP term by term.  Every sum is an
+The relation oracle classifies a pair from its prefix one-counts, not from
+a walk.  The metric formulas score one SERP term by term.  Every sum is an
 explicit left-to-right loop: from Python 3.12 on, the built-in sum() over
 floats compensates and can end in a different last bit.  The test
 formulas take one sample at a time; the signed-rank midranks come from
@@ -15,7 +16,36 @@ import numpy as np
 import scipy.special
 
 from ipso.metrics import SCORE_TOLERANCE, MetricSpec
+from ipso.serp import Relationship, as_serp
 from ipso.stats import TestResult, UndefinedTestError, _exact_signed_rank_p, sign_test
+
+
+def prefix_dominance_oracle(s1, s2, k: int) -> Relationship:
+    """Classify a pair from its prefix one-counts; must agree with serp.compare.
+
+    s1 is non-inferior exactly when every prefix of s1 contains at least
+    as many relevant documents as the same-length prefix of s2, strictly
+    more somewhere.
+    """
+    a, b = as_serp(s1), as_serp(s2)
+    if not 1 <= k <= min(len(a), len(b)):
+        raise ValueError(f"depth {k} outside 1..{min(len(a), len(b))}")
+    c1 = c2 = 0
+    counts1, counts2 = [], []
+    for i in range(k):
+        c1 += a[i]
+        c2 += b[i]
+        counts1.append(c1)
+        counts2.append(c2)
+    ge = all(x >= y for x, y in zip(counts1, counts2))
+    le = all(x <= y for x, y in zip(counts1, counts2))
+    if ge and le:
+        return Relationship.EQUAL
+    if ge:
+        return Relationship.NON_INFERIOR
+    if le:
+        return Relationship.NON_SUPERIOR
+    return Relationship.NON_SEPARABLE
 
 
 def _prefix(serp, k: int) -> list:

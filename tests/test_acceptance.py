@@ -48,11 +48,11 @@ from ipso.serp import (
     Relationship,
     Serp,
     compare,
-    prefix_dominance_oracle,
     trajectory,
 )
 from ipso.stats import sign_test, t_test_paired, wilcoxon_signed_rank
 from ipso.trecio import build_serps, judgment_coverage, parse_qrels, parse_run
+from scalar_reference import prefix_dominance_oracle
 
 DATA = Path(__file__).parent / "data"
 

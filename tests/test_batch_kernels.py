@@ -25,6 +25,7 @@ from ipso.metrics import (
     precision,
     rbp,
     reciprocal_rank,
+    score_all,
     success,
 )
 from ipso.serp import Serp
@@ -62,6 +63,11 @@ def test_scorer_equals_oracle_on_every_serp(k):
             for total_relevant in pools if metric.family in ("AP", "NDCG") else (None,):
                 got = evaluate_rows(metric, rows, total_relevant)
                 _same(got, metric, rows, total_relevant)
+            # the census scores with the same bits: R = k without a ctx
+            ctxs = (None, TopicContext(k), TopicContext(k + 4))
+            for ctx in ctxs if metric.family in ("AP", "NDCG") else (None,):
+                r = k if ctx is None else ctx.total_relevant
+                _same(score_all(metric, k, ctx), metric, rows, r)
 
 
 @pytest.mark.parametrize("family", ["AP", "NDCG"])

@@ -70,6 +70,18 @@ class TestEnumerate:
         assert code == 2
         assert err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, capsys, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr("ipso.enumeration.ThreadPoolExecutor", no_pool)
+        code, out, err = run_cli(capsys, "enumerate", "--k", "20", "--samples", "10",
+                                 "--workers", workers)
+        assert code == 2
+        assert "workers must be >= 1" in err
+        assert out == ""
+
 
 class TestGrid:
     def test_csv(self, capsys):

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from ipso import _bits
+from ipso import _bits, enumeration
 from ipso.enumeration import (
     COUNTS_CSV_HEADER,
     EXHAUSTIVE_LIMIT,
@@ -209,6 +209,15 @@ class TestSampling:
             sample_pairs(5, 0)
         with pytest.raises(ValueError):
             sample_pairs(0, 100)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one_before_any_pool(self, workers, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was made")
+
+        monkeypatch.setattr(enumeration, "ThreadPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            sample_pairs(5, 100, workers=workers)
 
 
 class TestGrid:

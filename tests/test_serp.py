@@ -14,9 +14,9 @@ from ipso.serp import (
     classify_group,
     compare,
     group_sort_key,
-    prefix_dominance_oracle,
     trajectory,
 )
+from scalar_reference import prefix_dominance_oracle
 
 EQ = Relationship.EQUAL
 NI = Relationship.NON_INFERIOR
