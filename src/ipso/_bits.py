@@ -27,14 +27,6 @@ def bit_matrix(k: int) -> np.ndarray:
     return m
 
 
-@lru_cache(maxsize=32)
-def prefix_ones(k: int) -> np.ndarray:
-    """(2^k, k) int8 matrix of cumulative one-counts per prefix depth."""
-    pc = np.cumsum(bit_matrix(k), axis=1, dtype=np.int8)
-    pc.setflags(write=False)
-    return pc
-
-
 @lru_cache(maxsize=1)
 def _block_walk_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(total, lowest prefix, highest prefix) of a - b over every 8-position block.
@@ -94,57 +86,42 @@ def classify_pair_rows(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
     return codes
 
 
-def first_crossings(bits_a: np.ndarray, bits_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First depths (0-based) where the running sum of a - b goes positive / negative.
+def group_code(category, first):
+    """The five-way group, as an index into serp.GROUP_TABLE_ORDER.
 
-    Works over any leading axes of two (..., k) 0/1 array-likes; a walk that
-    never crosses in a direction reports k for it.
+    category is the four-way code and first the sign of a - b at the first
+    rank where the two differ, which is where the walk first leaves zero
+    (ints or arrays).  The code is 2 + first, the step doubled for a
+    non-separable pair: equal (2), ni (3), ns (1); the first step names the
+    midpoint of a non-separable walk, **/ni (4) or **/ns (0).
     """
-    k = np.shape(bits_a)[-1]
-    dtype = np.int8 if k <= 120 else np.int16
-    walk = np.cumsum(np.subtract(bits_a, bits_b, dtype=dtype), axis=-1, dtype=dtype)
-    pos, neg = walk > 0, walk < 0
-    return (np.where(pos.any(axis=-1), pos.argmax(axis=-1), k),
-            np.where(neg.any(axis=-1), neg.argmax(axis=-1), k))
-
-
-def group_code(pos, neg, k: int):
-    """The five-way group, as an index into serp.GROUP_TABLE_ORDER, from a walk's crossings.
-
-    pos and neg are first_crossings' depths (ints or arrays) for walks of
-    length k.  The code is 2 + sign(neg - pos), the sign doubled when the
-    walk crosses both ways: neither crossing is equal (2), a positive one
-    only ni (3), a negative one only ns (1); with both, the earlier names
-    the midpoint, **/ni (4) or **/ns (0).
-    """
-    both = np.maximum(pos, neg) < k
-    return 2 + np.sign(neg - pos) * (1 + both)
+    return 2 + first * (1 + (category == XX))
 
 
 def group_codes(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
     """Per row, the five-way group code (see group_code) of two (..., k) 0/1 arrays."""
-    return group_code(*first_crossings(bits_a, bits_b), np.shape(bits_a)[-1])
+    bits_a, bits_b = np.broadcast_arrays(bits_a, bits_b)
+    at = (bits_a != bits_b).argmax(axis=-1)[..., None]
+    # rows that never differ point at rank 1, where the difference is 0
+    first = np.subtract(np.take_along_axis(bits_a, at, -1), np.take_along_axis(bits_b, at, -1),
+                        dtype=np.int8)
+    return group_code(classify_pair_rows(bits_a, bits_b), first[..., 0])
 
 
 @lru_cache(maxsize=2)  # the k = 12 matrix alone is 16 MB
 def category_matrix(k: int) -> np.ndarray:
     """(2^k, 2^k) read-only uint8 matrix of category codes for every ordered pair.
 
-    Entry [a, b] classifies SERP a against SERP b.  The been-positive and
-    been-negative masks are ORed up one depth at a time; k <= 12 by
-    contract.
+    Entry [a, b] classifies SERP a against SERP b, by classify_pair_rows
+    over row blocks of at most 65,536 pairs; k <= 12 by contract.
     """
     if not 1 <= k <= 12:
         raise ValueError(f"category_matrix supports 1 <= k <= 12, got {k}")
-    n = 1 << k
-    pc = prefix_ones(k)
-    been_pos = np.zeros((n, n), dtype=bool)
-    been_neg = np.zeros((n, n), dtype=bool)
-    for i in range(k):
-        been_pos |= pc[:, i, None] > pc[None, :, i]
-        been_neg |= pc[:, i, None] < pc[None, :, i]
-    out = been_neg.view(np.uint8) << 1
-    out |= been_pos
+    bits = bit_matrix(k)
+    out = np.empty((len(bits), len(bits)), dtype=np.uint8)
+    rows = (1 << 16) // len(bits)
+    for lo in range(0, len(bits), rows):
+        out[lo:lo + rows] = classify_pair_rows(bits[lo:lo + rows, None], bits[None])
     out.setflags(write=False)
     return out
 
@@ -171,7 +148,7 @@ def relationship_counts_exact(k: int, block: int = 1024) -> tuple[int, int, int,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = 1 << k
-    pc = prefix_ones(k)
+    pc = np.cumsum(bit_matrix(k), axis=1, dtype=np.int8)  # per-depth prefix one-counts
     words = (n + 63) // 64
     # mask_lt[i, v] marks SERPs b with fewer than v ones in their depth-i prefix
     mask_lt = np.zeros((k, k + 2, words), dtype=np.uint64)

@@ -78,15 +78,15 @@ class _Collection(NamedTuple):
     relevant: np.ndarray  # R per topic: the count of documents judged relevant
 
 
-def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int],
-                judged: set) -> _Collection:
+def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int]) -> _Collection:
     """One pass over the runs, reading only the first max(k) documents of each ranking."""
     if min(k_values) < 1:
         raise ValueError(f"k must be >= 1, got {min(k_values)}")
     depth = max(k_values)
     runs = distinct_runs(runs)
     # the evaluation topics: judged topics that at least one run retrieved
-    topics = sorted(set().union(*(run.entries for run in runs)) & judged, key=topic_sort_key)
+    topics = sorted(set().union(*(run.entries for run in runs)) & set(qrels.topics()),
+                    key=topic_sort_key)
     grades = qrels.by_topic()
     rel, present = {}, {}
     for run in runs:
@@ -267,7 +267,7 @@ def compare_systems(
     _check_alpha(alpha)
     _check_test(test)
     spec = MetricSpec("P", k) if metric is None else _as_metric(metric)
-    collection = _collection([run_a, run_b], qrels, [k], set(qrels.topics()))
+    collection = _collection([run_a, run_b], qrels, [k])
     at = _pair_topics(collection, run_a, run_b)
     scored = collection.relevant >= 1
     # rows are run_a's and run_b's, or one row when the two are the same run
@@ -324,7 +324,7 @@ def topic_table(
     (A minus B) are attached to every row.
     """
     specs = [_as_metric(m) for m in metrics]
-    collection = _collection([run_a, run_b], qrels, [k], set(qrels.topics()))
+    collection = _collection([run_a, run_b], qrels, [k])
     at = _pair_topics(collection, run_a, run_b)
     # rows are run_a's and run_b's, or one row when the two are the same run
     diffs = {spec.label: np.subtract(*_score_matrix(collection, k, spec)[[0, -1]]).tolist()
@@ -457,8 +457,9 @@ def sweep_all_pairs(
     standalone compare_systems call would report; the category records
     whether the metric test and the Sign test agree on significance.
     """
+    runs = distinct_runs(runs)
     if len(runs) < 2:
-        raise ValueError("sweep needs at least two runs")
+        raise ValueError("sweep needs at least two distinct runs")
     _check_alpha(alpha)
     for test in tests:
         _check_test(test)
@@ -473,7 +474,7 @@ def sweep_all_pairs(
             plan.append(_as_metric(m))
     if not plan or not tests or not k_values:
         raise ValueError("k_values, metrics, and tests must all be non-empty")
-    collection = _collection(runs, qrels, k_values, set(qrels.topics()))
+    collection = _collection(runs, qrels, k_values)
     row_of = {tag: i for i, tag in enumerate(collection.rel)}
     pairs, by_topics = [], {}
     for x, y in itertools.combinations(runs, 2):
@@ -524,9 +525,10 @@ def category_fractions(runs: Sequence[RunFile], qrels: Qrels, k: int) -> Categor
     collection of runs, mirroring the enumeration-table format but over
     observed data: total = judged topics x n(n-1)/2 pairs.
     """
+    runs = distinct_runs(runs)
     if len(runs) < 2:
-        raise ValueError("category_fractions needs at least two runs")
-    collection = _collection(runs, qrels, [k], set(qrels.topics()))
+        raise ValueError("category_fractions needs at least two distinct runs")
+    collection = _collection(runs, qrels, [k])
     if not collection.topics:
         raise ValueError("no judged topics in the supplied runs")
     tally = np.zeros(4, dtype=np.int64)
@@ -552,7 +554,7 @@ def mean_metric_by_system(
     run did not retrieve.
     """
     spec = _as_metric(metric)
-    collection = _collection(runs, qrels, [spec.depth], set(qrels.topics()))
+    collection = _collection(runs, qrels, [spec.depth])
     scored = collection.relevant >= 1
     if not scored.any():
         raise ValueError("no topics with relevant documents to score")

@@ -121,7 +121,8 @@ def evaluate_rows(metric: MetricSpec, bits, total_relevant=None) -> np.ndarray:
                          f"{ones[i]} relevant documents in the prefix")
     # with R = 0 no row has a hit, so each sum is 0 and any divisor gives 0.0
     if metric.family == "AP":
-        return _running_sum(hits, np.cumsum(hits, axis=1) / np.arange(1, d + 1)) / np.maximum(r, 1)
+        precision = np.cumsum(hits, axis=1, dtype=np.int32) / np.arange(1, d + 1)
+        return _running_sum(hits, precision) / np.maximum(r, 1)
     discounts = np.array([1.0 / math.log2(i + 2) for i in range(d)])
     ideal = np.cumsum(discounts)[np.clip(r, 1, d) - 1]
     return _running_sum(hits, discounts) / ideal

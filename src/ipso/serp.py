@@ -281,7 +281,8 @@ def classify_group(s1: SerpLike, s2: SerpLike, k: int) -> TopicGroup:
     a, b = as_serp(s1), as_serp(s2)
     _check_depth(a, b, k)
     pos, neg = _crossings(a, b, k)
-    return GROUP_TABLE_ORDER[int(_bits.group_code(pos, neg, k))]
+    first = (neg > pos) - (neg < pos)  # sign of the walk's first step off zero
+    return GROUP_TABLE_ORDER[int(_bits.group_code((pos < k) + 2 * (neg < k), first))]
 
 
 def group_sort_key(traj: Sequence[Relationship]) -> tuple:

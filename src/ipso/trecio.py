@@ -330,13 +330,15 @@ class SerpSet:
 
 
 def distinct_runs(runs: Union[RunFile, Iterable[RunFile]]) -> list:
-    """The runs as a list; two different runs may not share a system tag."""
-    runs = [runs] if isinstance(runs, RunFile) else list(runs)
+    """One run per system tag, in first-seen order.
+
+    A run given twice is one input; two different runs may not share a tag.
+    """
     by_tag: dict = {}
-    for run in runs:
+    for run in [runs] if isinstance(runs, RunFile) else runs:
         if by_tag.setdefault(run.system_tag, run) != run:
             raise ValueError(f"two different runs share the system tag {run.system_tag!r}")
-    return runs
+    return list(by_tag.values())
 
 
 def build_serps(

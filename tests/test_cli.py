@@ -278,6 +278,27 @@ class TestDuplicateTags:
         assert captured.out == ""
         assert "system tag 's'" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--k", "5", "--metrics", "P,AP", "--tests", "t,sign", "--format", "json"],
+        ["coverage"],
+    ])
+    def test_copied_file_in_directory_is_one_input(self, capsys, tmp_path, argv):
+        for name in ("alpha", "bravo"):
+            (tmp_path / f"{name}.run").write_text((RUNS / f"{name}.run").read_text())
+        expected = run_cli(capsys, *argv, "--runs", str(tmp_path), "--qrels", str(QRELS))
+        (tmp_path / "alpha_copy.run").write_text((RUNS / "alpha.run").read_text())
+        got = run_cli(capsys, *argv, "--runs", str(tmp_path), "--qrels", str(QRELS))
+        assert expected[0] == 0
+        assert got == expected
+
+    def test_directory_of_one_run_copied_is_refused(self, capsys, tmp_path):
+        for name in ("alpha", "alpha_copy"):
+            (tmp_path / f"{name}.run").write_text((RUNS / "alpha.run").read_text())
+        code, out, err = run_cli(capsys, "sweep", "--runs", str(tmp_path), "--qrels", str(QRELS),
+                                 "--k", "5")
+        assert (code, out) == (2, "")
+        assert "two distinct runs" in err
+
     def test_same_file_twice_is_one_input(self, capsys):
         code = main(["compare", "--run-a", str(RUNS / "alpha.run"),
                      "--run-b", str(RUNS / "alpha.run"),

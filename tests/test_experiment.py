@@ -321,6 +321,18 @@ class TestSweep:
             sweep_all_pairs(list(runs.values()), qrels, [5], ["P"], ["anova"])
 
 
+    def test_repeated_run_is_one_input(self, fixture):
+        runs, qrels = fixture
+        alpha, bravo = runs["alpha"], runs["bravo"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            once = sweep_all_pairs([alpha, bravo], qrels, [5], ["P"], ["t", "sign"])
+            twice = sweep_all_pairs([alpha, alpha, bravo, alpha], qrels, [5], ["P"], ["t", "sign"])
+            assert twice.rows == once.rows
+            assert all(cell["n_pairs"] == 1 for cell in twice.fractions().values())
+            with pytest.raises(ValueError, match="two distinct runs"):
+                sweep_all_pairs([alpha, alpha], qrels, [5], ["P"], ["t"])
+
     def test_reads_judged_topics_once(self, fixture, monkeypatch):
         runs, qrels = fixture
         calls = []
@@ -356,6 +368,14 @@ class TestAggregates:
         assert (counts.equal, counts.separable, counts.non_separable) == (4, 11, 3)
         assert counts.total == 18  # 6 topics x 3 unordered pairs
         assert counts.mode == "exact"
+
+    def test_category_fractions_repeated_run_is_one_input(self, fixture):
+        runs, qrels = fixture
+        alpha, bravo = runs["alpha"], runs["bravo"]
+        assert (category_fractions([alpha, alpha, bravo], qrels, 5)
+                == category_fractions([alpha, bravo], qrels, 5))
+        with pytest.raises(ValueError, match="two distinct runs"):
+            category_fractions([alpha, alpha], qrels, 5)
 
     def test_category_fractions_match_pair_reports(self, fixture):
         runs, qrels = fixture
@@ -414,8 +434,7 @@ def gapped_runs():
 class TestCollection:
     def test_rows_match_build_serps(self, fixture):
         runs, qrels = fixture
-        judged = set(qrels.topics())
-        collection = _collection(list(runs.values()), qrels, [5], judged)
+        collection = _collection(list(runs.values()), qrels, [5])
         serps = build_serps(list(runs.values()), qrels, 5)
         assert collection.topics == ["601", "602", "603", "604", "605", "606"]
         for tag, matrix in collection.rel.items():

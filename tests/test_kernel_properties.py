@@ -1,8 +1,7 @@
 """Property tests: the vectorised relation kernels against the scalar relation.
 
 Every row's group from _bits.group_codes must equal classify_group and an
-independent prefix-walk oracle; first_crossings must report the depths
-that the walk itself shows.  The four-way category from the block-walk
+independent prefix-walk oracle.  The four-way category from the block-walk
 classify_pair_rows and from category_matrix must equal the same walk's.
 """
 
@@ -12,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipso import _bits
-from ipso.serp import GROUP_TABLE_ORDER, TopicGroup, classify_group
+from ipso.enumeration import relationship_counts
+from ipso.serp import CATEGORY_TO_RELATIONSHIP, GROUP_TABLE_ORDER, TopicGroup, classify_group
 
 
 def walk_group(a, b) -> str:
@@ -38,25 +38,12 @@ def walk_category(a, b) -> int:
     return pos + 2 * neg
 
 
-def walk_crossings(a, b) -> tuple:
-    k, walk, pos, neg = len(a), 0, None, None
-    for depth, (x, y) in enumerate(zip(a, b)):
-        walk += x - y
-        if walk > 0 and pos is None:
-            pos = depth
-        if walk < 0 and neg is None:
-            neg = depth
-    return (k if pos is None else pos, k if neg is None else neg)
-
-
 def assert_rows_agree(bits_a: np.ndarray, bits_b: np.ndarray) -> None:
     codes = _bits.group_codes(bits_a, bits_b)
-    pos, neg = _bits.first_crossings(bits_a, bits_b)
     k = bits_a.shape[1]
     for i, (a, b) in enumerate(zip(bits_a.tolist(), bits_b.tolist())):
         label = GROUP_TABLE_ORDER[codes[i]].label
         assert label == classify_group(a, b, k).label == walk_group(a, b), (a, b)
-        assert (pos[i], neg[i]) == walk_crossings(a, b), (a, b)
 
 
 @st.composite
@@ -150,6 +137,15 @@ def test_classify_pair_rows_matches_walk(pair):
     assert cats.tolist() == [walk_category(x, y) for x, y in zip(a.tolist(), b.tolist())]
 
 
+@settings(max_examples=200, deadline=None)
+@given(pair=category_rows())
+def test_group_codes_match_walk_across_block_edges(pair):
+    a, b = pair
+    codes = _bits.group_codes(a, b)
+    assert [GROUP_TABLE_ORDER[c].label for c in codes] == [
+        walk_group(x, y) for x, y in zip(a.tolist(), b.tolist())]
+
+
 @settings(max_examples=60, deadline=None)
 @given(pair=category_rows(), data=st.data())
 def test_classify_pair_rows_broadcasts_leading_axes(pair, data):
@@ -175,6 +171,18 @@ def test_category_matrix_matches_walk(k):
     rows = _bits.bit_matrix(k).tolist()
     expected = [[walk_category(a, b) for b in rows] for a in rows]
     assert _bits.category_matrix(k).tolist() == expected
+
+
+@pytest.mark.parametrize("k", range(9, 13))
+def test_category_matrix_tallies_the_dp_and_matches_walk_cells(k):
+    matrix = _bits.category_matrix(k)
+    tally = np.bincount(matrix.ravel(), minlength=4)
+    expected = relationship_counts(k)
+    assert {CATEGORY_TO_RELATIONSHIP[c]: int(n) for c, n in enumerate(tally)} == expected
+    rows = _bits.bit_matrix(k)
+    cells = np.random.default_rng(k).integers(0, len(rows), size=(2000, 2))
+    assert [matrix[i, j] for i, j in cells.tolist()] == [
+        walk_category(rows[i].tolist(), rows[j].tolist()) for i, j in cells.tolist()]
 
 
 def test_long_one_sided_walks_do_not_wrap():

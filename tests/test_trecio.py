@@ -13,6 +13,7 @@ from ipso.trecio import (
     TrecParseError,
     binarize,
     build_serps,
+    distinct_runs,
     judgment_coverage,
     parse_qrels,
     parse_run,
@@ -327,6 +328,13 @@ class TestBuildSerps:
         with pytest.raises(ValueError, match="system tag 'sysA'"):
             build_serps([run_a, run_b], qrels, 2)
         assert build_serps([run_a, run_a], qrels, 2).systems() == ["sysA"]
+
+    def test_distinct_runs_keeps_one_run_per_tag_in_first_seen_order(self):
+        run_a = parse_run(io.StringIO(RUN_A))
+        run_b = parse_run(io.StringIO("1 Q0 d3 1 2.0 sysB\n"))
+        again = parse_run(io.StringIO(RUN_A))
+        assert distinct_runs([run_b, run_a, run_b, again]) == [run_b, run_a]
+        assert distinct_runs(run_a) == [run_a]
 
     def test_rejects_bad_depth(self):
         run = parse_run(io.StringIO(RUN_A))
