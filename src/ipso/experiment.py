@@ -23,25 +23,19 @@ import numpy as np
 
 from . import _bits
 from .enumeration import CategoryCounts
-# evaluate and build_serps are not called here; bench/tracer.py hooks both names in this module
+# evaluate, build_serps and classify_group are not called here; bench/tracer.py hooks
+# all three names in this module
 from .metrics import MetricSpec, evaluate, evaluate_rows, parse_metric  # noqa: F401
 from .serp import (
     GROUP_TABLE_ORDER,
     Serp,
     TopicGroup,
     Trajectory,
-    classify_group,
+    classify_group,  # noqa: F401
     group_sort_key,
     trajectory,
 )
-from .stats import (
-    RowOutcomes,
-    UndefinedTestError,
-    sign_test,
-    sign_test_rows,
-    t_test_rows,
-    wilcoxon_rows,
-)
+from .stats import UndefinedTestError, sign_test, sign_test_rows, t_test_rows, wilcoxon_rows
 from .trecio import Qrels, RunFile, build_serps, distinct_runs, topic_sort_key  # noqa: F401
 
 #: Each metric test, run over the rows of a (pairs x topics) array of differences.
@@ -70,77 +64,102 @@ def _check_test(test: str) -> None:
 
 
 class _Collection(NamedTuple):
-    """Every run's binary relevance over the evaluation topics, in topic order."""
+    """Every run's binary relevance over the evaluation topics; systems are rows in run order."""
 
     topics: list
-    rel: dict  # system tag -> (topics x depth) int8 matrix; all-0 rows for absent topics
-    present: dict  # system tag -> bool per topic: the run ranks documents for it
+    tags: list  # system tag per row, in distinct_runs order
+    bits: np.ndarray  # (systems x topics x depth) int8; all-0 rows for absent topics
+    present: np.ndarray  # (systems x topics) bool: the run ranks documents for the topic
     relevant: np.ndarray  # R per topic: the count of documents judged relevant
+
+    @property
+    def rel(self) -> dict:
+        return dict(zip(self.tags, self.bits))
 
 
 def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int]) -> _Collection:
     """One pass over the runs, reading only the first max(k) documents of each ranking."""
     if min(k_values) < 1:
         raise ValueError(f"k must be >= 1, got {min(k_values)}")
-    depth = max(k_values)
     runs = distinct_runs(runs)
     # the evaluation topics: judged topics that at least one run retrieved
     topics = sorted(set().union(*(run.entries for run in runs)) & set(qrels.topics()),
                     key=topic_sort_key)
     grades = qrels.by_topic()
-    rel, present = {}, {}
-    for run in runs:
-        matrix = rel[run.system_tag] = np.zeros((len(topics), depth), dtype=np.int8)
+    bits = np.zeros((len(runs), len(topics), max(k_values)), dtype=np.int8)
+    for run, matrix in zip(runs, bits):
         for row, t in zip(matrix, topics):
             judged_docs = grades[t]
-            bits = [judged_docs.get(e.doc_id, 0) >= 1 for e in run.ranking(t)[:depth]]
-            row[:len(bits)] = bits
-        present[run.system_tag] = np.array([t in run.entries for t in topics], dtype=bool)
+            ranked = [judged_docs.get(e.doc_id, 0) >= 1 for e in run.ranking(t)[:len(row)]]
+            row[:len(ranked)] = ranked
+    present = np.array([[t in run.entries for t in topics] for run in runs], dtype=bool)
     relevant = np.array([qrels.relevant_count(t) for t in topics], dtype=np.int64)
-    return _Collection(topics, rel, present, relevant)
+    return _Collection(topics, [run.system_tag for run in runs], bits, present, relevant)
 
 
 def _score_matrix(collection: _Collection, k: int, metric: MetricSpec) -> np.ndarray:
-    """(systems x topics) scores of the depth-k SERPs, rows in collection.rel's order."""
-    bits = np.stack([matrix[:, :k] for matrix in collection.rel.values()])
+    """(systems x topics) scores of the depth-k SERPs, rows in collection order."""
+    bits = collection.bits[:, :, :k]
     flat = evaluate_rows(metric, bits.reshape(-1, k), np.tile(collection.relevant, len(bits)))
     return flat.reshape(bits.shape[:2])
 
 
-def _metric_test(test: str, diffs: np.ndarray) -> RowOutcomes | None:
-    """The metric test over each row of diffs; None where it is undefined."""
-    try:
-        return METRIC_TESTS[test](diffs)
-    except UndefinedTestError:
-        return None
+def _pair_blocks(collection: _Collection, pairs: Sequence[tuple]) -> list:
+    """The one topic rule: blocks of (pair indices, (pairs x 2) collection rows, topics).
+
+    A pair is evaluated on the topics either system ranks, warning for each
+    system that lacks some; pairs on the same topics share blocks of at most
+    _BLOCK_PAIRS.
+    """
+    pairs, by_topics = np.array(pairs), {}
+    for i, pair in enumerate(pairs):
+        has = collection.present[pair]
+        at = np.flatnonzero(has.any(axis=0))
+        if not at.size:
+            raise ValueError("runs {} and {} share no judged topics".format(
+                *(collection.tags[row] for row in pair)))
+        for row, missing in zip(pair, at.size - has[:, at].sum(axis=1)):
+            if missing:
+                warnings.warn(f"system {collection.tags[row]}: {missing} evaluated topic(s) "
+                              "absent from the run; scored as all-0 SERPs", stacklevel=3)
+        by_topics.setdefault(at.tobytes(), (at, []))[1].append(i)
+    return [(chunk, pairs[chunk], at) for at, members in by_topics.values()
+            for chunk in np.split(members, range(_BLOCK_PAIRS, len(members), _BLOCK_PAIRS))]
+
+
+def _evaluate(collection: _Collection, blocks: Sequence[tuple], k: int, scores: dict,
+              tests: Sequence[str]) -> Iterable[tuple]:
+    """Per block at depth k: (pair indices, pairs x topics five-way codes, outcomes).
+
+    outcomes maps (metric, test) to RowOutcomes over the scored topics, None if undefined.
+    """
+    for members, sides, at in blocks:
+        a, b = sides[:, :1], sides[:, 1:]
+        codes = _bits.group_codes(collection.bits[a, at, :k], collection.bits[b, at, :k])
+        scored = at[collection.relevant[at] >= 1]
+        outcomes = {}
+        for spec, matrix in scores.items():
+            diffs = matrix[a, scored] - matrix[b, scored]
+            for test in tests:
+                try:
+                    outcomes[spec, test] = METRIC_TESTS[test](diffs)
+                except UndefinedTestError:
+                    outcomes[spec, test] = None
+        yield members.tolist(), codes, outcomes
 
 
 _NI, _NS = (GROUP_TABLE_ORDER.index(g) for g in (TopicGroup.SEPARABLE_NI, TopicGroup.SEPARABLE_NS))
 
 
-def _group_counts(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
-    """(m, 5) topic counts per group, in GROUP_TABLE_ORDER, of two (m, topics, k) 0/1 arrays."""
-    codes = _bits.group_codes(bits_a, bits_b) + 5 * np.arange(len(bits_a))[:, None]
-    return np.bincount(codes.ravel(), minlength=5 * len(bits_a)).reshape(-1, 5)
+def _group_counts(codes: np.ndarray) -> np.ndarray:
+    """(pairs, 5) topic counts per group, in GROUP_TABLE_ORDER, of (pairs, topics) codes."""
+    codes = codes + 5 * np.arange(len(codes))[:, None]
+    return np.bincount(codes.ravel(), minlength=5 * len(codes)).reshape(-1, 5)
 
 
 def _ipso_p(ni: int, ns: int) -> float | None:
     """The innate Sign test's p on the separable directions; None with no separable topic."""
     return sign_test(ni, ns).p_value if ni + ns else None
-
-
-def _pair_topics(collection: _Collection, run_a: RunFile, run_b: RunFile) -> np.ndarray:
-    """Columns of a pair's evaluation topics, warning for each run about those it lacks."""
-    has_a, has_b = (collection.present[run.system_tag] for run in (run_a, run_b))
-    at = np.flatnonzero(has_a | has_b)
-    if not at.size:
-        raise ValueError(f"runs {run_a.system_tag} and {run_b.system_tag} share no judged topics")
-    for run, has in ((run_a, has_a), (run_b, has_b)):
-        missing = int(at.size - has[at].sum())
-        if missing:
-            warnings.warn(f"system {run.system_tag}: {missing} evaluated topic(s) absent from "
-                          "the run; scored as all-0 SERPs", stacklevel=3)
-    return at
 
 
 @dataclass(frozen=True)
@@ -268,17 +287,16 @@ def compare_systems(
     _check_test(test)
     spec = MetricSpec("P", k) if metric is None else _as_metric(metric)
     collection = _collection([run_a, run_b], qrels, [k])
-    at = _pair_topics(collection, run_a, run_b)
-    scored = collection.relevant >= 1
     # rows are run_a's and run_b's, or one row when the two are the same run
-    a, b = _score_matrix(collection, k, spec)[[0, -1]][:, scored]
-    mean_a = mean_b = effect = None
-    if a.size:
-        mean_a, mean_b = (float(np.cumsum(x)[-1] / x.size) for x in (a, b))
-        effect = mean_b - mean_a
-    outcome = _metric_test(test, (a - b)[None, :])
-    result = outcome.result(0) if outcome else None
-    counts = _group_counts(*(collection.rel[run.system_tag][None] for run in (run_a, run_b)))[0]
+    [(_, _, at)] = blocks = _pair_blocks(collection, [(0, len(collection.tags) - 1)])
+    scores = {spec: _score_matrix(collection, k, spec)}
+    [(_, codes, outcomes)] = _evaluate(collection, blocks, k, scores, [test])
+    scored = collection.relevant >= 1
+    a, b = scores[spec][[0, -1]][:, scored]
+    mean_a, mean_b = (float(np.cumsum(x)[-1] / x.size) if x.size else None for x in (a, b))
+    effect = None if mean_a is None else mean_b - mean_a
+    result = outcomes[spec, test].result(0) if outcomes[spec, test] else None
+    counts = _group_counts(codes)[0]
     ipso_p = _ipso_p(int(counts[_NI]), int(counts[_NS]))
     metric_p = result.p_value if result else None
     significant = metric_p is not None and metric_p < alpha
@@ -325,18 +343,18 @@ def topic_table(
     """
     specs = [_as_metric(m) for m in metrics]
     collection = _collection([run_a, run_b], qrels, [k])
-    at = _pair_topics(collection, run_a, run_b)
     # rows are run_a's and run_b's, or one row when the two are the same run
+    [(_, _, at)] = blocks = _pair_blocks(collection, [(0, len(collection.tags) - 1)])
+    [(_, codes, _)] = _evaluate(collection, blocks, k, {}, ())
     diffs = {spec.label: np.subtract(*_score_matrix(collection, k, spec)[[0, -1]]).tolist()
              for spec in specs}
-
-    rel_a, rel_b = (collection.rel[run.system_tag].tolist() for run in (run_a, run_b))
+    rel_a, rel_b = collection.bits[[0, -1]].tolist()
     rows = []
-    for i in at.tolist():
+    for i, code in zip(at.tolist(), codes[0].tolist()):
         serp_a, serp_b = Serp(rel_a[i]), Serp(rel_b[i])
         rows.append(TopicRow(
             topic_id=collection.topics[i], serp_a=serp_a.bitstring, serp_b=serp_b.bitstring,
-            trajectory=trajectory(serp_a, serp_b), group=classify_group(serp_a, serp_b, k),
+            trajectory=trajectory(serp_a, serp_b), group=GROUP_TABLE_ORDER[code],
             score_diffs={label: column[i] for label, column in diffs.items()},
         ))
     rows.sort(key=lambda r: (
@@ -461,6 +479,8 @@ def sweep_all_pairs(
     if len(runs) < 2:
         raise ValueError("sweep needs at least two distinct runs")
     _check_alpha(alpha)
+    # a depth, metric or test given twice is one condition
+    k_values, tests = list(dict.fromkeys(k_values)), list(dict.fromkeys(tests))
     for test in tests:
         _check_test(test)
     # a bare family name ("P", "RBP0.8") tracks the sweep depth; a full
@@ -475,46 +495,28 @@ def sweep_all_pairs(
     if not plan or not tests or not k_values:
         raise ValueError("k_values, metrics, and tests must all be non-empty")
     collection = _collection(runs, qrels, k_values)
-    row_of = {tag: i for i, tag in enumerate(collection.rel)}
-    pairs, by_topics = [], {}
-    for x, y in itertools.combinations(runs, 2):
-        at = _pair_topics(collection, x, y)
-        by_topics.setdefault(at.tobytes(), []).append(len(pairs))
-        pairs.append((x.system_tag, y.system_tag, at))
-    # pairs on the same topics are tested together, one row per pair, in
-    # blocks small enough that a block's arrays stay a few megabytes
-    blocks = [(np.array(members[lo:lo + _BLOCK_PAIRS]), pairs[members[0]][2])
-              for members in by_topics.values() for lo in range(0, len(members), _BLOCK_PAIRS)]
-    sides = np.array([(row_of[x], row_of[y]) for x, y, _ in pairs])
-    bits = np.stack(list(collection.rel.values()))
+    pairs = list(itertools.combinations(range(len(runs)), 2))
+    blocks = _pair_blocks(collection, pairs)
     rows = []
     for k in k_values:
-        specs = [parse_metric(f"{m}@{k}") if isinstance(m, str) else m for m in plan]
+        specs = list(dict.fromkeys(parse_metric(f"{m}@{k}") if isinstance(m, str) else m
+                                   for m in plan))
         scores = {spec: _score_matrix(collection, k, spec) for spec in specs}
         ipso_p = [None] * len(pairs)
-        metric_p = {(spec, test): [None] * len(pairs) for spec in specs for test in tests}
-        for members, at in blocks:
-            a, b = sides[members, :1], sides[members, 1:]
-            counts = _group_counts(bits[a, at, :k], bits[b, at, :k])
-            for i, ni, ns in zip(members.tolist(), *counts[:, [_NI, _NS]].T.tolist()):
+        metric_p = {cell: [None] * len(pairs) for cell in itertools.product(specs, tests)}
+        for members, codes, outcomes in _evaluate(collection, blocks, k, scores, tests):
+            for i, ni, ns in zip(members, *_group_counts(codes)[:, [_NI, _NS]].T.tolist()):
                 ipso_p[i] = _ipso_p(ni, ns)
-            scored = at[collection.relevant[at] >= 1]
-            for spec in specs:
-                diffs = scores[spec][a, scored] - scores[spec][b, scored]
-                for test in tests:
-                    outcome = _metric_test(test, diffs)
-                    if outcome:
-                        for i, p in zip(members.tolist(), outcome.p_value.tolist()):
-                            metric_p[spec, test][i] = p
-        cells = [(spec.label, test, metric_p[spec, test]) for spec in specs for test in tests]
-        for i, (tag_x, tag_y, _) in enumerate(pairs):
-            innate = ipso_p[i]
+            for cell, outcome in outcomes.items():
+                for i, p in zip(members, outcome.p_value.tolist() if outcome else ()):
+                    metric_p[cell][i] = p
+        cells = [(spec.label, test) for spec, test in metric_p]
+        for (x, y), innate, *cell_p in zip(pairs, ipso_p, *metric_p.values()):
             innate_significant = innate is not None and innate < alpha
-            for label, test, p_values in cells:
-                p = p_values[i]
-                rows.append(SweepRow(tag_x, tag_y, k, label, test, p, innate,
-                                     AgreementCategory.from_flags(p is not None and p < alpha,
-                                                                  innate_significant)))
+            for (label, test), p in zip(cells, cell_p):
+                rows.append(SweepRow(collection.tags[x], collection.tags[y], k, label, test, p,
+                                     innate, AgreementCategory.from_flags(
+                                         p is not None and p < alpha, innate_significant)))
     return SweepResult(rows=tuple(rows), alpha=alpha)
 
 
@@ -523,23 +525,21 @@ def category_fractions(runs: Sequence[RunFile], qrels: Qrels, k: int) -> Categor
 
     Aggregates the innate comparison across all SERP-vs-SERP pairs in a
     collection of runs, mirroring the enumeration-table format but over
-    observed data: total = judged topics x n(n-1)/2 pairs.
+    observed data.  Each pair is counted on the topics either system
+    ranks, as compare_systems counts it, with a warning for a system that
+    lacks some of them; total is the sum of those topic counts over the
+    n(n-1)/2 pairs.
     """
     runs = distinct_runs(runs)
     if len(runs) < 2:
         raise ValueError("category_fractions needs at least two distinct runs")
     collection = _collection(runs, qrels, [k])
-    if not collection.topics:
-        raise ValueError("no judged topics in the supplied runs")
-    tally = np.zeros(4, dtype=np.int64)
-    for bits_x, bits_y in itertools.combinations(collection.rel.values(), 2):
-        tally += np.bincount(_bits.classify_pair_rows(bits_x, bits_y), minlength=4)
-    eq, ni, ns, xx = (int(x) for x in tally)
-    n_pairs = len(runs) * (len(runs) - 1) // 2
-    return CategoryCounts(
-        k=k, equal=eq, separable=ni + ns, non_separable=xx,
-        total=len(collection.topics) * n_pairs, mode="exact",
-    )
+    blocks = _pair_blocks(collection, list(itertools.combinations(range(len(runs)), 2)))
+    tally = sum(_group_counts(codes).sum(axis=0)
+                for _, codes, _ in _evaluate(collection, blocks, k, {}, ()))
+    ns_midpoint, ns, eq, ni, ni_midpoint = tally.tolist()
+    return CategoryCounts(k=k, equal=eq, separable=ni + ns, non_separable=ns_midpoint + ni_midpoint,
+                          total=int(tally.sum()), mode="exact")
 
 
 def mean_metric_by_system(
@@ -559,7 +559,7 @@ def mean_metric_by_system(
     if not scored.any():
         raise ValueError("no topics with relevant documents to score")
     scores = _score_matrix(collection, spec.depth, spec)[:, scored]
-    return dict(zip(collection.rel, (np.cumsum(scores, axis=1)[:, -1] / scored.sum()).tolist()))
+    return dict(zip(collection.tags, (np.cumsum(scores, axis=1)[:, -1] / scored.sum()).tolist()))
 
 
 def percentile_run(

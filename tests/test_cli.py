@@ -236,6 +236,17 @@ class TestSweep:
               if row["system_a"] == "alpha" and row["system_b"] == "charlie"]
         assert ac[0]["category"] == "Metric:Yes"
 
+    @pytest.mark.parametrize("option, value", [
+        ("--k", "5,5"), ("--metrics", "P,P@5"), ("--tests", "t,t"),
+    ])
+    def test_repeated_condition_is_one_condition(self, capsys, option, value):
+        argv = ["sweep", "--runs", str(RUNS), "--qrels", str(QRELS),
+                "--k", "5", "--metrics", "P", "--tests", "t"]
+        once = run_cli(capsys, *argv)
+        argv[argv.index(option) + 1] = value
+        assert once[0] == 0
+        assert run_cli(capsys, *argv) == once
+
     def test_empty_dir(self, capsys, tmp_path):
         code = main(["sweep", "--runs", str(tmp_path), "--qrels", str(QRELS),
                      "--k", "5", "--metrics", "P", "--tests", "t"])

@@ -1,10 +1,14 @@
 import io
+import itertools
 import json
 import math
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ipso.experiment import (
@@ -20,7 +24,7 @@ from ipso.experiment import (
     write_topic_csv,
 )
 from ipso.metrics import PHI, MetricSpec
-from ipso.serp import TopicGroup
+from ipso.serp import TopicGroup, classify_group
 from ipso.trecio import Qrels, RunEntry, RunFile, build_serps, parse_qrels, parse_run
 
 DATA = Path(__file__).parent / "data"
@@ -333,6 +337,21 @@ class TestSweep:
             with pytest.raises(ValueError, match="two distinct runs"):
                 sweep_all_pairs([alpha, alpha], qrels, [5], ["P"], ["t"])
 
+    @pytest.mark.parametrize("k_values, metrics, tests", [
+        ([5, 5], ["P"], ["t"]),
+        ([5], ["P", "P"], ["t"]),
+        ([5], ["P", "P@5"], ["t"]),
+        ([5], ["P"], ["t", "t"]),
+    ])
+    def test_repeated_condition_is_one_condition(self, fixture, k_values, metrics, tests):
+        runs, qrels = fixture
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            once = sweep_all_pairs(list(runs.values()), qrels, [5], ["P"], ["t"])
+            repeated = sweep_all_pairs(list(runs.values()), qrels, k_values, metrics, tests)
+        assert repeated.rows == once.rows
+        assert [cell["n_pairs"] for cell in repeated.fractions().values()] == [3]
+
     def test_reads_judged_topics_once(self, fixture, monkeypatch):
         runs, qrels = fixture
         calls = []
@@ -468,6 +487,72 @@ class TestCollection:
             sweep_all_pairs(list(runs.values()), qrels, [3, 5], ["P", "RR"], ["t", "sign"])
         # charlie lacks a topic; it meets alpha and bravo once each
         assert [str(w.message).split(":")[0] for w in caught] == ["system charlie"] * 2
+
+
+#: Each of the five groups -> its CategoryCounts field.
+FOLD = {
+    TopicGroup.EQUAL: "equal",
+    TopicGroup.SEPARABLE_NI: "separable",
+    TopicGroup.SEPARABLE_NS: "separable",
+    TopicGroup.NON_SEP_NI_MIDPOINT: "non_separable",
+    TopicGroup.NON_SEP_NS_MIDPOINT: "non_separable",
+}
+
+
+def assert_pair_reports_agree(runs, qrels, k):
+    """category_fractions, compare_systems, topic_table and the sweep count the same topics."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        census = category_fractions(runs, qrels, k)
+        sweep = sweep_all_pairs(runs, qrels, [k], ["P"], ["t"])
+        folded = Counter()
+        for (a, b), row in zip(itertools.combinations(runs, 2), sweep.rows, strict=True):
+            report = compare_systems(a, b, qrels, k)
+            table = topic_table(a, b, qrels, k)
+            for group, n in report.ipso_counts.items():
+                folded[FOLD[group]] += n
+            for r in table:
+                assert r.group is classify_group(r.serp_a, r.serp_b, k), r.topic_id
+            assert +Counter(r.group for r in table) == +Counter(report.ipso_counts)
+            assert (row.system_a, row.system_b) == (a.system_tag, b.system_tag)
+            assert row.ipso_p == report.ipso_p
+    assert (census.equal, census.separable, census.non_separable, census.total) == (
+        folded["equal"], folded["separable"], folded["non_separable"], sum(folded.values()))
+    return census
+
+
+@st.composite
+def uneven_collections(draw):
+    """3-4 runs over up to 4 judged topics, each run ranking a random subset of them."""
+    topics = [str(t) for t in range(1, draw(st.integers(1, 4)) + 1)]
+    docs = [f"d{i}" for i in range(6)]
+    grades = st.integers(0, 2)
+    qrels = Qrels(judgments={(t, d): draw(grades) for t in topics for d in docs})
+    runs = []
+    for i in range(draw(st.integers(3, 4))):
+        ranked = draw(st.lists(st.sampled_from(topics), min_size=1, unique=True))
+        entries = {}
+        for t in ranked:
+            order = draw(st.permutations(docs))[:draw(st.integers(1, len(docs)))]
+            entries[t] = tuple(RunEntry(d, r + 1, float(-r)) for r, d in enumerate(order))
+        runs.append(RunFile(system_tag=f"s{i}", entries=entries))
+    return runs, qrels, draw(st.integers(1, 6))
+
+
+class TestPairReportsAgree:
+    """Every pair report evaluates a pair on the topics either system ranks."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_gapped_runs(self, k):
+        runs, qrels = gapped_runs()
+        census = assert_pair_reports_agree(runs, qrels, k)
+        # a and b both lack topic 3: it is no evidence about that pair
+        assert (census.equal, census.separable, census.non_separable, census.total) == (0, 8, 0, 8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=uneven_collections())
+    def test_uneven_coverage(self, case):
+        assert_pair_reports_agree(*case)
 
 
 class TestTies:
