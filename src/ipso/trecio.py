@@ -10,8 +10,11 @@ columns in the wild are unreliable; a strict mode honours them instead.
 from __future__ import annotations
 
 import csv
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -72,12 +75,12 @@ def _records(source: Source, n_fields: int, layout: str):
     The source is read once as bytes (text is encoded to UTF-8) and must
     be valid UTF-8.  Lines end at \\n, \\r\\n or a lone \\r; fields are
     separated by ASCII whitespace; blank lines are skipped.  Returns
-    (chunks, tokens_at, lines, problems): chunks yields (first record
+    (chunks, tokens_at, lines, misfit): chunks yields (first record
     index, columns of bytes tokens); tokens_at(records, j) lists field j
     of the given records; lines[i] is record i's 1-based line number.
-    Records stop before the first line with another field count, which is
-    then the one problem, at index len(records) so that a caller's
-    problems on earlier lines come first.
+    Records stop before the first line with another field count; misfit
+    lists it as a problem at index len(records), which every problem a
+    caller finds in the records precedes.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -107,8 +110,8 @@ def _records(source: Source, n_fields: int, layout: str):
     record_lines = np.flatnonzero(counts[: misfit[0] if misfit.size else None])
     begins = line_begins[record_lines]
     ends = np.append(breaks, len(buf))[record_lines]
-    problems = [(len(begins), 0, f"expected {n_fields} fields ({layout}), got {counts[line]}")
-                for line in misfit.tolist()]
+    problem = [(len(begins), 0, f"expected {n_fields} fields ({layout}), got {counts[line]}")
+               for line in misfit.tolist()]
 
     def chunks():
         for lo in range(0, len(begins), _CHUNK):
@@ -119,17 +122,32 @@ def _records(source: Source, n_fields: int, layout: str):
         at = np.asarray(records, dtype=np.int64) * n_fields + j
         return [data[a:b].rstrip() for a, b in zip(bounds[at].tolist(), bounds[at + 1].tolist())]
 
-    return chunks(), tokens_at, np.append(record_lines, misfit) + 1, problems
+    return chunks(), tokens_at, np.append(record_lines, misfit) + 1, problem
 
 
-def _numbers(convert, tokens: list, lo: int, problems: list, rank: int, what: str) -> list:
-    """tokens mapped by convert, up to a problem at the first token it rejects."""
-    values: list = []
+def _numbers(convert, tokens: list, lo: int, problems: list, rank: int, what: str):
+    """convert of each token as an array, up to a problem at the first token it rejects."""
+    try:
+        return np.fromiter(map(convert, tokens), np.int64 if convert is int else float, len(tokens))
+    except (ValueError, OverflowError):  # a token convert rejects, or an int past 64 bits
+        values: list = []
     try:
         values.extend(map(convert, tokens))  # keeps the values before a failure
     except ValueError:
         problems.append((lo + len(values), rank, what.format(tokens[len(values)].decode())))
-    return values
+    return np.array(values, dtype=object if convert is int else float)  # big ints stay exact
+
+
+@contextmanager
+def _gc_held():
+    """Hold the cyclic collector: the parsers build many tuples and no cycles."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _first_repeat(items):
@@ -148,6 +166,7 @@ def _raise_first(problems: list, lines) -> None:
         raise TrecParseError(f"line {lines[index]}: {message}")
 
 
+@_gc_held()
 def parse_run(
     source: Source,
     truncate: int = DEFAULT_TRUNCATION,
@@ -157,24 +176,20 @@ def parse_run(
 
     Entries are grouped per topic and ordered by score descending with
     document id descending on ties (or by the rank column when
-    strict_ranks is set), then truncated.  Every line must carry the same
-    system tag, and scores must be finite.
+    strict_ranks is set), then truncated to the first `truncate` >= 1.
+    Every line must carry the same system tag, and scores must be finite.
     """
-    chunks, tokens_at, lines, problems = _records(source, 6, "topic Q0 doc rank score tag")
-    topic_ids: dict = {}
-    tag = None
+    if truncate < 1:
+        raise ValueError(f"truncate must be >= 1, got {truncate}")
+    chunks, tokens_at, lines, misfit = _records(source, 6, "topic Q0 doc rank score tag")
+    topic_ids, tag, problems = {}, None, []
     codes, pairs, ranks, scores = [], [], [], []
     for lo, (topics, _, docs, rank_tokens, score_tokens, tags) in chunks:
-        for topic in dict.fromkeys(topics):
-            topic_ids.setdefault(topic, len(topic_ids))
-        codes.append(np.fromiter(map(topic_ids.__getitem__, topics), np.int64, len(topics)))
+        runs = [(topic_ids.setdefault(t, len(topic_ids)), len(list(g))) for t, g in groupby(topics)]
+        codes.append(np.repeat(*np.array(runs, dtype=np.int64).T))
         pairs.append(np.fromiter(map(hash, zip(topics, docs)), np.int64, len(topics)))
-        values = _numbers(int, rank_tokens, lo, problems, 0, "rank {!r} is not an integer")
-        if strict_ranks:
-            ranks.append(np.array(values))
-        scores.append(np.array(
-            _numbers(float, score_tokens, lo, problems, 1, "score {!r} is not numeric"), dtype=float
-        ))
+        ranks.append(_numbers(int, rank_tokens, lo, problems, 0, "rank {!r} is not an integer"))
+        scores.append(_numbers(float, score_tokens, lo, problems, 1, "score {!r} is not numeric"))
         for index in np.flatnonzero(~np.isfinite(scores[-1]))[:1].tolist():
             text = score_tokens[index].decode()
             problems.append((lo + index, 1, f"score {text!r} is not finite"))
@@ -193,31 +208,29 @@ def parse_run(
             doc = tokens_at([index], 2)[0].decode()
             topic = list(topic_ids)[topic_code[index]].decode()
             problems.append((index, 2, f"duplicate document {doc!r} for topic {topic}"))
-    _raise_first(problems, lines)
+    _raise_first(problems or misfit, lines)
     if tag is None:
         raise TrecParseError("run contains no entries")
-    scores = np.concatenate(scores)
-    if strict_ranks:
-        key = np.concatenate(ranks)
-        if key.dtype == object:  # beyond 64 bits: clipping keeps the order up to ties
-            key = np.clip(key, -(2**63), 2**63 - 1).astype(np.int64)
-    else:
-        key = -scores
+    ranks, scores = np.concatenate(ranks), np.concatenate(scores)
+    key = ranks if strict_ranks else -scores
+    if key.dtype == object:  # ranks beyond 64 bits: clipping keeps the order up to ties
+        key = np.clip(key, -(2**63), 2**63 - 1).astype(np.int64)
     # Per topic, keep the first `truncate` rows of the numeric order plus
     # every row tied with the last of them; doc ids then break the ties.
-    order = np.lexsort((key, topic_code))
-    ordered, size = key[order], np.bincount(topic_code)
-    depth = np.minimum(size, truncate if truncate > 0 else len(order))
-    kept = order[ordered <= np.repeat(ordered[np.cumsum(size) - size + depth - 1], size)]
-    kept_entries = list(map(RunEntry._make, zip(
-        map(bytes.decode, tokens_at(kept, 2)), map(int, tokens_at(kept, 3)), scores[kept].tolist()
-    )))
+    order, size = np.argsort(topic_code, kind="stable"), np.bincount(topic_code)
+    ordered, starts = key[order], np.cumsum(size) - size
+    cuts = np.maximum.reduceat(ordered, starts)
+    for t in np.flatnonzero(size > truncate).tolist():
+        cuts[t] = np.partition(ordered[starts[t]:starts[t] + size[t]], truncate - 1)[truncate - 1]
+    kept = order[ordered <= np.repeat(cuts, size)]
+    kept_entries = map(tuple.__new__, repeat(RunEntry), zip(
+        map(bytes.decode, tokens_at(kept, 2)), ranks[kept].tolist(), scores[kept].tolist()
+    ))
     sort_key = itemgetter(1, 0) if strict_ranks else itemgetter(2, 0)  # (rank|score, doc_id)
-    entries, start = {}, 0
+    entries = {}
     for topic_id, n in zip(topic_ids, np.bincount(topic_code[kept]).tolist()):
-        ranking = sorted(kept_entries[start:start + n], key=sort_key, reverse=not strict_ranks)
+        ranking = sorted(islice(kept_entries, n), key=sort_key, reverse=not strict_ranks)
         entries[topic_id.decode()] = tuple(ranking[:truncate])
-        start += n
     return RunFile(system_tag=tag.decode(), entries=entries, truncation=truncate)
 
 
@@ -273,20 +286,21 @@ def binarize(grade: int) -> int:
     return 1 if grade >= 1 else 0
 
 
+@_gc_held()
 def parse_qrels(source: Source) -> Qrels:
     """Parse a qrels file: four fields per line, grades kept raw."""
-    chunks, _, lines, problems = _records(source, 4, "topic iter doc grade")
-    keys, grades = [], []
-    for lo, (topics, _, docs, grade_tokens) in chunks:
+    chunks, _, lines, misfit = _records(source, 4, "topic iter doc grade")
+    keys, grades, problems = [], [], []
+    for lo, (topics, _, docs, tokens) in chunks:
         keys += zip(map(bytes.decode, topics), map(bytes.decode, docs))
-        grades += _numbers(int, grade_tokens, lo, problems, 0, "grade {!r} is not an integer")
+        grades += _numbers(int, tokens, lo, problems, 0, "grade {!r} is not an integer").tolist()
         if problems:
             break
     judgments = dict(zip(keys, grades))
     index = _first_repeat(keys) if len(judgments) < len(keys) else None
     if index is not None:
         problems.append((index, 1, "duplicate judgment for ({}, {})".format(*keys[index])))
-    _raise_first(problems, lines)
+    _raise_first(problems or misfit, lines)
     return Qrels(judgments=judgments)
 
 

@@ -1,7 +1,9 @@
+import gc
 import io
 
 import pytest
 
+import trec_reference
 from ipso import trecio
 from ipso.serp import Serp
 from ipso.trecio import (
@@ -193,6 +195,77 @@ class TestParseRun:
         buf = io.StringIO()
         write_run(run, buf)
         assert parse_run(io.StringIO(buf.getvalue())).entries == run.entries
+
+    @pytest.mark.parametrize("parse", [parse_run, trec_reference.parse_run],
+                             ids=["columnar", "reference"])
+    @pytest.mark.parametrize("truncate", [0, -1])
+    def test_truncate_below_one_rejected(self, parse, truncate):
+        with pytest.raises(ValueError, match=f"truncate must be >= 1, got {truncate}"):
+            parse(io.StringIO(RUN_A), truncate=truncate)
+
+    def test_every_row_tied_at_the_cut_is_kept(self):
+        # two interleaved topics longer than the cut, each cut inside a tie
+        # whose largest doc id sits in the middle of the file
+        text = "".join(f"{topic} Q0 {doc} {rank} {score} s\n" for topic, doc, rank, score in [
+            ("1", "b", 2, 2.0), ("2", "y", 3, 1.0), ("1", "a", 1, 3.0), ("1", "e", 2, 2.0),
+            ("2", "z", 3, 1.0), ("1", "c", 2, 2.0), ("2", "x", 1, 1.0), ("1", "d", 2, 2.0),
+        ])
+        run = parse_run(io.StringIO(text), truncate=2)
+        assert [e.doc_id for e in run.ranking("1")] == ["a", "e"]
+        assert [e.doc_id for e in run.ranking("2")] == ["z", "y"]
+        strict = parse_run(io.StringIO(text), truncate=2, strict_ranks=True)
+        assert [e.doc_id for e in strict.ranking("1")] == ["a", "b"]
+        assert [e.doc_id for e in strict.ranking("2")] == ["x", "y"]
+        for options in ({}, {"strict_ranks": True}):
+            expected = trec_reference.parse_run(io.StringIO(text), truncate=2, **options)
+            assert parse_run(io.StringIO(text), truncate=2, **options) == expected
+
+    def test_problem_in_a_later_chunk_precedes_a_field_count_error(self, monkeypatch):
+        monkeypatch.setattr(trecio, "_CHUNK", 2)
+        text = "".join(f"1 Q0 d{i} {i} 1.0 s\n" for i in range(6))
+        with pytest.raises(TrecParseError, match="line 4: rank 'x'"):
+            parse_run(io.StringIO(text.replace("d3 3", "d3 x") + "1 Q0 d9 9\n"))
+        qrels = "".join(f"1 0 d{i} 1\n" for i in range(6))
+        with pytest.raises(TrecParseError, match="line 5: grade 'x'"):
+            parse_qrels(io.StringIO(qrels.replace("d4 1", "d4 x") + "1 0 d9\n"))
+
+
+class TestGcHold:
+    """The parsers hold the cyclic collector and hand back the caller's setting."""
+
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("parse, text, bad", [
+        (parse_run, RUN_A, RUN_A + "1 Q0 d9 x 1.0 sysA\n"),
+        (parse_qrels, QRELS, QRELS + "1 0 d9 x\n"),
+    ], ids=["run", "qrels"])
+    def test_collector_state_is_restored(self, monkeypatch, parse, text, bad, enabled):
+        seen = []
+        records = trecio._records
+
+        def spy(*args):
+            seen.append(gc.isenabled())
+            return records(*args)
+
+        monkeypatch.setattr(trecio, "_records", spy)
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        parse(io.StringIO(text))
+        assert gc.isenabled() is enabled
+        with pytest.raises(TrecParseError):
+            parse(io.StringIO(bad))
+        assert gc.isenabled() is enabled
+        assert seen == [False, False]
 
 
 class TestQrels:

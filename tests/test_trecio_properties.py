@@ -7,17 +7,21 @@ message as the reference.
 """
 
 import io
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import trec_reference
+from ipso import trecio
 from ipso.trecio import TrecParseError, parse_qrels, parse_run, write_run
 
 IDS = st.text(alphabet="abAB09-é€\x1c", min_size=1, max_size=3)
 TOPIC_IDS = st.text(alphabet="0123ab", min_size=1, max_size=3)
-RANKS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["007", "+5", "1_0"]))
+RANKS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(
+    ["007", "+5", "1_0", "99999999999999999999", "-99999999999999999999"]
+))
 SCORES = st.one_of(
     st.sampled_from(["0", "0.0", "-0.0", "1", "1.5", "1.50", "-3", "+4.0", "7_0", "1e2", "100"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
@@ -98,6 +102,8 @@ def test_run_parser_matches_reference(rows, data, truncate, strict_ranks):
     for ranking in actual.entries.values():
         for entry in ranking:
             assert type(entry.rank) is int and type(entry.score) is float
+    with patch.object(trecio, "_CHUNK", 3):  # topics that continue across chunks
+        assert _summary(parse_run(io.StringIO(text), **options)) == _summary(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -107,6 +113,9 @@ def test_qrels_parser_matches_reference(rows, data):
     expected = trec_reference.parse_qrels(io.StringIO(text))
     actual = parse_qrels(io.StringIO(text))
     assert list(actual.judgments.items()) == list(expected.judgments.items())
+    with patch.object(trecio, "_CHUNK", 3):
+        assert list(parse_qrels(io.StringIO(text)).judgments.items()) == list(
+            expected.judgments.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,6 +192,8 @@ def test_malformed_run_names_the_line(case):
     message = _error(parse_run, text)
     assert message.startswith(f"line {line}:")
     assert message == _error(trec_reference.parse_run, text)
+    with patch.object(trecio, "_CHUNK", 3):  # problems in a later chunk
+        assert _error(parse_run, text) == message
 
 
 @settings(max_examples=100, deadline=None)
@@ -192,3 +203,5 @@ def test_malformed_qrels_names_the_line(case):
     message = _error(parse_qrels, text)
     assert message.startswith(f"line {line}:")
     assert message == _error(trec_reference.parse_qrels, text)
+    with patch.object(trecio, "_CHUNK", 3):
+        assert _error(parse_qrels, text) == message

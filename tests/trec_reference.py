@@ -33,6 +33,8 @@ def _lines(source):
 
 
 def parse_run(source, truncate: int = DEFAULT_TRUNCATION, strict_ranks: bool = False) -> RunFile:
+    if truncate < 1:
+        raise ValueError(f"truncate must be >= 1, got {truncate}")
     system_tag = None
     raw: dict = {}
     seen = set()
