@@ -29,6 +29,7 @@ from .experiment import (
 )
 from .metrics import parse_metric
 from .trecio import (
+    DEFAULT_TRUNCATION,
     CoverageReport,
     TrecParseError,
     build_serps,
@@ -46,14 +47,23 @@ def _metric_arg(text: str, k: int) -> str:
     return text if "@" in text else f"{text}@{k}"
 
 
-def _load_runs_dir(directory: str) -> list:
+def _depth(k_values) -> int:
+    """Parse depth for a job that reads the first max(k) documents; the default caps it.
+
+    Every row tied at a cut is kept until the doc-id sort, so a run parsed
+    to this depth ranks its first max(k) documents as a full parse does.
+    """
+    return min(max([*k_values, 1]), DEFAULT_TRUNCATION)
+
+
+def _load_runs_dir(directory: str, truncate: int = DEFAULT_TRUNCATION) -> list:
     paths = sorted(
         p for p in Path(directory).iterdir()
         if p.is_file() and not p.name.startswith(".")
     )
     if not paths:
         raise ValueError(f"no run files found in {directory}")
-    return [parse_run(p) for p in paths]
+    return [parse_run(p, truncate=truncate) for p in paths]
 
 
 def _emit_json(payload) -> None:
@@ -93,8 +103,8 @@ def _cmd_hasse(args) -> int:
 
 def _cmd_compare(args) -> int:
     report = compare_systems(
-        parse_run(args.run_a),
-        parse_run(args.run_b),
+        parse_run(args.run_a, truncate=_depth([args.k])),
+        parse_run(args.run_b, truncate=_depth([args.k])),
         parse_qrels(args.qrels),
         args.k,
         metric=_metric_arg(args.metric, args.k),
@@ -118,8 +128,8 @@ def _cmd_topics(args) -> int:
         for token in args.metrics.split(",") if token.strip()
     ]
     rows = topic_table(
-        parse_run(args.run_a),
-        parse_run(args.run_b),
+        parse_run(args.run_a, truncate=_depth([args.k])),
+        parse_run(args.run_b, truncate=_depth([args.k])),
         parse_qrels(args.qrels),
         args.k,
         metrics=metrics,
@@ -142,9 +152,9 @@ def _cmd_topics(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    runs = _load_runs_dir(args.runs)
-    qrels = parse_qrels(args.qrels)
     k_values = [int(token) for token in args.k.split(",") if token.strip()]
+    runs = _load_runs_dir(args.runs, truncate=_depth(k_values))
+    qrels = parse_qrels(args.qrels)
     # bare family names are handed through so each sweep depth scores at
     # its own k; explicit labels like P@5 stay fixed
     metrics = [token.strip() for token in args.metrics.split(",") if token.strip()]

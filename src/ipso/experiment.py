@@ -36,7 +36,8 @@ from .serp import (
     trajectory,
 )
 from .stats import UndefinedTestError, sign_test, sign_test_rows, t_test_rows, wilcoxon_rows
-from .trecio import Qrels, RunFile, build_serps, distinct_runs, topic_sort_key  # noqa: F401
+from .trecio import (  # noqa: F401
+    Qrels, RunFile, build_serps, distinct_runs, grade_runs, topic_sort_key)
 
 #: Each metric test, run over the rows of a (pairs x topics) array of differences.
 METRIC_TESTS = {"t": t_test_rows, "wilcoxon": wilcoxon_rows, "sign": sign_test_rows}
@@ -72,27 +73,16 @@ class _Collection(NamedTuple):
     present: np.ndarray  # (systems x topics) bool: the run ranks documents for the topic
     relevant: np.ndarray  # R per topic: the count of documents judged relevant
 
-    @property
-    def rel(self) -> dict:
-        return dict(zip(self.tags, self.bits))
-
 
 def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int]) -> _Collection:
-    """One pass over the runs, reading only the first max(k) documents of each ranking."""
+    """One grading pass over the first max(k) documents of each run's rankings."""
     if min(k_values) < 1:
         raise ValueError(f"k must be >= 1, got {min(k_values)}")
     runs = distinct_runs(runs)
     # the evaluation topics: judged topics that at least one run retrieved
-    topics = sorted(set().union(*(run.entries for run in runs)) & set(qrels.topics()),
+    topics = sorted(set().union(*(run.columns.topics for run in runs)) & set(qrels.topics()),
                     key=topic_sort_key)
-    grades = qrels.by_topic()
-    bits = np.zeros((len(runs), len(topics), max(k_values)), dtype=np.int8)
-    for run, matrix in zip(runs, bits):
-        for row, t in zip(matrix, topics):
-            judged_docs = grades[t]
-            ranked = [judged_docs.get(e.doc_id, 0) >= 1 for e in run.ranking(t)[:len(row)]]
-            row[:len(ranked)] = ranked
-    present = np.array([[t in run.entries for t in topics] for run in runs], dtype=bool)
+    bits, present, _ = grade_runs(runs, qrels, topics, max(k_values))
     relevant = np.array([qrels.relevant_count(t) for t in topics], dtype=np.int64)
     return _Collection(topics, [run.system_tag for run in runs], bits, present, relevant)
 

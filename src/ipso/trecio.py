@@ -5,6 +5,14 @@ document, rank, score, system tag); qrels lines carry four (topic,
 iteration, document, grade).  Rankings are rebuilt from the score field
 -- descending, ties broken by document id descending -- because rank
 columns in the wild are unreliable; a strict mode honours them instead.
+
+Runs and qrels are held as numpy columns.  A document id is a row of a
+NUL-padded bytes column beside its length, because numpy drops trailing
+NULs when it reads such a row; ids are UTF-8, so their byte order is
+their code-point order.  One lexsort orders the kept rows of all of a
+run's topics.  The qrels sort their (topic, document) keys once, and
+grading a run is one searchsorted of its keys against them.  `RunFile.entries`
+and `Qrels.judgments` are built from the columns only when asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, NamedTuple, Union
@@ -41,22 +48,75 @@ class RunEntry(NamedTuple):
 
 
 def topic_sort_key(topic_id: str):
-    """Numeric order for all-digit topic ids, lexicographic otherwise."""
-    if topic_id.isdigit():
+    """Numeric order for all-decimal topic ids, lexicographic otherwise."""
+    if topic_id.isdecimal():
         return (0, int(topic_id), topic_id)
     return (1, 0, topic_id)
 
 
-@dataclass(frozen=True)
-class RunFile:
-    """One system's ranked document lists, one list per topic."""
+def _bytes_column(ids: Iterable[str]) -> tuple:
+    """(NUL-padded bytes column, byte lengths) of str ids."""
+    ids = [i.encode("utf-8", "surrogatepass") for i in ids]
+    return np.array(ids, dtype=bytes), np.fromiter(map(len, ids), np.int64, len(ids))
 
-    system_tag: str
-    entries: dict  # topic_id -> tuple of RunEntry, already ordered and truncated
-    truncation: int = DEFAULT_TRUNCATION
+
+def _decoded(docs: np.ndarray, lengths: np.ndarray) -> list:
+    """A bytes column's ids as str, their trailing NULs restored from their lengths."""
+    return [doc.ljust(n, b"\0").decode("utf-8", "surrogatepass")
+            for doc, n in zip(docs.tolist(), lengths.tolist())]
+
+
+class RunColumns(NamedTuple):
+    """A run's kept rows, topic after topic, each topic's rows in ranking order."""
+
+    topics: list  # topic ids, first seen first
+    offsets: np.ndarray  # topics[i] ranks rows offsets[i]:offsets[i + 1]
+    docs: np.ndarray  # doc ids as UTF-8, a NUL-padded bytes ("S") column
+    lengths: np.ndarray  # bytes per doc id, trailing NULs included
+    ranks: np.ndarray
+    scores: np.ndarray
+
+
+class RunFile:
+    """One system's ranked document lists, one list per topic.
+
+    `entries` maps topic_id -> tuple of RunEntry, already ordered and
+    truncated; `columns` holds the same rows.  A run is made from one of
+    the two and builds the other on first use.
+    """
+
+    def __init__(self, system_tag: str, entries: dict, truncation: int = DEFAULT_TRUNCATION):
+        self.system_tag, self.entries, self.truncation = system_tag, entries, truncation
+
+    @classmethod
+    def _of_columns(cls, system_tag: str, columns: RunColumns, truncation: int) -> "RunFile":
+        run = cls.__new__(cls)
+        run.system_tag, run.columns, run.truncation = system_tag, columns, truncation
+        return run
+
+    @cached_property
+    def entries(self) -> dict:
+        c = self.columns
+        rows = map(tuple.__new__, repeat(RunEntry), zip(
+            _decoded(c.docs, c.lengths), c.ranks.tolist(), c.scores.tolist()))
+        return {t: tuple(islice(rows, n)) for t, n in zip(c.topics, np.diff(c.offsets).tolist())}
+
+    @cached_property
+    def columns(self) -> RunColumns:
+        rows = [entry for ranking in self.entries.values() for entry in ranking]
+        sizes = [len(ranking) for ranking in self.entries.values()]
+        return RunColumns(list(self.entries), np.cumsum([0, *sizes]), *_bytes_column(
+            e.doc_id for e in rows), np.array([e.rank for e in rows], dtype=object),
+            np.array([e.score for e in rows], dtype=float))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunFile):
+            return NotImplemented
+        return other is self or (self.system_tag, self.truncation, self.entries) == (
+            other.system_tag, other.truncation, other.entries)
 
     def topics(self) -> list:
-        return sorted(self.entries, key=topic_sort_key)
+        return sorted(self.columns.topics, key=topic_sort_key)
 
     def ranking(self, topic_id: str) -> tuple:
         return self.entries.get(topic_id, ())
@@ -75,12 +135,12 @@ def _records(source: Source, n_fields: int, layout: str):
     The source is read once as bytes (text is encoded to UTF-8) and must
     be valid UTF-8.  Lines end at \\n, \\r\\n or a lone \\r; fields are
     separated by ASCII whitespace; blank lines are skipped.  Returns
-    (chunks, tokens_at, lines, misfit): chunks yields (first record
-    index, columns of bytes tokens); tokens_at(records, j) lists field j
-    of the given records; lines[i] is record i's 1-based line number.
-    Records stop before the first line with another field count; misfit
-    lists it as a problem at index len(records), which every problem a
-    caller finds in the records precedes.
+    (chunks, column, lines, misfit): chunks yields (first record index,
+    columns of bytes tokens); column(records, j) gives field j of the given
+    records as (bytes column, lengths); lines[i] is record i's 1-based line
+    number.  Records stop before the first line with another field count;
+    misfit lists it as a problem at index len(records), which every
+    problem a caller finds in the records precedes.
     """
     if isinstance(source, (str, Path)):
         data = Path(source).read_bytes()
@@ -118,11 +178,19 @@ def _records(source: Source, n_fields: int, layout: str):
             tokens = data[begins[lo]:ends[min(lo + _CHUNK, len(ends)) - 1]].split()
             yield lo, [tokens[j::n_fields] for j in range(n_fields)]
 
-    def tokens_at(records, j: int) -> list:
-        at = np.asarray(records, dtype=np.int64) * n_fields + j
-        return [data[a:b].rstrip() for a, b in zip(bounds[at].tolist(), bounds[at + 1].tolist())]
+    def column(records, j: int) -> tuple:
+        at = records * n_fields + j
+        starts, stops = bounds[at], bounds[at + 1]
+        while (space := (buf[stops - 1] - np.uint8(9) < 5) | (buf[stops - 1] == 32)).any():
+            stops[space] -= 1  # a span ends in the whitespace before the next token
+        lengths = stops - starts
+        cells = np.zeros((len(at), max(int(lengths.max(initial=0)), 1)), np.uint8)
+        for offset in range(cells.shape[1]):
+            rows = np.flatnonzero(lengths > offset)
+            cells[rows, offset] = buf[starts[rows] + offset]
+        return cells.view(f"S{cells.shape[1]}").ravel(), lengths
 
-    return chunks(), tokens_at, np.append(record_lines, misfit) + 1, problem
+    return chunks(), column, np.append(record_lines, misfit) + 1, problem
 
 
 def _numbers(convert, tokens: list, lo: int, problems: list, rank: int, what: str):
@@ -150,15 +218,6 @@ def _gc_held():
             gc.enable()
 
 
-def _first_repeat(items):
-    """Index of the first item equal to an earlier one, or None."""
-    seen = set()
-    for index, item in enumerate(items):
-        if item in seen:
-            return index
-        seen.add(item)
-
-
 def _raise_first(problems: list, lines) -> None:
     """Raise the (record index, rank, message) problem on the earliest line and rank."""
     if problems:
@@ -181,7 +240,7 @@ def parse_run(
     """
     if truncate < 1:
         raise ValueError(f"truncate must be >= 1, got {truncate}")
-    chunks, tokens_at, lines, misfit = _records(source, 6, "topic Q0 doc rank score tag")
+    chunks, column, lines, misfit = _records(source, 6, "topic Q0 doc rank score tag")
     topic_ids, tag, problems = {}, None, []
     codes, pairs, ranks, scores = [], [], [], []
     for lo, (topics, _, docs, rank_tokens, score_tokens, tags) in chunks:
@@ -203,9 +262,10 @@ def parse_run(
     topic_code = np.concatenate(codes or [np.zeros(0, np.int64)])
     pair = np.sort(np.concatenate(pairs or [topic_code]))
     if (pair[1:] == pair[:-1]).any():  # equal (topic, doc) hashes: confirm on the ids
-        index = _first_repeat(zip(topic_code.tolist(), tokens_at(range(len(pair)), 2)))
+        docs, lengths = column(np.arange(len(pair)), 2)
+        index = _index(topic_code, docs, lengths)[2]
         if index is not None:
-            doc = tokens_at([index], 2)[0].decode()
+            doc = _decoded(docs[[index]], lengths[[index]])[0]
             topic = list(topic_ids)[topic_code[index]].decode()
             problems.append((index, 2, f"duplicate document {doc!r} for topic {topic}"))
     _raise_first(problems or misfit, lines)
@@ -213,8 +273,8 @@ def parse_run(
         raise TrecParseError("run contains no entries")
     ranks, scores = np.concatenate(ranks), np.concatenate(scores)
     key = ranks if strict_ranks else -scores
-    if key.dtype == object:  # ranks beyond 64 bits: clipping keeps the order up to ties
-        key = np.clip(key, -(2**63), 2**63 - 1).astype(np.int64)
+    if key.dtype == object:  # ranks beyond 64 bits: their order, as int64
+        key = np.unique(key, return_inverse=True)[1]
     # Per topic, keep the first `truncate` rows of the numeric order plus
     # every row tied with the last of them; doc ids then break the ties.
     order, size = np.argsort(topic_code, kind="stable"), np.bincount(topic_code)
@@ -223,15 +283,21 @@ def parse_run(
     for t in np.flatnonzero(size > truncate).tolist():
         cuts[t] = np.partition(ordered[starts[t]:starts[t] + size[t]], truncate - 1)[truncate - 1]
     kept = order[ordered <= np.repeat(cuts, size)]
-    kept_entries = map(tuple.__new__, repeat(RunEntry), zip(
-        map(bytes.decode, tokens_at(kept, 2)), ranks[kept].tolist(), scores[kept].tolist()
-    ))
-    sort_key = itemgetter(1, 0) if strict_ranks else itemgetter(2, 0)  # (rank|score, doc_id)
-    entries = {}
-    for topic_id, n in zip(topic_ids, np.bincount(topic_code[kept]).tolist()):
-        ranking = sorted(islice(kept_entries, n), key=sort_key, reverse=not strict_ranks)
-        entries[topic_id.decode()] = tuple(ranking[:truncate])
-    return RunFile(system_tag=tag.decode(), entries=entries, truncation=truncate)
+    docs, lengths = column(kept, 2)
+    topic = topic_code[kept]
+    # One sort of the kept rows by topic, key and doc id; an id sorts by its
+    # padded bytes, then its length.  Scores descend: the sort ascends with
+    # the topics negated, and is read backwards.
+    if strict_ranks:
+        rows = np.lexsort((lengths, docs, key[kept], topic))
+    else:
+        rows = np.lexsort((lengths, docs, scores[kept], -topic))[::-1]
+    size = np.bincount(topic, minlength=len(size))
+    rows = rows[np.arange(len(rows)) - np.repeat(np.cumsum(size) - size, size) < truncate]
+    columns = RunColumns([t.decode() for t in topic_ids],
+                         np.concatenate(([0], np.cumsum(np.minimum(size, truncate)))),
+                         docs[rows], lengths[rows], ranks[kept[rows]], scores[kept[rows]])
+    return RunFile._of_columns(tag.decode(), columns, truncate)
 
 
 def write_run(run: RunFile, stream: IO[str]) -> None:
@@ -244,11 +310,69 @@ def write_run(run: RunFile, stream: IO[str]) -> None:
             )
 
 
-@dataclass(frozen=True)
-class Qrels:
-    """Relevance judgments: raw integer grade per (topic, document)."""
+def _keys(codes: np.ndarray, docs: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
+    """(topic code, doc id) keys as one bytes column.
 
-    judgments: dict  # (topic_id, doc_id) -> grade
+    A key is the code, the id cut or NUL-padded to width, then the id's
+    length, so no cut or trailing NUL makes two ids' keys equal; keys of
+    ids no longer than width sort in (code, id) order.
+    """
+    n = len(codes)
+    cells = np.zeros((n, width + 8), np.uint8)
+    cells[:, :4] = codes.astype(">u4").view(np.uint8).reshape(n, 4)
+    shown = min(width, docs.itemsize)
+    cells[:, 4:4 + shown] = docs.view(np.uint8).reshape(n, docs.itemsize)[:, :shown]
+    cells[:, -4:] = lengths.astype(">u4").view(np.uint8).reshape(n, 4)
+    return cells.view(f"S{width + 8}").ravel()
+
+
+class QrelsColumns(NamedTuple):
+    """Judgments as arrays: row i grades docs[i] for topics[codes[i]] with grades[i]."""
+
+    topics: list  # topic ids, first seen first
+    codes: np.ndarray
+    docs: np.ndarray  # as RunColumns.docs
+    lengths: np.ndarray
+    grades: np.ndarray
+    keys: np.ndarray  # every row's (code, doc id) key, sorted
+    order: np.ndarray  # the row of each key
+
+
+def _index(codes: np.ndarray, docs: np.ndarray, lengths: np.ndarray) -> tuple:
+    """(sorted keys of the rows, the row of each key, the first row to repeat an earlier one)."""
+    keys = _keys(codes, docs, lengths, docs.itemsize)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeats = order[1:][keys[1:] == keys[:-1]]  # the stable sort puts a repeat after its first
+    return keys, order, (int(repeats.min()) if repeats.size else None)
+
+
+class Qrels:
+    """Relevance judgments: raw integer grade per (topic, document).
+
+    Held as QrelsColumns; `judgments`, (topic_id, doc_id) -> grade, and
+    the per-topic index behind by_topic() are built on first use.
+    """
+
+    def __init__(self, judgments: dict):
+        topic_ids: dict = {}
+        rows = [(topic_ids.setdefault(t, len(topic_ids)), d, g) for (t, d), g in judgments.items()]
+        codes, docs, grades = zip(*rows) if rows else ((), (), ())
+        codes, (docs, lengths) = np.array(codes, dtype=np.int64), _bytes_column(docs)
+        self.columns = QrelsColumns(list(topic_ids), codes, docs, lengths, np.array(grades),
+                                    *_index(codes, docs, lengths)[:2])
+
+    @classmethod
+    def _of_columns(cls, columns: QrelsColumns) -> "Qrels":
+        qrels = cls.__new__(cls)
+        qrels.columns = columns
+        return qrels
+
+    @cached_property
+    def judgments(self) -> dict:
+        c = self.columns
+        keys = zip(map(c.topics.__getitem__, c.codes.tolist()), _decoded(c.docs, c.lengths))
+        return dict(zip(keys, c.grades.tolist()))
 
     @cached_property
     def _by_topic(self) -> dict:
@@ -260,10 +384,15 @@ class Qrels:
 
     @cached_property
     def _relevant(self) -> dict:
-        return {t: sum(g >= 1 for g in docs.values()) for t, docs in self._by_topic.items()}
+        c = self.columns
+        relevant = c.codes[np.asarray(c.grades >= 1, dtype=bool)]
+        return dict(zip(c.topics, np.bincount(relevant, minlength=len(c.topics)).tolist()))
+
+    def __eq__(self, other) -> bool:
+        return self.judgments == other.judgments if isinstance(other, Qrels) else NotImplemented
 
     def topics(self) -> list:
-        return sorted(self._by_topic, key=topic_sort_key)
+        return sorted(self.columns.topics, key=topic_sort_key)
 
     def grade(self, topic_id: str, doc_id: str, default: int | None = None):
         return self.judgments.get((topic_id, doc_id), default)
@@ -289,19 +418,23 @@ def binarize(grade: int) -> int:
 @_gc_held()
 def parse_qrels(source: Source) -> Qrels:
     """Parse a qrels file: four fields per line, grades kept raw."""
-    chunks, _, lines, misfit = _records(source, 4, "topic iter doc grade")
-    keys, grades, problems = [], [], []
-    for lo, (topics, _, docs, tokens) in chunks:
-        keys += zip(map(bytes.decode, topics), map(bytes.decode, docs))
-        grades += _numbers(int, tokens, lo, problems, 0, "grade {!r} is not an integer").tolist()
+    chunks, column, lines, misfit = _records(source, 4, "topic iter doc grade")
+    topic_ids, codes, grades, problems = {}, [], [], []
+    for lo, (topics, _, _, tokens) in chunks:
+        runs = [(topic_ids.setdefault(t, len(topic_ids)), len(list(g))) for t, g in groupby(topics)]
+        codes.append(np.repeat(*np.array(runs, dtype=np.int64).T))
+        grades.append(_numbers(int, tokens, lo, problems, 0, "grade {!r} is not an integer"))
         if problems:
             break
-    judgments = dict(zip(keys, grades))
-    index = _first_repeat(keys) if len(judgments) < len(keys) else None
+    code = np.concatenate(codes or [np.zeros(0, np.int64)])
+    topics, (docs, lengths) = [t.decode() for t in topic_ids], column(np.arange(len(code)), 2)
+    keys, order, index = _index(code, docs, lengths)
     if index is not None:
-        problems.append((index, 1, "duplicate judgment for ({}, {})".format(*keys[index])))
+        doc = _decoded(docs[[index]], lengths[[index]])[0]
+        problems.append((index, 1, f"duplicate judgment for ({topics[code[index]]}, {doc})"))
     _raise_first(problems or misfit, lines)
-    return Qrels(judgments=judgments)
+    grades = np.concatenate(grades or [code])
+    return Qrels._of_columns(QrelsColumns(topics, code, docs, lengths, grades, keys, order))
 
 
 class CoverageEntry(NamedTuple):
@@ -310,6 +443,41 @@ class CoverageEntry(NamedTuple):
     first_unjudged_rank: int | None
     n_unjudged: int
     n_retrieved: int
+
+
+def grade_runs(runs: list, qrels: Qrels, topics: list, depth: int) -> tuple:
+    """Grade distinct runs' first `depth` documents per topic: (bits, present, coverage).
+
+    bits is (runs x topics x depth) int8, 1 where a document is judged
+    with grade >= 1; unjudged documents count as non-relevant and short
+    lists leave 0s.  present (runs x topics) marks the topics a run ranks.
+    coverage (runs x topics x 3) holds the rank of the first unjudged
+    document (0 if none), the unjudged count and the documents graded.
+    Each run's (topic, doc) keys are found in the qrels' by one searchsorted.
+    """
+    q = qrels.columns
+    code, index = {t: i for i, t in enumerate(q.topics)}, {t: i for i, t in enumerate(topics)}
+    bits = np.zeros((len(runs), len(topics), depth), np.int8)
+    present, coverage = np.zeros(bits.shape[:2], bool), np.zeros((*bits.shape[:2], 3), np.int64)
+    for s, run in enumerate(runs):
+        c = run.columns
+        # (run topic, column in topics, qrels code): a topic the qrels lack gets a code no key has
+        mine = [(i, index[t], code.get(t, len(code))) for i, t in enumerate(c.topics) if t in index]
+        listed, at, topic_code = np.array(mine, np.int64).reshape(-1, 3).T
+        n = np.minimum(np.diff(c.offsets)[listed], depth)
+        rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        rows = np.repeat(c.offsets[listed], n) + rank
+        keys = _keys(np.repeat(topic_code, n), c.docs[rows], c.lengths[rows], q.docs.itemsize)
+        found = np.searchsorted(q.keys, keys)
+        judged = found < len(q.keys)
+        judged[judged] = q.keys[found[judged]] == keys[judged]
+        topic, hit, missing = np.repeat(at, n), np.flatnonzero(judged), np.flatnonzero(~judged)
+        bits[s, topic[hit], rank[hit]] = q.grades[q.order[found[hit]]] >= 1
+        firsts = missing[np.unique(topic[missing], return_index=True)[1]]
+        coverage[s, topic[firsts], 0] = rank[firsts] + 1
+        coverage[s, :, 1] = np.bincount(topic[missing], minlength=len(topics))
+        present[s, at], coverage[s, at, 2] = True, n
+    return bits, present, coverage
 
 
 @dataclass(frozen=True)
@@ -368,25 +536,22 @@ def build_serps(
     short lists are padded with 0s.  Topics that appear only in the qrels
     are added as all-0 SERPs when include_qrels_only_topics is set.  Runs
     are keyed by system tag, so two different runs may not share one.
+    Coverage counts each whole retained list.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    grades = qrels.by_topic()
-    serps: dict = {}
-    coverage: dict = {}
-    for run in distinct_runs(runs):
-        topics = set(run.entries)
-        if include_qrels_only_topics:
-            topics |= set(grades)
-        for topic_id in topics:
-            ranking = run.ranking(topic_id)
-            judged = grades.get(topic_id, {})
-            found = [judged.get(entry.doc_id) for entry in ranking]
-            unjudged = [rank for rank, grade in enumerate(found, start=1) if grade is None]
-            bits = [0 if grade is None else binarize(grade) for grade in found[:k]]
-            serps[(run.system_tag, topic_id)] = Serp(bits + [0] * (k - len(bits)))
-            coverage[(run.system_tag, topic_id)] = CoverageEntry(
-                unjudged[0] if unjudged else None, len(unjudged), len(ranking))
+    runs = distinct_runs(runs)
+    topics = set().union(*(run.columns.topics for run in runs))
+    judged = set(qrels.columns.topics) if include_qrels_only_topics else set()
+    topics = sorted(topics | judged, key=topic_sort_key)
+    depth = max([k, *(int(np.diff(run.columns.offsets).max(initial=0)) for run in runs)])
+    bits, present, counts = grade_runs(runs, qrels, topics, depth)
+    serps, coverage = {}, {}
+    for s, t in np.argwhere(present | np.isin(topics, list(judged))).tolist():
+        key = (runs[s].system_tag, topics[t])
+        serps[key] = Serp(bits[s, t, :k].tolist())
+        first, unjudged, retrieved = counts[s, t].tolist()
+        coverage[key] = CoverageEntry(first or None, unjudged, retrieved)
     return SerpSet(k=k, serps=serps, coverage=coverage)
 
 

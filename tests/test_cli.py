@@ -1,8 +1,10 @@
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import ipso
+from ipso import cli
 from ipso.cli import main
+from ipso.trecio import DEFAULT_TRUNCATION
 
 DATA = Path(__file__).parent / "data"
 RUNS = DATA / "runs"
@@ -334,6 +338,86 @@ class TestCoverage:
         assert code == 0
         assert payload["n_lists"] == 17
         assert payload["fraction_with_unjudged"] == pytest.approx(4 / 17)
+
+
+def _bench_collection():
+    """bench/collection.py, the seeded Robust-2004-shaped generator, loaded read-only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "collection.py"
+    spec = importlib.util.spec_from_file_location("bench_collection", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _tied_runs(directory: Path) -> None:
+    """Two runs whose score ties straddle ranks 5, 10, 20 and 100, with judged docs past 100.
+
+    Scores fall in blocks of three ranks ([3, 4, 5], [9, 10, 11], [18, 19, 20],
+    [99, 100, 101] are blocks), so each cut splits a tie that the doc ids
+    break; lines are shuffled, and about half the documents are relevant.
+    """
+    rng = random.Random(11)
+    topics, docs = ("401", "402", "403"), [f"d{j:03d}" for j in range(160)]
+    (directory / "runs").mkdir()
+    (directory / "qrels.txt").write_text("".join(
+        f"{t} 0 {d} {rng.choice((0, 1))}\n" for t in topics for d in docs if rng.random() < 0.9))
+    for tag in ("tiesA", "tiesB"):
+        lines = [f"{t} Q0 {d} {j + 1} {-(j // 3)}.5 {tag}\n"
+                 for t in topics for j, d in enumerate(rng.sample(docs, len(docs)))]
+        rng.shuffle(lines)
+        (directory / "runs" / f"{tag}.run").write_text("".join(lines))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestParseDepthPushdown:
+    """sweep, compare and topics parse runs to min(max(k), 100) and print what a full parse does."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tied = tmp_path_factory.mktemp("tied")
+        _tied_runs(tied)
+        seeded = tmp_path_factory.mktemp("seeded")
+        _bench_collection().write_collection(seeded, 3, 3, 100)
+        return {"fixture": (RUNS, QRELS), "tied": (tied / "runs", tied / "qrels.txt"),
+                "seeded": (seeded / "runs", seeded / "qrels.txt")}
+
+    @staticmethod
+    def outputs(capsys, monkeypatch, argv):
+        """(output with the pushdown, output parsing every run to the default, depths asked)."""
+        parse_run, depths = cli.parse_run, []
+
+        def recorded(source, truncate=DEFAULT_TRUNCATION, **options):
+            depths.append(truncate)
+            return parse_run(source, truncate=truncate, **options)
+
+        def full_depth(source, truncate=DEFAULT_TRUNCATION, **options):
+            return parse_run(source, **options)
+
+        results = []
+        for stand_in in (recorded, full_depth):
+            monkeypatch.setattr(cli, "parse_run", stand_in)
+            results.append(run_cli(capsys, *argv))
+        monkeypatch.undo()
+        assert results[0][0] == 0, results[0][2]
+        return results[0][1], results[1][1], set(depths)
+
+    @pytest.mark.parametrize("name, k_values", [
+        ("fixture", "3,5"), ("seeded", "5,10,20"), ("tied", "5,10,20"), ("tied", "5,150"),
+    ])
+    def test_output_matches_a_full_parse(self, capsys, monkeypatch, inputs, name, k_values):
+        runs, qrels = inputs[name]
+        k = max(int(token) for token in k_values.split(","))
+        files = sorted(str(path) for path in runs.iterdir())
+        pair = ["--run-a", files[0], "--run-b", files[-1], "--qrels", str(qrels), "--k", str(k)]
+        for argv in (
+            ["sweep", "--runs", str(runs), "--qrels", str(qrels), "--k", k_values,
+             "--metrics", "P,AP,NDCG,RBP0.8", "--tests", "t,sign,wilcoxon", "--format", "json"],
+            ["compare", *pair, "--metric", "AP", "--format", "json"],
+            ["topics", *pair, "--metrics", "P,AP,NDCG,RR"],
+        ):
+            pushed, full, depths = self.outputs(capsys, monkeypatch, argv)
+            assert depths == {min(k, DEFAULT_TRUNCATION)}
+            assert pushed == full, argv[0]
 
 
 class TestParser:

@@ -24,7 +24,8 @@ from ipso.experiment import (
     write_topic_csv,
 )
 from ipso.metrics import PHI, MetricSpec
-from ipso.serp import TopicGroup, classify_group
+from ipso import trecio
+from ipso.serp import Serp, TopicGroup, classify_group
 from ipso.trecio import Qrels, RunEntry, RunFile, build_serps, parse_qrels, parse_run
 
 DATA = Path(__file__).parent / "data"
@@ -456,7 +457,7 @@ class TestCollection:
         collection = _collection(list(runs.values()), qrels, [5])
         serps = build_serps(list(runs.values()), qrels, 5)
         assert collection.topics == ["601", "602", "603", "604", "605", "606"]
-        for tag, matrix in collection.rel.items():
+        for tag, matrix in zip(collection.tags, collection.bits):
             for t, row in zip(collection.topics, matrix.tolist()):
                 assert tuple(row) == serps.serp_or_empty(tag, t)
 
@@ -578,3 +579,24 @@ class TestTies:
         assert r.metric_p == 0.0
         assert r.metric_statistic == math.inf
         assert r.effect_size == pytest.approx(-0.1)
+
+
+def test_sweep_builds_no_per_row_objects(fixture, monkeypatch):
+    """The sweep path reads the run and qrels columns: it makes no RunEntry and no Serp."""
+    runs, qrels = fixture
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-row object was built")
+
+    monkeypatch.setattr(trecio, "RunEntry", refuse)
+    monkeypatch.setattr(Serp, "__new__", refuse)
+    with pytest.raises((AssertionError, TypeError)):
+        parse_run(DATA / "runs" / "alpha.run").entries
+    with pytest.raises(AssertionError):
+        Serp([1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # charlie lacks a topic
+        sweep = sweep_all_pairs(list(runs.values()), qrels, [3, 5], ["P", "AP"], ["t", "sign"])
+        counts = category_fractions(list(runs.values()), qrels, 5)
+    assert len(sweep.rows) == 3 * 2 * 2 * 2
+    assert counts.total > 0

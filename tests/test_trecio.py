@@ -184,6 +184,29 @@ class TestParseRun:
         with pytest.raises(TrecParseError, match="line 7: duplicate document 'dY' for topic 2"):
             parse_run(io.StringIO(RUN_A + "2 Q0 dY 3 1.0 sysA\n"))
 
+    @pytest.mark.parametrize("lines", [
+        ["1 Q0 d 1 1.0 s", "1 Q0 d\x00 1 1.0 s", "1 Q0 d\x00\x00 3 0.5 s"],
+        ["1 Q0 d\x00\x00 3 0.5 s", "1 Q0 d\x00 1 1.0 s", "1 Q0 d 1 1.0 s"],
+    ])
+    def test_trailing_nul_keeps_ids_apart(self, lines):
+        # numpy drops trailing NULs from a bytes column; the length column keeps them
+        text = "\n".join(lines) + "\n"
+        run = parse_run(io.StringIO(text))
+        assert [e.doc_id for e in run.ranking("1")] == ["d\x00", "d", "d\x00\x00"]
+        strict = parse_run(io.StringIO(text), strict_ranks=True)
+        assert [e.doc_id for e in strict.ranking("1")] == ["d", "d\x00", "d\x00\x00"]
+        qrels = parse_qrels(io.StringIO("1 0 d\x00 1\n1 0 d 0\n1 0 d\x00\x00\x00 1\n"))
+        assert qrels.judgments == {("1", "d\x00"): 1, ("1", "d"): 0, ("1", "d\x00\x00\x00"): 1}
+        serps = build_serps(run, qrels, 3)
+        assert serps.get("s", "1") == Serp([1, 0, 0])
+        assert serps.coverage[("s", "1")].first_unjudged_rank == 3
+
+    def test_ids_longer_than_every_judged_id_are_unjudged(self):
+        run = parse_run(io.StringIO("1 Q0 dd 1 2.0 s\n1 Q0 d 2 1.0 s\n"))
+        serps = build_serps(run, parse_qrels(io.StringIO("1 0 d 1\n")), 2)
+        assert serps.get("s", "1") == Serp([0, 1])
+        assert serps.coverage[("s", "1")] == (1, 1, 2)
+
     def test_score_ties_at_the_cut(self):
         text = "".join(f"1 Q0 {doc} 1 2.0 s\n" for doc in ("b", "d", "a", "c")) + "1 Q0 z 1 3.0 s\n"
         run = parse_run(io.StringIO(text), truncate=3)
@@ -347,6 +370,13 @@ class TestTopicSortKey:
     def test_numeric_then_lexicographic(self):
         topics = ["10", "9", "abc", "2", "A1"]
         assert sorted(topics, key=topic_sort_key) == ["2", "9", "10", "A1", "abc"]
+
+    def test_digits_that_are_not_decimal_sort_as_text(self):
+        # "²" is a digit to str.isdigit but not a decimal int() accepts
+        topics = ["²", "10", "٣", "2"]
+        assert sorted(topics, key=topic_sort_key) == ["2", "٣", "10", "²"]
+        run = parse_run(io.StringIO("² Q0 d1 1 1.0 s\n2 Q0 d1 1 1.0 s\n"))
+        assert run.topics() == ["2", "²"]
 
 
 class TestBuildSerps:

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 import trec_reference
 from ipso import trecio
-from ipso.trecio import TrecParseError, parse_qrels, parse_run, write_run
+from ipso.serp import Serp
+from ipso.trecio import TrecParseError, build_serps, parse_qrels, parse_run, write_run
 
-IDS = st.text(alphabet="abAB09-é€\x1c", min_size=1, max_size=3)
-TOPIC_IDS = st.text(alphabet="0123ab", min_size=1, max_size=3)
+IDS = st.text(alphabet="abAB09-é€\x1c\x00", min_size=1, max_size=3)
+TOPIC_IDS = st.text(alphabet="0123ab²", min_size=1, max_size=3)
 RANKS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(
     ["007", "+5", "1_0", "99999999999999999999", "-99999999999999999999"]
 ))
@@ -132,6 +133,25 @@ def test_run_round_trips_through_writer(rows, data, truncate):
 def test_qrels_round_trip(judgments):
     text = "".join(f"{topic} 0 {doc} {grade}\n" for (topic, doc), grade in judgments.items())
     assert parse_qrels(io.StringIO(text)).judgments == judgments
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=records(_run_record), data=st.data(), k=st.integers(1, 10))
+def test_serps_match_a_lookup_per_document(rows, data, k):
+    """build_serps' one searchsorted per run against a dict lookup per ranked document."""
+    run = parse_run(io.StringIO(_text(*data.draw(lines_of(rows)))))
+    pairs = [(fields[0], fields[2]) for fields in rows]
+    pairs += data.draw(st.lists(st.tuples(TOPIC_IDS, IDS), max_size=5))
+    judgments = {pair: data.draw(st.integers(-2, 3)) for pair in pairs if data.draw(st.booleans())}
+    text = "".join(f"{topic} 0 {doc} {grade}\n" for (topic, doc), grade in judgments.items())
+    serps = build_serps(run, parse_qrels(io.StringIO(text)), k)
+    for topic, ranking in run.entries.items():
+        grades = [judgments.get((topic, entry.doc_id)) for entry in ranking]
+        bits = [int(grade is not None and grade >= 1) for grade in grades[:k]]
+        assert serps.get(run.system_tag, topic) == Serp(bits + [0] * (k - len(bits)))
+        unjudged = [rank for rank, grade in enumerate(grades, start=1) if grade is None]
+        assert serps.coverage[(run.system_tag, topic)] == (
+            unjudged[0] if unjudged else None, len(unjudged), len(ranking))
 
 
 def _break_run_line(draw, kind, fields, first):
