@@ -141,12 +141,17 @@ def dp_counts(k: int) -> CategoryCounts:
     return enumerate_pairs(k)
 
 
-def _sample_chunk(k: int, seed: int, chunk_index: int, size: int) -> np.ndarray:
-    """Category tallies for one fixed chunk of the sample stream."""
+def _chunk_bytes(seed: int, chunk_index: int, n: int) -> np.ndarray:
+    """The first n bytes of a chunk's stream: Generator.bytes(n), from Philox's raw words."""
     # counter-based generator: each chunk owns a disjoint counter range,
     # so the stream is identical no matter which worker draws it
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 64))
-    raw = np.frombuffer(rng.bytes((size * 2 * k + 7) // 8), dtype=np.uint8)
+    words = np.random.Philox(key=seed, counter=chunk_index << 64).random_raw(-(-n // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:n]
+
+
+def _sample_chunk(k: int, seed: int, chunk_index: int, size: int) -> np.ndarray:
+    """Category tallies for one fixed chunk of the sample stream."""
+    raw = _chunk_bytes(seed, chunk_index, (size * 2 * k + 7) // 8)
     tally = np.zeros(4, dtype=np.int64)
     for start in range(0, size, SAMPLE_PIECE):
         rows = min(SAMPLE_PIECE, size - start)

@@ -6,19 +6,28 @@ iteration, document, grade).  Rankings are rebuilt from the score field
 -- descending, ties broken by document id descending -- because rank
 columns in the wild are unreliable; a strict mode honours them instead.
 
+A file is read once, as bytes.  numpy's C text reader reads ASCII input;
+the token reader reads all other input and every file whose records fail
+a check (a field that may be cut, a line, number, tag or score it would
+judge, a repeated document), so every error comes from it and names the
+line.  One ordering step serves both readers.
+
 Runs and qrels are held as numpy columns.  A document id is a row of a
 NUL-padded bytes column beside its length, because numpy drops trailing
 NULs when it reads such a row; ids are UTF-8, so their byte order is
 their code-point order.  One lexsort orders the kept rows of all of a
-run's topics.  The qrels sort their (topic, document) keys once, and
-grading a run is one searchsorted of its keys against them.  `RunFile.entries`
-and `Qrels.judgments` are built from the columns only when asked for.
+run's topics by score, and a second orders each score tie by doc id.
+The qrels sort their (topic, document) keys once, and grading a run is
+one searchsorted of its keys against them.  `RunFile.entries` and
+`Qrels.judgments` are built from the columns only when asked for.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
+import io
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -129,23 +138,72 @@ Source = Union[str, Path, IO[str]]
 _CHUNK = 1 << 12
 
 
-def _records(source: Source, n_fields: int, layout: str):
+def _read(source: Source) -> bytes:
+    """The source's bytes; text is encoded to UTF-8."""
+    if isinstance(source, (str, Path)):
+        return Path(source).read_bytes()
+    return source.read().encode("utf-8", "surrogatepass")
+
+
+def _loaded(data: bytes, fields: dict):
+    """(records, topic ids, topic codes) by numpy's C text reader, or None where it may differ.
+
+    With comments off, on ASCII input without NUL or \\x1c-\\x1f (more
+    separators to it), loadtxt splits lines and converts numbers as the
+    token reader does, or raises.  An "S" field (bytes) holds 2n + 8 bytes,
+    n its longest token in the first 64 KiB; one a token fills may be cut.
+    """
+    sample, n = data[:1 << 16].split(), len(fields)
+    if (not data.isascii() or len(sample) < n
+            or any(byte in data for byte in b"\0\x1c\x1d\x1e\x1f")):
+        return None
+    dtype = np.dtype([(name, f"S{2 * max(map(len, sample[j::n])) + 8}" if kind == "S" else kind)
+                      for j, (name, kind) in enumerate(fields.items())])
+    try:  # where numpy still reads "1.0" into an integer field, it warns: an error here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            records = np.loadtxt(io.BytesIO(data), dtype, comments=None, ndmin=1, encoding=None)
+    except (ValueError, DeprecationWarning):  # a line or token the token reader judges
+        return None
+    cells = records.view(np.uint8).reshape(len(records), dtype.itemsize)
+    if any(cells[:, at + kind.itemsize - 1].any() for kind, at in dtype.fields.values()
+           if kind.char == "S" and kind.itemsize):
+        return None
+    # topic codes in first-seen order, one lookup per run of equal ids
+    topics, ids = records["topic"], {}
+    starts = np.flatnonzero(np.insert(topics[1:] != topics[:-1], 0, True))
+    codes = [ids.setdefault(t, len(ids)) for t in topics[starts].tolist()]
+    return records, [t.decode() for t in ids], np.repeat(codes, np.diff(starts, append=len(topics)))
+
+
+def _trimmed(docs: np.ndarray) -> tuple:
+    """(bytes column cut to its longest id, byte lengths) of ids that hold no NUL."""
+    lengths = (np.ascontiguousarray(docs).view(np.uint8).reshape(len(docs), -1) != 0).sum(1)
+    return docs.astype(f"S{max(int(lengths.max(initial=0)), 1)}"), lengths
+
+
+def _id_hashes(codes: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each row's (topic code, doc id)."""
+    words = docs.astype(f"S{-(-docs.itemsize // 8) * 8}").view(np.uint64).reshape(len(docs), -1)
+    hashes = codes.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    for word in words.T:
+        hashes = (hashes ^ word) * np.uint64(0xBF58476D1CE4E5B9)
+        hashes ^= hashes >> np.uint64(31)
+    return hashes
+
+
+def _records(data: bytes, n_fields: int, layout: str):
     """Columnar tokenizer shared by the run and qrels parsers.
 
-    The source is read once as bytes (text is encoded to UTF-8) and must
-    be valid UTF-8.  Lines end at \\n, \\r\\n or a lone \\r; fields are
-    separated by ASCII whitespace; blank lines are skipped.  Returns
-    (chunks, column, lines, misfit): chunks yields (first record index,
-    columns of bytes tokens); column(records, j) gives field j of the given
-    records as (bytes column, lengths); lines[i] is record i's 1-based line
-    number.  Records stop before the first line with another field count;
-    misfit lists it as a problem at index len(records), which every
-    problem a caller finds in the records precedes.
+    The bytes must be valid UTF-8.  Lines end at \\n, \\r\\n or a lone \\r;
+    fields are separated by ASCII whitespace; blank lines are skipped.
+    Returns (chunks, column, lines, misfit): chunks yields (first record
+    index, columns of bytes tokens); column(records, j) gives field j of
+    the given records as (bytes column, lengths); lines[i] is record i's
+    1-based line number.  Records stop before the first line with another
+    field count; misfit lists it as a problem at index len(records), which
+    every problem a caller finds in the records precedes.
     """
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = source.read().encode("utf-8", "surrogatepass")
     buf = np.frombuffer(data, dtype=np.uint8)
     crs = np.flatnonzero(buf == 13)
     lone_crs = crs[buf[np.minimum(crs + 1, len(buf) - 1)] != 10]
@@ -225,22 +283,26 @@ def _raise_first(problems: list, lines) -> None:
         raise TrecParseError(f"line {lines[index]}: {message}")
 
 
-@_gc_held()
-def parse_run(
-    source: Source,
-    truncate: int = DEFAULT_TRUNCATION,
-    strict_ranks: bool = False,
-) -> RunFile:
-    """Parse a TREC run; blank lines are ignored.
+def _run_loaded(data: bytes):
+    """(tag, topic ids, topic codes, ranks, scores, docs of rows) by the C reader, or None.
 
-    Entries are grouped per topic and ordered by score descending with
-    document id descending on ties (or by the rank column when
-    strict_ranks is set), then truncated to the first `truncate` >= 1.
-    Every line must carry the same system tag, and scores must be finite.
+    None also on a second tag, a score that is not finite or two equal (topic, doc id) hashes.
     """
-    if truncate < 1:
-        raise ValueError(f"truncate must be >= 1, got {truncate}")
-    chunks, column, lines, misfit = _records(source, 6, "topic Q0 doc rank score tag")
+    loaded = _loaded(data, dict(topic="S", q0="S0", doc="S", rank="i8", score="f8", tag="S"))
+    if loaded is None:
+        return None
+    records, topics, code = loaded
+    tags, scores, docs = records["tag"], records["score"], records["doc"]
+    hashes = np.sort(_id_hashes(code, docs))
+    repeat = (hashes[1:] == hashes[:-1]).any()
+    if (tags != tags[0]).any() or not np.isfinite(scores).all() or repeat:
+        return None
+    return tags[0], topics, code, records["rank"], scores, lambda rows: _trimmed(docs[rows])
+
+
+def _run_tokens(data: bytes) -> tuple:
+    """_run_loaded's tuple by the token reader, which raises on the first line at fault."""
+    chunks, column, lines, misfit = _records(data, 6, "topic Q0 doc rank score tag")
     topic_ids, tag, problems = {}, None, []
     codes, pairs, ranks, scores = [], [], [], []
     for lo, (topics, _, docs, rank_tokens, score_tokens, tags) in chunks:
@@ -271,7 +333,27 @@ def parse_run(
     _raise_first(problems or misfit, lines)
     if tag is None:
         raise TrecParseError("run contains no entries")
-    ranks, scores = np.concatenate(ranks), np.concatenate(scores)
+    return (tag, [t.decode() for t in topic_ids], topic_code, np.concatenate(ranks),
+            np.concatenate(scores), lambda rows: column(rows, 2))
+
+
+@_gc_held()
+def parse_run(
+    source: Source,
+    truncate: int = DEFAULT_TRUNCATION,
+    strict_ranks: bool = False,
+) -> RunFile:
+    """Parse a TREC run; blank lines are ignored.
+
+    Entries are grouped per topic and ordered by score descending with
+    document id descending on ties (or by the rank column when
+    strict_ranks is set), then truncated to the first `truncate` >= 1.
+    Every line must carry the same system tag, and scores must be finite.
+    """
+    if truncate < 1:
+        raise ValueError(f"truncate must be >= 1, got {truncate}")
+    data = _read(source)
+    tag, topics, topic_code, ranks, scores, docs_of = _run_loaded(data) or _run_tokens(data)
     key = ranks if strict_ranks else -scores
     if key.dtype == object:  # ranks beyond 64 bits: their order, as int64
         key = np.unique(key, return_inverse=True)[1]
@@ -283,19 +365,18 @@ def parse_run(
     for t in np.flatnonzero(size > truncate).tolist():
         cuts[t] = np.partition(ordered[starts[t]:starts[t] + size[t]], truncate - 1)[truncate - 1]
     kept = order[ordered <= np.repeat(cuts, size)]
-    docs, lengths = column(kept, 2)
-    topic = topic_code[kept]
-    # One sort of the kept rows by topic, key and doc id; an id sorts by its
-    # padded bytes, then its length.  Scores descend: the sort ascends with
-    # the topics negated, and is read backwards.
-    if strict_ranks:
-        rows = np.lexsort((lengths, docs, key[kept], topic))
-    else:
-        rows = np.lexsort((lengths, docs, scores[kept], -topic))[::-1]
+    topic, key = topic_code[kept], key[kept]
+    rows = np.lexsort((key, topic))  # by topic, then key: a score descends as its negation ascends
+    tied = (topic[rows[1:]] == topic[rows[:-1]]) & (key[rows[1:]] == key[rows[:-1]])
+    docs, lengths = docs_of(kept)
+    if tied.any():  # sort each tie by doc id, then length: descending, or ascending when strict
+        at = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+        group, ties = np.cumsum(np.insert(~tied, 0, True))[at], rows[at]
+        by_id = np.lexsort((lengths[ties], docs[ties], group if strict_ranks else -group))
+        rows[at] = ties[by_id if strict_ranks else by_id[::-1]]
     size = np.bincount(topic, minlength=len(size))
     rows = rows[np.arange(len(rows)) - np.repeat(np.cumsum(size) - size, size) < truncate]
-    columns = RunColumns([t.decode() for t in topic_ids],
-                         np.concatenate(([0], np.cumsum(np.minimum(size, truncate)))),
+    columns = RunColumns(topics, np.concatenate(([0], np.cumsum(np.minimum(size, truncate)))),
                          docs[rows], lengths[rows], ranks[kept[rows]], scores[kept[rows]])
     return RunFile._of_columns(tag.decode(), columns, truncate)
 
@@ -418,7 +499,14 @@ def binarize(grade: int) -> int:
 @_gc_held()
 def parse_qrels(source: Source) -> Qrels:
     """Parse a qrels file: four fields per line, grades kept raw."""
-    chunks, column, lines, misfit = _records(source, 4, "topic iter doc grade")
+    data = _read(source)
+    if (loaded := _loaded(data, dict(topic="S", iter="S0", doc="S", grade="i8"))) is not None:
+        (records, topics, code), (docs, lengths) = loaded, _trimmed(loaded[0]["doc"])
+        keys, order, index = _index(code, docs, lengths)
+        if index is None:  # else the token reader names the repeat's line
+            grades = records["grade"].copy()
+            return Qrels._of_columns(QrelsColumns(topics, code, docs, lengths, grades, keys, order))
+    chunks, column, lines, misfit = _records(data, 4, "topic iter doc grade")
     topic_ids, codes, grades, problems = {}, [], [], []
     for lo, (topics, _, _, tokens) in chunks:
         runs = [(topic_ids.setdefault(t, len(topic_ids)), len(list(g))) for t, g in groupby(topics)]

@@ -199,6 +199,13 @@ class TestSampling:
                 se = (n * p * (1 - p)) ** 0.5
                 assert abs(getattr(c, attr) - n * p) <= 5 * se, (k, attr)
 
+    @pytest.mark.parametrize("n", [1, 5, 7, 9, 13])
+    @pytest.mark.parametrize("seed, chunk", [(0, 0), (1, 3), (7, 15), (2**63, 1)])
+    def test_chunk_bytes_are_generator_bytes(self, seed, chunk, n):
+        bit_generator = np.random.Philox(key=seed, counter=chunk << 64)
+        expected = np.random.Generator(bit_generator).bytes(n)
+        assert enumeration._chunk_bytes(seed, chunk, n).tobytes() == expected
+
     def test_deep_k_runs(self):
         c = sample_pairs(60, 10_000, seed=1)
         assert c.total == 10_000

@@ -1,6 +1,8 @@
 import gc
 import io
+import warnings
 
+import numpy as np
 import pytest
 
 import trec_reference
@@ -184,6 +186,15 @@ class TestParseRun:
         with pytest.raises(TrecParseError, match="line 7: duplicate document 'dY' for topic 2"):
             parse_run(io.StringIO(RUN_A + "2 Q0 dY 3 1.0 sysA\n"))
 
+    def test_equal_c_reader_hashes_leave_the_run_to_the_token_reader(self, monkeypatch):
+        expected = parse_run(io.StringIO(RUN_A))
+        monkeypatch.setattr(trecio, "_id_hashes", lambda codes, _: np.zeros_like(codes, np.uint64))
+        monkeypatch.setattr(trecio, "_run_tokens", spy := Spy(trecio._run_tokens))
+        assert parse_run(io.StringIO(RUN_A)) == expected
+        assert spy.calls == 1
+        with pytest.raises(TrecParseError, match="line 7: duplicate document 'dY' for topic 2"):
+            parse_run(io.StringIO(RUN_A + "2 Q0 dY 3 1.0 sysA\n"))
+
     @pytest.mark.parametrize("lines", [
         ["1 Q0 d 1 1.0 s", "1 Q0 d\x00 1 1.0 s", "1 Q0 d\x00\x00 3 0.5 s"],
         ["1 Q0 d\x00\x00 3 0.5 s", "1 Q0 d\x00 1 1.0 s", "1 Q0 d 1 1.0 s"],
@@ -253,6 +264,98 @@ class TestParseRun:
             parse_qrels(io.StringIO(qrels.replace("d4 1", "d4 x") + "1 0 d9\n"))
 
 
+class Spy:
+    """A callable that counts its calls and hands them on."""
+
+    def __init__(self, function):
+        self.function, self.calls = function, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.function(*args)
+
+
+def _outcome(parse, text):
+    """What parse makes of text: its result, or the message of the TrecParseError it raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return parse(io.StringIO(text))
+        except TrecParseError as error:
+            return str(error)
+
+
+#: Over 64 KiB of six-byte ids, which the C reader sizes its doc id field by: 20 bytes.
+SAMPLED_RUN = "".join(f"1 Q0 d{i:05} 1 1.0 s\n" for i in range(4000))
+SAMPLED_QRELS = "".join(f"1 0 d{i:05} 1\n" for i in range(6000))
+
+RUN_CASES = {
+    "hash and quote in ids": '1 Q0 d#1 1 5.0 s\n1 Q0 "d 2 4.0 s\n1 Q0 d" 3 3.0 s\n',
+    "x1f between fields": "1 Q0 d1 1 5.0 s\n1 Q0 d2 2 4.0\x1fs\n",
+    "x1f inside a tag": "1 Q0 d1 1 5.0 s\x1fs\n",
+    "seven fields": "1 Q0 d1 1 5.0 s\n1 Q0 d2 2 4.0 s extra\n",
+    "id as wide as its field": SAMPLED_RUN + "1 Q0 " + "x" * 20 + " 2 4.0 s\n",
+    "id wider than its field": SAMPLED_RUN + "1 Q0 " + "x" * 40 + " 2 4.0 s\n",
+    "NUL ending an id": "1 Q0 d\x00 1 5.0 s\n1 Q0 e 2 4.0 s\n",
+    "blank only": " \n\t\n\n",
+    "empty": "",
+    "rank 1_0": "1 Q0 d1 1 5.0 s\n1 Q0 d2 1_0 4.0 s\n",
+    "score nan": "1 Q0 d1 1 5.0 s\n1 Q0 d2 2 nan s\n",
+    "lone cr": "1 Q0 d1 1 5.0 s\r1 Q0 d2 2 4.0 s\n",
+    "crlf": "1 Q0 d1 1 5.0 s\r\n\r\n1 Q0 d2 2 4.0 s\r\n",
+    "two tags": "1 Q0 d1 1 5.0 s\n1 Q0 d2 2 4.0 t\n",
+    "duplicate": "1 Q0 d1 1 5.0 s\n2 Q0 d1 1 5.0 s\n1 Q0 d1 2 4.0 s\n",
+}
+
+QRELS_CASES = {
+    "hash and quote in ids": '1 0 d#1 1\n1 0 "d 0\n1 0 d" 2\n',
+    "x1f between fields": "1 0 d1 1\n1 0 d2\x1f1\n",
+    "five fields": "1 0 d1 1\n1 0 d2 1 extra\n",
+    "id wider than its field": SAMPLED_QRELS + "1 0 " + "x" * 40 + " 1\n",
+    "NUL ending an id": "1 0 d\x00 1\n1 0 e 0\n",
+    "blank only": " \n\t\n\n",
+    "grade 1_0": "1 0 d1 1\n1 0 d2 1_0\n",
+    "lone cr": "1 0 d1 1\r1 0 d2 0\n",
+    "crlf": "1 0 d1 1\r\n\r\n1 0 d2 0\r\n",
+    "duplicate": "1 0 d1 1\n2 0 d1 1\n1 0 d1 0\n",
+}
+
+
+class TestTwoReaders:
+    """numpy's C reader and the token reader give the reference's result or error."""
+
+    @pytest.mark.parametrize("text", RUN_CASES.values(), ids=RUN_CASES.keys())
+    def test_run_matches_reference(self, text):
+        assert _outcome(parse_run, text) == _outcome(trec_reference.parse_run, text)
+
+    @pytest.mark.parametrize("text", QRELS_CASES.values(), ids=QRELS_CASES.keys())
+    def test_qrels_matches_reference(self, text):
+        assert _outcome(parse_qrels, text) == _outcome(trec_reference.parse_qrels, text)
+
+    def test_plain_ascii_skips_the_token_reader(self, monkeypatch):
+        monkeypatch.setattr(trecio, "_records", spy := Spy(trecio._records))
+        text = RUN_A.replace("d1 1", "d#1 1") + "3 Q0 " + "x" * 9 + " 1 1.0 sysA\r\n"
+        assert parse_run(io.StringIO(text)) == trec_reference.parse_run(io.StringIO(text))
+        text = SAMPLED_RUN + "1 Q0 " + "x" * 19 + " 2 4.0 s\n"  # longer than the sample's ids
+        assert parse_run(io.StringIO(text)) == trec_reference.parse_run(io.StringIO(text))
+        assert parse_qrels(io.StringIO(QRELS)) == trec_reference.parse_qrels(io.StringIO(QRELS))
+        assert spy.calls == 0
+        parse_run(io.StringIO(RUN_CASES["id as wide as its field"]))
+        assert spy.calls == 1
+
+    def test_a_numpy_deprecation_leaves_the_file_to_the_token_reader(self, monkeypatch):
+        loadtxt = np.loadtxt
+
+        def warns(*args, **kwargs):  # as a numpy that reads "1.0" into an int64 field does
+            warnings.warn("a float read as an integer", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warns)
+        monkeypatch.setattr(trecio, "_records", spy := Spy(trecio._records))
+        assert parse_run(io.StringIO(RUN_A)) == trec_reference.parse_run(io.StringIO(RUN_A))
+        assert spy.calls == 1
+
+
 class TestGcHold:
     """The parsers hold the cyclic collector and hand back the caller's setting."""
 
@@ -272,13 +375,13 @@ class TestGcHold:
     ], ids=["run", "qrels"])
     def test_collector_state_is_restored(self, monkeypatch, parse, text, bad, enabled):
         seen = []
-        records = trecio._records
+        read = trecio._read
 
-        def spy(*args):
+        def spy(*args):  # both readers start from the source's bytes
             seen.append(gc.isenabled())
-            return records(*args)
+            return read(*args)
 
-        monkeypatch.setattr(trecio, "_records", spy)
+        monkeypatch.setattr(trecio, "_read", spy)
         if enabled:
             gc.enable()
         else:

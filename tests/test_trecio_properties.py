@@ -3,10 +3,13 @@
 Generated files mix score ties, blank and whitespace-only lines, tabs,
 every line ending and short topics; malformed files carry one to three
 broken lines and must fail on the earliest of them, with the same
-message as the reference.
+message as the reference.  Most well-formed files are plain ASCII, which
+numpy's C reader reads; the others, and every malformed file, go to the
+token reader.
 """
 
 import io
+from collections import Counter
 from unittest.mock import patch
 
 import pytest
@@ -18,17 +21,23 @@ from ipso import trecio
 from ipso.serp import Serp
 from ipso.trecio import TrecParseError, build_serps, parse_qrels, parse_run, write_run
 
+# PLAIN_* draw what numpy's C reader reads; the rest only the token reader reads
+PLAIN_IDS = st.text(alphabet="abAB09-#\"", min_size=1, max_size=3)
 IDS = st.text(alphabet="abAB09-é€\x1c\x00", min_size=1, max_size=3)
+PLAIN_TOPIC_IDS = st.text(alphabet="0123ab", min_size=1, max_size=3)
 TOPIC_IDS = st.text(alphabet="0123ab²", min_size=1, max_size=3)
-RANKS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(
-    ["007", "+5", "1_0", "99999999999999999999", "-99999999999999999999"]
+PLAIN_RANKS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["007", "+5"]))
+RANKS = st.one_of(PLAIN_RANKS, st.sampled_from(
+    ["1_0", "99999999999999999999", "-99999999999999999999"]
 ))
-SCORES = st.one_of(
-    st.sampled_from(["0", "0.0", "-0.0", "1", "1.5", "1.50", "-3", "+4.0", "7_0", "1e2", "100"]),
+PLAIN_SCORES = st.one_of(
+    st.sampled_from(["0", "0.0", "-0.0", "1", "1.5", "1.50", "-3", "+4.0", "1e2", "100"]),
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
 )
+SCORES = st.one_of(PLAIN_SCORES, st.just("7_0"))
 SEPARATORS = st.sampled_from([" ", "\t", "  ", " \t ", "\x0b", "\x0c"])
 BLANKS = st.sampled_from(["", " ", "\t", " \t  "])
+PLAIN_ENDINGS = st.sampled_from(["\n", "\r\n"])
 ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
 
 BAD_RANKS = ["x", "1.5", "1e3", "٣", "0x1", "--1"]
@@ -37,25 +46,35 @@ BAD_SCORES = ["x", "1.5.", "٣", "0x1", "1,5", "nan", "NaN", "inf", "-Infinity",
 
 @st.composite
 def records(draw, make_record, max_topics=4, max_docs=8):
-    """Rows for a few topics, each with unique doc ids, in a shuffled order."""
+    """Rows for a few topics, each with unique doc ids, in a shuffled order.
+
+    Three examples in four draw only plain fields.
+    """
+    plain = draw(st.integers(0, 3)) < 3
+    topics = PLAIN_TOPIC_IDS if plain else TOPIC_IDS
     rows = []
-    for topic in draw(st.lists(TOPIC_IDS, min_size=1, max_size=max_topics, unique=True)):
-        for doc in draw(st.lists(IDS, min_size=1, max_size=max_docs, unique=True)):
-            rows.append(make_record(draw, topic, doc))
+    for topic in draw(st.lists(topics, min_size=1, max_size=max_topics, unique=True)):
+        for doc in draw(st.lists(PLAIN_IDS if plain else IDS, min_size=1, max_size=max_docs,
+                                 unique=True)):
+            rows.append(make_record(draw, topic, doc, plain))
     return draw(st.permutations(rows))
 
 
-def _run_record(draw, topic, doc):
-    return [topic, "Q0", doc, draw(RANKS), draw(SCORES), "tag"]
+def _run_record(draw, topic, doc, plain=False):
+    ranks, scores = (PLAIN_RANKS, PLAIN_SCORES) if plain else (RANKS, SCORES)
+    return [topic, "Q0", doc, draw(ranks), draw(scores), "tag"]
 
 
-def _qrels_record(draw, topic, doc):
+def _qrels_record(draw, topic, doc, plain=False):
     return [topic, "0", doc, str(draw(st.integers(-2, 3)))]
 
 
 @st.composite
 def lines_of(draw, rows, mixed_endings=True):
-    """(line bodies, line endings): rows joined by varied whitespace, blank lines between."""
+    """(line bodies, line endings): rows joined by varied whitespace, blank lines between.
+
+    With mixed endings, three examples in four end no line with a lone \\r.
+    """
     bodies = []
     for fields in rows:
         while draw(st.integers(0, 3)) == 3:
@@ -65,7 +84,8 @@ def lines_of(draw, rows, mixed_endings=True):
             line += draw(SEPARATORS) + field
         bodies.append(line + draw(st.sampled_from(["", " ", "\t"])))
     if mixed_endings:
-        endings = [draw(ENDINGS) for _ in bodies]
+        pool = ENDINGS if draw(st.integers(0, 3)) == 3 else PLAIN_ENDINGS
+        endings = [draw(pool) for _ in bodies]
     else:
         endings = [draw(ENDINGS)] * len(bodies)
     if draw(st.booleans()):
@@ -87,6 +107,21 @@ def _error(parse, text, **kwargs) -> str:
     return str(info.value)
 
 
+def test_run_parser_matches_reference(monkeypatch):
+    """Both readers ran: numpy's C reader on most plain examples, the token reader on the rest."""
+    readers = Counter()
+    loaded = trecio._run_loaded
+
+    def spy(data):
+        result = loaded(data)
+        readers["tokens" if result is None else "C"] += 1
+        return result
+
+    monkeypatch.setattr(trecio, "_run_loaded", spy)
+    _run_parser_matches_reference()
+    assert readers["C"] > 0 and readers["tokens"] > 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rows=records(_run_record),
@@ -94,7 +129,7 @@ def _error(parse, text, **kwargs) -> str:
     truncate=st.integers(1, 10),
     strict_ranks=st.booleans(),
 )
-def test_run_parser_matches_reference(rows, data, truncate, strict_ranks):
+def _run_parser_matches_reference(rows, data, truncate, strict_ranks):
     text = _text(*data.draw(lines_of(rows)))
     options = {"truncate": truncate, "strict_ranks": strict_ranks}
     expected = trec_reference.parse_run(io.StringIO(text), **options)
@@ -129,7 +164,9 @@ def test_run_round_trips_through_writer(rows, data, truncate):
 
 
 @settings(max_examples=100, deadline=None)
-@given(judgments=st.dictionaries(st.tuples(TOPIC_IDS, IDS), st.integers(-5, 5), min_size=1))
+@given(judgments=st.dictionaries(st.one_of(st.tuples(PLAIN_TOPIC_IDS, PLAIN_IDS),
+                                           st.tuples(TOPIC_IDS, IDS)), st.integers(-5, 5),
+                                 min_size=1))
 def test_qrels_round_trip(judgments):
     text = "".join(f"{topic} 0 {doc} {grade}\n" for (topic, doc), grade in judgments.items())
     assert parse_qrels(io.StringIO(text)).judgments == judgments
