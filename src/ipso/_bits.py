@@ -126,6 +126,14 @@ def category_matrix(k: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=2)
+def dominance_pairs(k: int) -> np.ndarray:
+    """Read-only (2, n) uint16 (row, col) codes of category_matrix(k)'s NI entries, row-major."""
+    pairs = np.array(np.nonzero(category_matrix(k) == NI), dtype=np.uint16)
+    pairs.setflags(write=False)
+    return pairs
+
+
 def _pack_bits(flags: np.ndarray) -> np.ndarray:
     """Pack a boolean vector into little-endian uint64 words (zero padded)."""
     packed = np.packbits(flags, bitorder="little")

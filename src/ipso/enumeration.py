@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _bits
 from .metrics import MetricSpec, TopicContext, score_all
-from .serp import CATEGORY_TO_RELATIONSHIP, Relationship, Serp
+from .serp import CATEGORY_TO_RELATIONSHIP, Relationship
 from .stats import kendall_tau_b
 
 #: Largest depth at which tests run _bits.relationship_counts_exact, the
@@ -104,26 +104,22 @@ def write_counts_csv(rows, stream: IO[str]) -> None:
 def relationship_counts(k: int) -> dict:
     """Exact per-relationship counts over all ordered pairs at depth k.
 
-    Dynamic programming over the difference walk.  State is (cumulative
-    difference, been-negative, been-positive); a depth step changes the
-    difference by +1 one way (1 vs 0), -1 one way, and 0 two ways (0 vs 0,
-    1 vs 1).  Exact at any depth thanks to arbitrary-precision integers.
+    Dynamic programming over the difference walk a - b, which a depth step
+    moves by +1 one way (1 vs 0), -1 one way and 0 two ways.  It tracks the
+    walks at 0 that never left it; up[c], the walks at c that went positive
+    but never negative; and the walks that went both ways, 4 continuations
+    each, joined by up[0]'s step down and its mirror's step up.  The
+    only-negative walks mirror up, so NS = NI.  Exact at any depth.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    states = {(0, False, False): 1}
+    zero, up, crossed = 1, [0], 0
     for _ in range(k):
-        nxt: dict = {}
-        for (cumul, been_neg, been_pos), ways in states.items():
-            for step, mult in ((1, 1), (-1, 1), (0, 2)):
-                c = cumul + step
-                key = (c, been_neg or c < 0, been_pos or c > 0)
-                nxt[key] = nxt.get(key, 0) + ways * mult
-        states = nxt
-    counts = dict.fromkeys(Relationship, 0)
-    for (_, been_neg, been_pos), ways in states.items():
-        counts[CATEGORY_TO_RELATIONSHIP[been_pos + 2 * been_neg]] += ways
-    return counts
+        crossed = 4 * crossed + 2 * up[0]
+        up = [plus + 2 * stay + minus for plus, stay, minus
+              in zip([0, up[0] + zero, *up[1:]], up + [0], up[1:] + [0, 0])]
+        zero *= 2
+    return dict(zip(Relationship, (zero, sum(up), sum(up), crossed)))
 
 
 def enumerate_pairs(k: int) -> CategoryCounts:
@@ -206,10 +202,10 @@ class RelationshipGrid:
     cells: np.ndarray  # uint8 category codes
 
     def row_bitstrings(self) -> list:
-        return [Serp.from_int(c, self.k).bitstring for c in self.row_order]
+        return _bitstrings(self.k, self.row_order)
 
     def col_bitstrings(self) -> list:
-        return [Serp.from_int(c, self.k).bitstring for c in self.col_order]
+        return _bitstrings(self.k, self.col_order)
 
     def relationship(self, i: int, j: int) -> Relationship:
         return CATEGORY_TO_RELATIONSHIP[int(self.cells[i, j])]
@@ -221,17 +217,19 @@ class RelationshipGrid:
             for code, count in enumerate(tallies)
         }
 
-    def _code_rows(self):
-        """Each row of cells as a list of relationship text codes ("==", "ni", ...)."""
-        lut = np.array([CATEGORY_TO_RELATIONSHIP[c].code for c in range(4)], dtype=object)
-        # row by row: the whole grid as Python lists would be 2^{2k} references
-        return (lut[row].tolist() for row in self.cells)
-
     def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream)
-        writer.writerow([""] + self.col_bitstrings())
-        for label, row in zip(self.row_bitstrings(), self._code_rows()):
-            writer.writerow([label] + row)
+        # csv.writer's text ("\r\n" line ends), 256 of the 2^k rows at a time; take's
+        # mode="clip" clips nothing here but writes straight into the block
+        n, k = len(self.cells), self.k
+        codes = np.array([f",{CATEGORY_TO_RELATIONSHIP[c].code}".encode() for c in range(4)])
+        block = np.empty((min(n, 256), k + 3 * n + 2), np.uint8)
+        block[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+        stream.write(",".join(["", *self.col_bitstrings()]) + "\r\n")
+        for lo in range(0, n, len(block)):
+            rows = slice(lo, lo + len(block))
+            block[:, :k] = _labels(k, self.row_order[rows])
+            np.take(codes, self.cells[rows], out=block[:, k:-2].view(codes.dtype), mode="clip")
+            stream.write(str(block.data, "ascii"))
 
     def to_dict(self) -> dict:
         return {
@@ -240,8 +238,19 @@ class RelationshipGrid:
             "col_metric": self.col_metric.label,
             "rows": self.row_bitstrings(),
             "cols": self.col_bitstrings(),
-            "cells": list(self._code_rows()),
+            # one shared str per code, not one per cell
+            "cells": np.array([CATEGORY_TO_RELATIONSHIP[c].code for c in range(4)],
+                              dtype=object)[self.cells].tolist(),
         }
+
+
+def _labels(k: int, codes) -> np.ndarray:
+    """(len(codes), k) uint8 ASCII "0"/"1" rows of the given SERP encodings."""
+    return (_bits.bit_matrix(k)[np.asarray(codes, dtype=np.intp)] + ord("0")).view(np.uint8)
+
+
+def _bitstrings(k: int, codes) -> list:
+    return _labels(k, codes).view(f"S{k}")[:, 0].astype(str).tolist()
 
 
 def _metric_order(metric: MetricSpec, k: int, ctx: TopicContext | None) -> np.ndarray:
@@ -281,15 +290,13 @@ class HasseEdges:
     edges: tuple  # (superior_code, inferior_code) pairs, sorted
 
     def bitstring_pairs(self) -> list:
-        return [
-            (Serp.from_int(a, self.k).bitstring, Serp.from_int(b, self.k).bitstring)
-            for a, b in self.edges
-        ]
+        return list(zip(*(_bitstrings(self.k, half) for half in np.reshape(self.edges, (-1, 2)).T)))
 
     def write_csv(self, stream: IO[str]) -> None:
         # bare "from,to" lines, no header
-        for sup, inf in self.bitstring_pairs():
-            stream.write(f"{sup},{inf}\n")
+        sup, inf = (_labels(self.k, half) for half in np.reshape(self.edges, (-1, 2)).T)
+        comma, newline = (np.full((len(sup), 1), ord(c), np.uint8) for c in ",\n")
+        stream.write(str(np.hstack([sup, comma, inf, newline]).data, "ascii"))
 
     def to_dict(self) -> dict:
         return {"k": self.k, "edges": [list(pair) for pair in self.bitstring_pairs()]}
@@ -304,11 +311,9 @@ def hasse_cover(k: int) -> HasseEdges:
     if not 1 <= k <= 8:
         raise ValueError(f"hasse_cover supports 1 <= k <= 8, got {k}")
     dominates = _bits.category_matrix(k) == _bits.NI
-    d8 = dominates.astype(np.uint8)
-    implied = (d8 @ d8) > 0
-    cover = dominates & ~implied
-    edges = tuple((int(a), int(b)) for a, b in np.argwhere(cover))
-    return HasseEdges(k=k, edges=edges)
+    # path counts are at most 2^k <= 256, exact in float32, where BLAS does the product
+    d = dominates.astype(np.float32)
+    return HasseEdges(k=k, edges=tuple(map(tuple, np.argwhere(dominates & ~(d @ d > 0)).tolist())))
 
 
 def kendall_tau(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 import numpy as np
@@ -198,13 +199,17 @@ def ordering_check(
     return ">" if delta > 0 else "<"
 
 
+@lru_cache(maxsize=32)
 def score_all(metric: MetricSpec, k: int, ctx: TopicContext | None = None) -> np.ndarray:
     """Scores for every length-k SERP, indexed by MSB-first encoding.
 
     evaluate_rows over bit_matrix(k), so each SERP scores the bits
-    evaluate() gives it; without a ctx, R defaults to k.
+    evaluate() gives it; without a ctx, R defaults to k.  Cached per
+    (metric, k, ctx): every caller shares one array, so it is read-only.
     """
-    return evaluate_rows(metric, _bits.bit_matrix(k), k if ctx is None else ctx.total_relevant)
+    scores = evaluate_rows(metric, _bits.bit_matrix(k), k if ctx is None else ctx.total_relevant)
+    scores.setflags(write=False)
+    return scores
 
 
 MetricLike = Union[MetricSpec, Callable[[Serp], float]]
@@ -219,27 +224,24 @@ def certify_compliance(
     """Exhaustively check a metric against the innate ordering at depth k.
 
     For every ordered pair of length-k SERPs where the first is
-    non-inferior, the first's score must not fall below the second's
-    (within tolerance); equal pairs must score identically.  Returns the
-    offending (serp, serp) pairs, sorted by encoding — empty means the
-    metric complies.  Accepts a MetricSpec or any callable Serp -> score.
+    non-inferior (_bits.dominance_pairs), the first's score must not fall
+    below the second's (within tolerance).  Equal pairs need no check: a
+    SERP equals only itself, a gap of 0 (NaN for a NaN or infinite score).
+    Returns the offending (serp, serp) pairs, sorted by encoding — empty
+    means the metric complies.  Accepts a MetricSpec or a Serp -> score callable.
     """
     if not 1 <= k <= 12:
         raise ValueError(f"certify_compliance supports 1 <= k <= 12, got {k}")
-    n = 1 << k
+    if not tolerance >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if isinstance(metric, MetricSpec):
         scores = score_all(metric, k, ctx)
     else:
-        scores = np.array([float(metric(Serp.from_int(c, k))) for c in range(n)])
-    cat = _bits.category_matrix(k)
-    gap = scores[:, None] - scores[None, :]
-    bad = ((cat == _bits.NI) & (gap < -tolerance)) | (
-        (cat == _bits.EQ) & (np.abs(gap) > tolerance)
-    )
-    return [
-        (Serp.from_int(int(a), k), Serp.from_int(int(b), k))
-        for a, b in np.argwhere(bad)
-    ]
+        scores = np.array([float(metric(Serp.from_int(c, k))) for c in range(1 << k)])
+    rows, cols = _bits.dominance_pairs(k)
+    bad = scores[rows] - scores[cols] < -tolerance
+    return [(Serp.from_int(a, k), Serp.from_int(b, k))
+            for a, b in zip(rows[bad].tolist(), cols[bad].tolist())]
 
 
 def metric_suite(k: int, persistences: tuple = (0.5, 0.8)) -> list:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.special
 
 from ipso.metrics import SCORE_TOLERANCE, MetricSpec
-from ipso.serp import Relationship, as_serp
+from ipso.serp import CATEGORY_TO_RELATIONSHIP, Relationship, as_serp
 from ipso.stats import TestResult, UndefinedTestError, _exact_signed_rank_p, sign_test
 
 
@@ -193,3 +193,26 @@ def wilcoxon_signed_rank(diffs, exact_cutover: int = 25) -> TestResult:
     z = delta / math.sqrt(var)
     p = min(1.0, 2.0 * float(scipy.special.ndtr(-abs(z))))
     return TestResult(p_value=p, statistic=statistic, n_effective=n, method="approximate")
+
+
+def relationship_counts_dp(k: int) -> dict:
+    """Per-relationship counts at depth k by a three-flag dictionary DP.
+
+    State is (cumulative difference, been-negative, been-positive); a
+    depth step changes the difference by +1 one way (1 vs 0), -1 one way,
+    and 0 two ways (0 vs 0, 1 vs 1).  Keeps every sign history apart, so
+    it holds enumeration.relationship_counts' collapsed states to account.
+    """
+    states = {(0, False, False): 1}
+    for _ in range(k):
+        nxt: dict = {}
+        for (cumul, been_neg, been_pos), ways in states.items():
+            for step, mult in ((1, 1), (-1, 1), (0, 2)):
+                c = cumul + step
+                key = (c, been_neg or c < 0, been_pos or c > 0)
+                nxt[key] = nxt.get(key, 0) + ways * mult
+        states = nxt
+    counts = dict.fromkeys(Relationship, 0)
+    for (_, been_neg, been_pos), ways in states.items():
+        counts[CATEGORY_TO_RELATIONSHIP[been_pos + 2 * been_neg]] += ways
+    return counts

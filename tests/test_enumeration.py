@@ -1,8 +1,11 @@
+import hashlib
 import io
 import itertools
 
+import census_reference
 import numpy as np
 import pytest
+from scalar_reference import relationship_counts_dp
 
 from ipso import _bits, enumeration
 from ipso.enumeration import (
@@ -18,7 +21,7 @@ from ipso.enumeration import (
     sample_pairs,
     write_counts_csv,
 )
-from ipso.metrics import PHI, MetricSpec, TopicContext, evaluate, metric_suite
+from ipso.metrics import PHI, MetricSpec, TopicContext, evaluate, metric_suite, parse_metric
 from ipso.serp import Relationship, Serp, compare
 
 EQ = Relationship.EQUAL
@@ -68,6 +71,16 @@ class TestRelationshipCounts:
             assert sum(counts.values()) == 4 ** k
         with pytest.raises(ValueError):
             relationship_counts(0)
+
+
+class TestDpOracle:
+    @pytest.mark.parametrize("k", [*range(1, 65), 200])
+    def test_matches_three_flag_dp(self, k):
+        counts = relationship_counts(k)
+        assert counts == relationship_counts_dp(k)
+        assert list(counts) == list(Relationship)
+        assert counts[NI] == counts[NS]
+        assert sum(counts.values()) == 4 ** k
 
 
 class TestEnumeratePairs:
@@ -338,6 +351,40 @@ class TestHasse:
     def test_respects_depth_limit(self):
         with pytest.raises(ValueError):
             hasse_cover(9)
+
+
+def _rendered(result) -> str:
+    buf = io.StringIO()
+    result.write_csv(buf)
+    return buf.getvalue()
+
+
+class TestRendererOracles:
+    """The byte-array renderers against csv.writer and per-line writers."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_grid_matches_csv_writer(self, k):
+        for row, col in itertools.product(metric_suite(k), repeat=2):
+            g = build_grid(k, row, col)
+            assert _rendered(g) == census_reference.grid_csv(g), (row.label, col.label)
+            assert g.to_dict() == census_reference.grid_dict(g), (row.label, col.label)
+
+    def test_grid_k10_bytes(self):
+        g = build_grid(10, parse_metric("RBP0.5@10"), parse_metric("NDCG@10"))
+        text = _rendered(g)
+        assert text == census_reference.grid_csv(g)
+        assert hashlib.sha256(text.encode()).hexdigest()[:12] == "526967b9d3bb"
+        assert g.to_dict() == census_reference.grid_dict(g)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_hasse_matches_line_writer(self, k):
+        h = hasse_cover(k)
+        text = _rendered(h)
+        assert text == census_reference.hasse_csv(h)
+        assert h.bitstring_pairs() == census_reference.hasse_pairs(h)
+        assert h.to_dict() == census_reference.hasse_dict(h)
+        if k == 8:
+            assert hashlib.sha256(text.encode()).hexdigest()[:12] == "8dd54030319a"
 
 
 class TestKendallTau:

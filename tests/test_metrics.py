@@ -3,15 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from census_reference import certify_compliance_dense
 from numpy.testing import assert_allclose
 
+from ipso import _bits, metrics
+from ipso.enumeration import kendall_tau
 from ipso.metrics import (
     PHI,
+    SCORE_TOLERANCE,
     MetricSpec,
     TopicContext,
     average_precision,
     certify_compliance,
     evaluate,
+    evaluate_rows,
     metric_suite,
     ndcg,
     ordering_check,
@@ -26,6 +31,20 @@ from ipso.serp import Relationship, Serp, compare
 
 A = Serp([1, 0, 0])
 B = Serp([0, 1, 1])
+
+
+def deeper_is_better(serp):
+    return sum(i * r for i, r in enumerate(serp, start=1))
+
+
+def late_bonus_precision(serp):
+    # a tiny bonus for placing relevant items later flips score ties on
+    # dominance pairs like [1,0,0] vs [0,1,0]
+    return precision(serp, len(serp)) + 1e-6 * ((1 << len(serp)) - 1 - serp.to_int())
+
+
+def noisy_precision(serp):
+    return precision(serp, len(serp)) + 1e-13 * ((1 << len(serp)) - 1 - serp.to_int())
 
 
 class TestMetricSpec:
@@ -217,18 +236,10 @@ class TestCompliance:
         assert certify_compliance(MetricSpec("RBP", 4, PHI), 4) == []
 
     def test_depth_weighted_scorer_fails(self):
-        def deeper_is_better(serp):
-            return sum(i * r for i, r in enumerate(serp, start=1))
-
         violations = certify_compliance(deeper_is_better, 2)
         assert (Serp([1, 0]), Serp([0, 1])) in violations
 
     def test_late_tie_break_fails(self):
-        # a tiny bonus for placing relevant items later flips score ties on
-        # dominance pairs like [1,0,0] vs [0,1,0]
-        def late_bonus_precision(serp):
-            return precision(serp, 3) + 1e-6 * ((1 << 3) - 1 - serp.to_int())
-
         violations = certify_compliance(late_bonus_precision, 3)
         assert violations
         for a, b in violations:
@@ -236,11 +247,78 @@ class TestCompliance:
         assert (Serp([1, 0, 0]), Serp([0, 1, 0])) in violations
 
     def test_respects_tolerance(self):
-        def noisy_precision(serp):
-            return precision(serp, 3) + 1e-13 * ((1 << 3) - 1 - serp.to_int())
-
         assert certify_compliance(noisy_precision, 3) == []
         assert certify_compliance(noisy_precision, 3, tolerance=1e-16) != []
+
+    @pytest.mark.parametrize("tolerance", [-1e-12, math.nan])
+    def test_rejects_a_negative_or_nan_tolerance(self, tolerance):
+        with pytest.raises(ValueError):
+            certify_compliance(MetricSpec("P", 3), 3, tolerance=tolerance)
+
+
+def _scores_with_holes(serp):
+    # NaN, +inf and -inf scores among otherwise violating ones
+    code = serp.to_int()
+    holes = {0: math.nan, 1: math.inf, 2: -math.inf}
+    return holes.get(code % 5, late_bonus_precision(serp))
+
+
+class TestComplianceOracle:
+    """certify_compliance over the dominance pairs against the full gap matrix."""
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_suite_matches_dense_check(self, k):
+        for ctx in (None, TopicContext(total_relevant=2 * k)):
+            for metric in metric_suite(k):
+                want = certify_compliance_dense(metric, k, ctx)
+                assert certify_compliance(metric, k, ctx) == want, (metric.label, ctx)
+
+    # inf - inf gaps are NaN, which numpy reports as it computes them
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("scorer, k, tolerance", [
+        (late_bonus_precision, 3, SCORE_TOLERANCE),
+        (late_bonus_precision, 8, SCORE_TOLERANCE),
+        (deeper_is_better, 2, SCORE_TOLERANCE),
+        (deeper_is_better, 7, SCORE_TOLERANCE),
+        (noisy_precision, 3, 1e-16),
+        (_scores_with_holes, 4, SCORE_TOLERANCE),
+        (_scores_with_holes, 7, SCORE_TOLERANCE),
+    ])
+    def test_violators_match_dense_check(self, scorer, k, tolerance):
+        got = certify_compliance(scorer, k, tolerance=tolerance)
+        assert got
+        assert got == certify_compliance_dense(scorer, k, tolerance=tolerance)
+
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_equal_pairs_are_the_diagonal(self, k):
+        equal = _bits.category_matrix(k) == _bits.EQ
+        assert np.array_equal(equal, np.eye(1 << k, dtype=bool))
+
+
+class TestSharedScores:
+    @pytest.mark.parametrize("metric", metric_suite(6))
+    def test_read_only_and_equal_to_evaluate_rows(self, metric):
+        for ctx, r in ((None, 6), (TopicContext(total_relevant=9), 9)):
+            scores = score_all(metric, 6, ctx)
+            with pytest.raises(ValueError):
+                scores[0] = 1.0
+            assert np.array_equal(scores, evaluate_rows(metric, _bits.bit_matrix(6), r))
+            assert score_all(metric, 6, ctx) is scores
+
+    def test_kendall_scores_each_metric_once(self, monkeypatch):
+        calls = []
+        real = metrics.evaluate_rows
+
+        def spy(metric, *args):
+            calls.append(metric)
+            return real(metric, *args)
+
+        monkeypatch.setattr(metrics, "evaluate_rows", spy)
+        score_all.cache_clear()
+        suite = metric_suite(12)
+        for a, b in itertools.combinations_with_replacement(suite, 2):
+            kendall_tau(a, b, 12)
+        assert sorted(calls, key=suite.index) == suite
 
 
 class TestMetricSuite:
