@@ -6,11 +6,14 @@ iteration, document, grade).  Rankings are rebuilt from the score field
 -- descending, ties broken by document id descending -- because rank
 columns in the wild are unreliable; a strict mode honours them instead.
 
-A file is read once, as bytes.  numpy's C text reader reads ASCII input;
-the token reader reads all other input and every file whose records fail
-a check (a field that may be cut, a line, number, tag or score it would
-judge, a repeated document), so every error comes from it and names the
-line.  One ordering step serves both readers.
+A file is read once, as bytes, and no reader sees anything else.
+numpy's C text reader reads ASCII input: a thread writes the bytes into
+a pipe that loadtxt opens by its /dev/fd name, so loadtxt reads text in
+chunks, with \r\n and a lone \r turned into line breaks, where a file
+object would hand it one line at a time.  The token reader reads all
+other input and every file whose records fail a check (a line, number,
+tag or score it would judge, a repeated document), so every error comes
+from it and names the line.  One ordering step serves both readers.
 
 Runs and qrels are held as numpy columns.  A document id is a row of a
 NUL-padded bytes column beside its length, because numpy drops trailing
@@ -27,6 +30,8 @@ from __future__ import annotations
 import csv
 import gc
 import io
+import os
+import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -145,49 +150,112 @@ def _read(source: Source) -> bytes:
     return source.read().encode("utf-8", "surrogatepass")
 
 
+#: Where open files are named by number; the C reader opens a pipe's read end there.
+_FDS = "/dev/fd"
+
+
+def _feed(data: bytes, fd: int) -> None:
+    """Write data to fd and close it."""
+    view = memoryview(data)
+    try:
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+
+
+@contextmanager
+def _fed(data: bytes):
+    """What np.loadtxt reads data from: the name of a pipe a thread fills, else a BytesIO.
+
+    Given a name, loadtxt reads text in chunks; given a file object, one
+    line at a time.  The pipe is drained before it is closed, so the
+    thread never writes to a closed pipe and ends, however loadtxt ends.
+    """
+    if not os.path.isdir(_FDS):
+        yield io.BytesIO(data)
+        return
+    read, write = os.pipe()
+    feeder = threading.Thread(target=_feed, args=(data, write))
+    try:
+        feeder.start()
+    except BaseException:
+        os.close(write)
+        os.close(read)
+        raise
+    try:
+        yield f"{_FDS}/{read}"
+    finally:
+        while os.read(read, 1 << 16):
+            pass
+        os.close(read)
+        feeder.join()
+
+
 def _loaded(data: bytes, fields: dict):
     """(records, topic ids, topic codes) by numpy's C text reader, or None where it may differ.
 
     With comments off, on ASCII input without NUL or \\x1c-\\x1f (more
     separators to it), loadtxt splits lines and converts numbers as the
-    token reader does, or raises.  An "S" field (bytes) holds 2n + 8 bytes,
-    n its longest token in the first 64 KiB; one a token fills may be cut.
+    token reader does, or raises.  An "S" field (bytes) holds n + 8 bytes,
+    n its longest token in the first 64 KiB, rounded up to a multiple of 8:
+    so every field starts on an 8-byte boundary.  A token that fills its
+    field may be cut: such fields are read once more, as wide as the
+    longest line, which no token outgrows.
     """
     sample, n = data[:1 << 16].split(), len(fields)
     if (not data.isascii() or len(sample) < n
             or any(byte in data for byte in b"\0\x1c\x1d\x1e\x1f")):
         return None
-    dtype = np.dtype([(name, f"S{2 * max(map(len, sample[j::n])) + 8}" if kind == "S" else kind)
-                      for j, (name, kind) in enumerate(fields.items())])
-    try:  # where numpy still reads "1.0" into an integer field, it warns: an error here
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            records = np.loadtxt(io.BytesIO(data), dtype, comments=None, ndmin=1, encoding=None)
-    except (ValueError, DeprecationWarning):  # a line or token the token reader judges
-        return None
-    cells = records.view(np.uint8).reshape(len(records), dtype.itemsize)
-    if any(cells[:, at + kind.itemsize - 1].any() for kind, at in dtype.fields.values()
-           if kind.char == "S" and kind.itemsize):
+    widths = {name: max(map(len, sample[j::n])) + 8
+              for j, (name, kind) in enumerate(fields.items()) if kind == "S"}
+    for _ in range(2):
+        dtype = np.dtype([(name, f"S{-(-widths[name] // 8) * 8}" if name in widths else kind)
+                          for name, kind in fields.items()])
+        try:  # where numpy still reads "1.0" into an integer field, it warns: an error here
+            with warnings.catch_warnings(), _fed(data) as text:
+                warnings.simplefilter("error", DeprecationWarning)
+                records = np.loadtxt(text, dtype, comments=None, ndmin=1, encoding="ascii")
+        except (ValueError, DeprecationWarning):  # a line or token the token reader judges
+            return None
+        cells = records.view(np.uint8).reshape(len(records), dtype.itemsize)
+        full = [name for name in widths
+                if cells[:, dtype.fields[name][1] + dtype[name].itemsize - 1].any()]
+        if not full:
+            break
+        buf = np.frombuffer(data, np.uint8)
+        longest = np.diff(np.flatnonzero((buf == 10) | (buf == 13)), prepend=-1, append=len(buf))
+        widths.update(dict.fromkeys(full, int(longest.max())))
+    else:
         return None
     # topic codes in first-seen order, one lookup per run of equal ids
-    topics, ids = records["topic"], {}
-    starts = np.flatnonzero(np.insert(topics[1:] != topics[:-1], 0, True))
+    topics, ids, first = records["topic"], {}, np.zeros(len(records), bool)
+    first[0] = True
+    for word in _words(topics):
+        first[1:] |= word[1:] != word[:-1]
+    starts = np.flatnonzero(first)
     codes = [ids.setdefault(t, len(ids)) for t in topics[starts].tolist()]
     return records, [t.decode() for t in ids], np.repeat(codes, np.diff(starts, append=len(topics)))
 
 
 def _trimmed(docs: np.ndarray) -> tuple:
     """(bytes column cut to its longest id, byte lengths) of ids that hold no NUL."""
-    lengths = (np.ascontiguousarray(docs).view(np.uint8).reshape(len(docs), -1) != 0).sum(1)
+    lengths = np.strings.str_len(docs)
     return docs.astype(f"S{max(int(lengths.max(initial=0)), 1)}"), lengths
+
+
+def _words(column: np.ndarray) -> np.ndarray:
+    """A loaded bytes column (a multiple of 8 bytes wide) as rows of 64-bit words, in place."""
+    return column[:, None].view(np.uint64).T
 
 
 def _id_hashes(codes: np.ndarray, docs: np.ndarray) -> np.ndarray:
     """A 64-bit hash of each row's (topic code, doc id)."""
-    words = docs.astype(f"S{-(-docs.itemsize // 8) * 8}").view(np.uint64).reshape(len(docs), -1)
-    hashes = codes.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    for word in words.T:
-        hashes = (hashes ^ word) * np.uint64(0xBF58476D1CE4E5B9)
+    hashes = codes.astype(np.uint64)
+    hashes *= np.uint64(0x9E3779B97F4A7C15)
+    for word in _words(docs):
+        hashes ^= word
+        hashes *= np.uint64(0xBF58476D1CE4E5B9)
         hashes ^= hashes >> np.uint64(31)
     return hashes
 
@@ -293,9 +361,11 @@ def _run_loaded(data: bytes):
         return None
     records, topics, code = loaded
     tags, scores, docs = records["tag"], records["score"], records["doc"]
-    hashes = np.sort(_id_hashes(code, docs))
+    hashes = _id_hashes(code, docs)
+    hashes.sort()
     repeat = (hashes[1:] == hashes[:-1]).any()
-    if (tags != tags[0]).any() or not np.isfinite(scores).all() or repeat:
+    tagged = not any((word != word[0]).any() for word in _words(tags))
+    if not tagged or not np.isfinite(scores).all() or repeat:
         return None
     return tags[0], topics, code, records["rank"], scores, lambda rows: _trimmed(docs[rows])
 
@@ -354,6 +424,7 @@ def parse_run(
         raise ValueError(f"truncate must be >= 1, got {truncate}")
     data = _read(source)
     tag, topics, topic_code, ranks, scores, docs_of = _run_loaded(data) or _run_tokens(data)
+    del data  # the C reader's columns are copies: free the file's bytes before ordering
     key = ranks if strict_ranks else -scores
     if key.dtype == object:  # ranks beyond 64 bits: their order, as int64
         key = np.unique(key, return_inverse=True)[1]

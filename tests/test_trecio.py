@@ -1,6 +1,11 @@
 import gc
 import io
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -270,9 +275,9 @@ class Spy:
     def __init__(self, function):
         self.function, self.calls = function, 0
 
-    def __call__(self, *args):
+    def __call__(self, *args, **kwargs):
         self.calls += 1
-        return self.function(*args)
+        return self.function(*args, **kwargs)
 
 
 def _outcome(parse, text):
@@ -285,7 +290,7 @@ def _outcome(parse, text):
             return str(error)
 
 
-#: Over 64 KiB of six-byte ids, which the C reader sizes its doc id field by: 20 bytes.
+#: Over 64 KiB of six-byte ids, which the C reader sizes its doc id field by: 16 bytes.
 SAMPLED_RUN = "".join(f"1 Q0 d{i:05} 1 1.0 s\n" for i in range(4000))
 SAMPLED_QRELS = "".join(f"1 0 d{i:05} 1\n" for i in range(6000))
 
@@ -294,7 +299,7 @@ RUN_CASES = {
     "x1f between fields": "1 Q0 d1 1 5.0 s\n1 Q0 d2 2 4.0\x1fs\n",
     "x1f inside a tag": "1 Q0 d1 1 5.0 s\x1fs\n",
     "seven fields": "1 Q0 d1 1 5.0 s\n1 Q0 d2 2 4.0 s extra\n",
-    "id as wide as its field": SAMPLED_RUN + "1 Q0 " + "x" * 20 + " 2 4.0 s\n",
+    "id as wide as its field": SAMPLED_RUN + "1 Q0 " + "x" * 16 + " 2 4.0 s\n",
     "id wider than its field": SAMPLED_RUN + "1 Q0 " + "x" * 40 + " 2 4.0 s\n",
     "NUL ending an id": "1 Q0 d\x00 1 5.0 s\n1 Q0 e 2 4.0 s\n",
     "blank only": " \n\t\n\n",
@@ -336,12 +341,37 @@ class TestTwoReaders:
         monkeypatch.setattr(trecio, "_records", spy := Spy(trecio._records))
         text = RUN_A.replace("d1 1", "d#1 1") + "3 Q0 " + "x" * 9 + " 1 1.0 sysA\r\n"
         assert parse_run(io.StringIO(text)) == trec_reference.parse_run(io.StringIO(text))
-        text = SAMPLED_RUN + "1 Q0 " + "x" * 19 + " 2 4.0 s\n"  # longer than the sample's ids
+        text = SAMPLED_RUN + "1 Q0 " + "x" * 15 + " 2 4.0 s\n"  # longer than the sample's ids
         assert parse_run(io.StringIO(text)) == trec_reference.parse_run(io.StringIO(text))
         assert parse_qrels(io.StringIO(QRELS)) == trec_reference.parse_qrels(io.StringIO(QRELS))
         assert spy.calls == 0
-        parse_run(io.StringIO(RUN_CASES["id as wide as its field"]))
+
+    @pytest.mark.parametrize("parse, reference, text", [
+        (parse_run, trec_reference.parse_run, RUN_CASES["id as wide as its field"]),
+        (parse_run, trec_reference.parse_run, SAMPLED_RUN + "".join(
+            f"{topic} Q0 {doc} 2 4.0 s\n" for topic, doc in [("1", "x" * 100), ("2" * 60, "y")])),
+        (parse_qrels, trec_reference.parse_qrels, SAMPLED_QRELS + "1 0 " + "x" * 100 + " 1\n"),
+    ], ids=["id as wide as its field", "id and topic past their fields", "qrels id past its field"])
+    def test_tokens_past_the_sampled_width_are_read_again(self, monkeypatch, parse, reference, text):
+        # a field a token fills is read once more, as wide as the longest line
+        monkeypatch.setattr(trecio, "_records", records := Spy(trecio._records))
+        monkeypatch.setattr(np, "loadtxt", loadtxt := Spy(np.loadtxt))
+        assert parse(io.StringIO(text)) == reference(io.StringIO(text))
+        assert (records.calls, loadtxt.calls) == (0, 2)
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "lone cr"])
+    def test_cr_line_endings_stay_on_the_c_reader(self, monkeypatch, ending):
+        monkeypatch.setattr(trecio, "_records", spy := Spy(trecio._records))
+        run, qrels = RUN_A.replace("\n", ending), QRELS.replace("\n", ending + ending)
+        assert parse_run(io.StringIO(run)) == trec_reference.parse_run(io.StringIO(run))
+        assert parse_qrels(io.StringIO(qrels)) == trec_reference.parse_qrels(io.StringIO(qrels))
+        assert spy.calls == 0
+        # the token reader names a bad line, counting lines as the reference does
+        bad = run + ending + "1 Q0 d9 x 1.0 sysA" + ending
+        with pytest.raises(TrecParseError, match="line 8: rank 'x'"):
+            parse_run(io.StringIO(bad))
         assert spy.calls == 1
+        assert _outcome(trec_reference.parse_run, bad) == "line 8: rank 'x' is not an integer"
 
     def test_a_numpy_deprecation_leaves_the_file_to_the_token_reader(self, monkeypatch):
         loadtxt = np.loadtxt
@@ -354,6 +384,65 @@ class TestTwoReaders:
         monkeypatch.setattr(trecio, "_records", spy := Spy(trecio._records))
         assert parse_run(io.StringIO(RUN_A)) == trec_reference.parse_run(io.StringIO(RUN_A))
         assert spy.calls == 1
+
+
+#: Over 2 MB of run lines: more than a pipe holds, so the thread that feeds the C reader waits.
+LARGE_RUN = "".join(f"1 Q0 d{i} {i} 1.0 s\n" for i in range(100_000))
+
+
+@pytest.mark.skipif(not os.path.isdir(trecio._FDS), reason="the C reader reads a pipe by name")
+class TestFeed:
+    """The C reader reads the bytes _read gave, from a pipe a thread fills; nothing is left behind."""
+
+    def test_readers_follow_the_bytes_read_not_the_file(self, monkeypatch, tmp_path):
+        run_path, qrels_path = tmp_path / "run.txt", tmp_path / "qrels.txt"
+        run_path.write_text(RUN_A)
+        qrels_path.write_text(QRELS)
+        given = {run_path: RUN_A.replace("sysA", "sysB"), qrels_path: QRELS.replace(" 1\n", " 3\n")}
+        monkeypatch.setattr(trecio, "_read", lambda source: given[source].encode())
+        monkeypatch.setattr(trecio, "_records", spy := Spy(trecio._records))
+        assert parse_run(run_path) == trec_reference.parse_run(io.StringIO(given[run_path]))
+        assert parse_qrels(qrels_path) == trec_reference.parse_qrels(io.StringIO(given[qrels_path]))
+        assert spy.calls == 0
+
+    @pytest.mark.parametrize("bad_line", [None, 2, 99_999], ids=["good", "bad near the start",
+                                                                "bad near the end"])
+    def test_no_thread_or_fd_is_left_behind(self, bad_line):
+        lines = LARGE_RUN.splitlines(keepends=True)
+        if bad_line is not None:
+            lines[bad_line - 1] = lines[bad_line - 1].replace(" 1.0 ", " x ")
+        before = threading.active_count(), os.listdir(trecio._FDS)
+        if bad_line is None:
+            assert len(parse_run(io.StringIO("".join(lines))).ranking("1")) == 100
+        else:
+            with pytest.raises(TrecParseError, match=f"line {bad_line}: score 'x'"):
+                parse_run(io.StringIO("".join(lines)))
+        assert (threading.active_count(), os.listdir(trecio._FDS)) == before
+
+    def test_default_sigpipe_does_not_kill_a_parse_that_fails(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text(LARGE_RUN.replace("1 Q0 d1 1 1.0 s", "1 Q0 d1 1 x s"))
+        script = """
+import signal, sys
+signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+from ipso.trecio import TrecParseError, parse_run
+try:
+    parse_run(sys.argv[1])
+except TrecParseError as error:
+    print(error)
+"""
+        src = str(Path(trecio.__file__).resolve().parent.parent)
+        path_env = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True,
+                                env={**os.environ, "PYTHONPATH": path_env}, text=True, timeout=120)
+        assert (result.returncode, result.stdout) == (0, "line 2: score 'x' is not numeric\n")
+
+    def test_without_fd_names_every_parse_is_the_same(self, monkeypatch, tmp_path):
+        cases = [(parse_run, text) for text in [RUN_A, LARGE_RUN, *RUN_CASES.values()]]
+        cases += [(parse_qrels, text) for text in [QRELS, *QRELS_CASES.values()]]
+        fed = [_outcome(parse, text) for parse, text in cases]
+        monkeypatch.setattr(trecio, "_FDS", str(tmp_path / "missing"))
+        assert [_outcome(parse, text) for parse, text in cases] == fed
 
 
 class TestGcHold:
