@@ -7,13 +7,13 @@ iteration, document, grade).  Rankings are rebuilt from the score field
 columns in the wild are unreliable; a strict mode honours them instead.
 
 A file is read once, as bytes, and no reader sees anything else.
-numpy's C text reader reads ASCII input: a thread writes the bytes into
-a pipe that loadtxt opens by its /dev/fd name, so loadtxt reads text in
-chunks, with \r\n and a lone \r turned into line breaks, where a file
-object would hand it one line at a time.  The token reader reads all
-other input and every file whose records fail a check (a line, number,
-tag or score it would judge, a repeated document), so every error comes
-from it and names the line.  One ordering step serves both readers.
+numpy's C text reader reads valid UTF-8 as latin-1: a thread writes the
+bytes into a pipe that loadtxt opens by its /dev/fd name, so loadtxt
+reads text in chunks, with \\r\\n and a lone \\r turned into line
+breaks.  A plain line loop reads the rest and every file whose records
+fail a check (a line, number, tag or score it would judge, a repeated
+document), so every error comes from it and names the line.  One
+ordering step serves both readers.
 
 Runs and qrels are held as numpy columns.  A document id is a row of a
 NUL-padded bytes column beside its length, because numpy drops trailing
@@ -28,15 +28,15 @@ one searchsorted of its keys against them.  `RunFile.entries` and
 from __future__ import annotations
 
 import csv
-import gc
 import io
+import math
 import os
 import threading
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
 from types import MappingProxyType
 from typing import IO, Iterable, NamedTuple, Union
@@ -68,9 +68,8 @@ def topic_sort_key(topic_id: str):
     return (1, 0, topic_id)
 
 
-def _bytes_column(ids: Iterable[str]) -> tuple:
-    """(NUL-padded bytes column, byte lengths) of str ids."""
-    ids = [i.encode("utf-8", "surrogatepass") for i in ids]
+def _bytes_column(ids) -> tuple:
+    """(NUL-padded bytes column, byte lengths) of bytes ids."""
     return np.array(ids, dtype=bytes), np.fromiter(map(len, ids), np.int64, len(ids))
 
 
@@ -119,9 +118,10 @@ class RunFile:
     def columns(self) -> RunColumns:
         rows = [entry for ranking in self.entries.values() for entry in ranking]
         sizes = [len(ranking) for ranking in self.entries.values()]
-        return RunColumns(list(self.entries), np.cumsum([0, *sizes]), *_bytes_column(
-            e.doc_id for e in rows), np.array([e.rank for e in rows], dtype=object),
-            np.array([e.score for e in rows], dtype=float))
+        docs = [e.doc_id.encode("utf-8", "surrogatepass") for e in rows]
+        return RunColumns(list(self.entries), np.cumsum([0, *sizes]), *_bytes_column(docs),
+                          np.array([e.rank for e in rows], dtype=object),
+                          np.array([e.score for e in rows], dtype=float))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunFile):
@@ -139,15 +139,20 @@ class RunFile:
 Source = Union[str, Path, IO[str]]
 
 
-#: Records split into tokens at a time; bounds the token objects alive at once.
-_CHUNK = 1 << 12
-
-
 def _read(source: Source) -> bytes:
-    """The source's bytes; text is encoded to UTF-8."""
+    """The source's bytes, which must be UTF-8; text is encoded to UTF-8."""
     if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    return source.read().encode("utf-8", "surrogatepass")
+        data = Path(source).read_bytes()
+    else:
+        data = source.read().encode("utf-8", "surrogatepass")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            head = data[:exc.start]
+            line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+            raise TrecParseError(f"line {line}: not valid UTF-8") from None
+    return data
 
 
 #: Where open files are named by number; the C reader opens a pipe's read end there.
@@ -195,17 +200,18 @@ def _fed(data: bytes):
 def _loaded(data: bytes, fields: dict):
     """(records, topic ids, topic codes) by numpy's C text reader, or None where it may differ.
 
-    With comments off, on ASCII input without NUL or \\x1c-\\x1f (more
-    separators to it), loadtxt splits lines and converts numbers as the
-    token reader does, or raises.  An "S" field (bytes) holds n + 8 bytes,
-    n its longest token in the first 64 KiB, rounded up to a multiple of 8:
-    so every field starts on an 8-byte boundary.  A token that fills its
-    field may be cut: such fields are read once more, as wide as the
-    longest line, which no token outgrows.
+    loadtxt reads the bytes as latin-1, one character per byte, so an "S"
+    field (bytes) gets UTF-8 back unchanged.  With comments off, on UTF-8
+    (_read checks it) without NUL, \\x1c-\\x1f, 0x85 or 0xA0 (more
+    separators to numpy; the last two occur inside UTF-8 characters),
+    loadtxt splits lines and converts numbers as the line loop does, or
+    raises.  An "S" field holds n + 8 bytes, n its longest token in the
+    first 64 KiB, rounded up to a multiple of 8: so every field starts on
+    an 8-byte boundary.  A token that fills its field may be cut: such
+    fields are read once more, as wide as the longest line.
     """
     sample, n = data[:1 << 16].split(), len(fields)
-    if (not data.isascii() or len(sample) < n
-            or any(byte in data for byte in b"\0\x1c\x1d\x1e\x1f")):
+    if len(sample) < n or any(byte in data for byte in b"\0\x1c\x1d\x1e\x1f\x85\xa0"):
         return None
     widths = {name: max(map(len, sample[j::n])) + 8
               for j, (name, kind) in enumerate(fields.items()) if kind == "S"}
@@ -215,8 +221,8 @@ def _loaded(data: bytes, fields: dict):
         try:  # where numpy still reads "1.0" into an integer field, it warns: an error here
             with warnings.catch_warnings(), _fed(data) as text:
                 warnings.simplefilter("error", DeprecationWarning)
-                records = np.loadtxt(text, dtype, comments=None, ndmin=1, encoding="ascii")
-        except (ValueError, DeprecationWarning):  # a line or token the token reader judges
+                records = np.loadtxt(text, dtype, comments=None, ndmin=1, encoding="latin-1")
+        except (ValueError, DeprecationWarning):  # a line or token the line loop judges
             return None
         cells = records.view(np.uint8).reshape(len(records), dtype.itemsize)
         full = [name for name in widths
@@ -260,95 +266,35 @@ def _id_hashes(codes: np.ndarray, docs: np.ndarray) -> np.ndarray:
     return hashes
 
 
-def _records(data: bytes, n_fields: int, layout: str):
-    """Columnar tokenizer shared by the run and qrels parsers.
+def _lines(data: bytes, n_fields: int, layout: str):
+    """(line number, bytes fields) of each line that is not blank.
 
-    The bytes must be valid UTF-8.  Lines end at \\n, \\r\\n or a lone \\r;
-    fields are separated by ASCII whitespace; blank lines are skipped.
-    Returns (chunks, column, lines, misfit): chunks yields (first record
-    index, columns of bytes tokens); column(records, j) gives field j of
-    the given records as (bytes column, lengths); lines[i] is record i's
-    1-based line number.  Records stop before the first line with another
-    field count; misfit lists it as a problem at index len(records), which
-    every problem a caller finds in the records precedes.
+    Lines end at \\n, \\r\\n or a lone \\r; fields are separated by ASCII
+    whitespace.  A line with another field count raises.
     """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    crs = np.flatnonzero(buf == 13)
-    lone_crs = crs[buf[np.minimum(crs + 1, len(buf) - 1)] != 10]
-    breaks = np.sort(np.concatenate((np.flatnonzero(buf == 10), lone_crs)))
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = np.searchsorted(breaks, exc.start) + 1
-            raise TrecParseError(f"line {line}: not valid UTF-8") from None
-    # space[i + 1]: byte i is 9-13 or 32, the whitespace bytes.split() uses
-    space = np.empty(len(buf) + 1, dtype=bool)
-    space[0] = True
-    np.less(buf - np.uint8(9), 5, out=space[1:])
-    space[1:] |= buf == 32
-    # where each token starts, then len(buf), where the last token's span ends
-    bounds = np.append(np.flatnonzero(space[:-1] > space[1:]), len(buf))
-    del space
-    line_begins = np.concatenate(([0], breaks + 1))
-    counts = np.diff(np.searchsorted(bounds, line_begins), append=len(bounds) - 1)
-    misfit = np.flatnonzero((counts != 0) & (counts != n_fields))[:1]
-    record_lines = np.flatnonzero(counts[: misfit[0] if misfit.size else None])
-    begins = line_begins[record_lines]
-    ends = np.append(breaks, len(buf))[record_lines]
-    problem = [(len(begins), 0, f"expected {n_fields} fields ({layout}), got {counts[line]}")
-               for line in misfit.tolist()]
-
-    def chunks():
-        for lo in range(0, len(begins), _CHUNK):
-            tokens = data[begins[lo]:ends[min(lo + _CHUNK, len(ends)) - 1]].split()
-            yield lo, [tokens[j::n_fields] for j in range(n_fields)]
-
-    def column(records, j: int) -> tuple:
-        at = records * n_fields + j
-        starts, stops = bounds[at], bounds[at + 1]
-        while (space := (buf[stops - 1] - np.uint8(9) < 5) | (buf[stops - 1] == 32)).any():
-            stops[space] -= 1  # a span ends in the whitespace before the next token
-        lengths = stops - starts
-        cells = np.zeros((len(at), max(int(lengths.max(initial=0)), 1)), np.uint8)
-        for offset in range(cells.shape[1]):
-            rows = np.flatnonzero(lengths > offset)
-            cells[rows, offset] = buf[starts[rows] + offset]
-        return cells.view(f"S{cells.shape[1]}").ravel(), lengths
-
-    return chunks(), column, np.append(record_lines, misfit) + 1, problem
+    lines = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").split(b"\n")
+    for number, line in enumerate(lines, start=1):
+        if fields := line.split():
+            if len(fields) != n_fields:
+                raise TrecParseError(
+                    f"line {number}: expected {n_fields} fields ({layout}), got {len(fields)}")
+            yield number, fields
 
 
-def _numbers(convert, tokens: list, lo: int, problems: list, rank: int, what: str):
-    """convert of each token as an array, up to a problem at the first token it rejects."""
+def _number(convert, token: bytes, line: int, message: str):
+    """convert(token), else a TrecParseError naming the line and, in message, the token."""
     try:
-        return np.fromiter(map(convert, tokens), np.int64 if convert is int else float, len(tokens))
-    except (ValueError, OverflowError):  # a token convert rejects, or an int past 64 bits
-        values: list = []
-    try:
-        values.extend(map(convert, tokens))  # keeps the values before a failure
+        return convert(token)
     except ValueError:
-        problems.append((lo + len(values), rank, what.format(tokens[len(values)].decode())))
-    return np.array(values, dtype=object if convert is int else float)  # big ints stay exact
+        raise TrecParseError(f"line {line}: " + message.format(token.decode())) from None
 
 
-@contextmanager
-def _gc_held():
-    """Hold the cyclic collector: the parsers build many tuples and no cycles."""
-    enabled = gc.isenabled()
-    gc.disable()
+def _integers(values) -> np.ndarray:
+    """values as int64, or as Python ints where one is past 64 bits."""
     try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _raise_first(problems: list, lines) -> None:
-    """Raise the (record index, rank, message) problem on the earliest line and rank."""
-    if problems:
-        index, _, message = min(problems)
-        raise TrecParseError(f"line {lines[index]}: {message}")
+        return np.array(values, np.int64)
+    except OverflowError:  # np.array alone would make floats of ints past int64 beside small ones
+        return np.array(values, dtype=object)
 
 
 def _run_loaded(data: bytes):
@@ -370,44 +316,33 @@ def _run_loaded(data: bytes):
     return tags[0], topics, code, records["rank"], scores, lambda rows: _trimmed(docs[rows])
 
 
-def _run_tokens(data: bytes) -> tuple:
-    """_run_loaded's tuple by the token reader, which raises on the first line at fault."""
-    chunks, column, lines, misfit = _records(data, 6, "topic Q0 doc rank score tag")
-    topic_ids, tag, problems = {}, None, []
-    codes, pairs, ranks, scores = [], [], [], []
-    for lo, (topics, _, docs, rank_tokens, score_tokens, tags) in chunks:
-        runs = [(topic_ids.setdefault(t, len(topic_ids)), len(list(g))) for t, g in groupby(topics)]
-        codes.append(np.repeat(*np.array(runs, dtype=np.int64).T))
-        pairs.append(np.fromiter(map(hash, zip(topics, docs)), np.int64, len(topics)))
-        ranks.append(_numbers(int, rank_tokens, lo, problems, 0, "rank {!r} is not an integer"))
-        scores.append(_numbers(float, score_tokens, lo, problems, 1, "score {!r} is not numeric"))
-        for index in np.flatnonzero(~np.isfinite(scores[-1]))[:1].tolist():
-            text = score_tokens[index].decode()
-            problems.append((lo + index, 1, f"score {text!r} is not finite"))
-        tag = tag or tags[0]
-        if tags.count(tag) < len(tags):
-            index = next(i for i, other in enumerate(tags) if other != tag)
-            message = f"system tag {tags[index].decode()!r} differs from {tag.decode()!r}"
-            problems.append((lo + index, 3, message))
-        if problems:
-            break
-    topic_code = np.concatenate(codes or [np.zeros(0, np.int64)])
-    pair = np.sort(np.concatenate(pairs or [topic_code]))
-    if (pair[1:] == pair[:-1]).any():  # equal (topic, doc) hashes: confirm on the ids
-        docs, lengths = column(np.arange(len(pair)), 2)
-        index = _index(topic_code, docs, lengths)[2]
-        if index is not None:
-            doc = _decoded(docs[[index]], lengths[[index]])[0]
-            topic = list(topic_ids)[topic_code[index]].decode()
-            problems.append((index, 2, f"duplicate document {doc!r} for topic {topic}"))
-    _raise_first(problems or misfit, lines)
+def _run_lines(data: bytes) -> tuple:
+    """_run_loaded's tuple by the line loop; the first line at fault raises."""
+    topic_ids, seen, tag = {}, set(), None
+    codes, docs, ranks, scores = [], [], [], []
+    for number, (topic, _, doc, rank, score, line_tag) in _lines(
+            data, 6, "topic Q0 doc rank score tag"):
+        ranks.append(_number(int, rank, number, "rank {!r} is not an integer"))
+        scores.append(_number(float, score, number, "score {!r} is not numeric"))
+        if not math.isfinite(scores[-1]):
+            raise TrecParseError(f"line {number}: score {score.decode()!r} is not finite")
+        if (topic, doc) in seen:
+            raise TrecParseError(
+                f"line {number}: duplicate document {doc.decode()!r} for topic {topic.decode()}")
+        seen.add((topic, doc))
+        tag = tag or line_tag
+        if line_tag != tag:
+            raise TrecParseError(
+                f"line {number}: system tag {line_tag.decode()!r} differs from {tag.decode()!r}")
+        codes.append(topic_ids.setdefault(topic, len(topic_ids)))
+        docs.append(doc)
     if tag is None:
         raise TrecParseError("run contains no entries")
-    return (tag, [t.decode() for t in topic_ids], topic_code, np.concatenate(ranks),
-            np.concatenate(scores), lambda rows: column(rows, 2))
+    docs, lengths = _bytes_column(docs)
+    return (tag, [t.decode() for t in topic_ids], np.array(codes, np.int64), _integers(ranks),
+            np.array(scores), lambda rows: (docs[rows], lengths[rows]))
 
 
-@_gc_held()
 def parse_run(
     source: Source,
     truncate: int = DEFAULT_TRUNCATION,
@@ -423,7 +358,7 @@ def parse_run(
     if truncate < 1:
         raise ValueError(f"truncate must be >= 1, got {truncate}")
     data = _read(source)
-    tag, topics, topic_code, ranks, scores, docs_of = _run_loaded(data) or _run_tokens(data)
+    tag, topics, topic_code, ranks, scores, docs_of = _run_loaded(data) or _run_lines(data)
     del data  # the C reader's columns are copies: free the file's bytes before ordering
     key = ranks if strict_ranks else -scores
     if key.dtype == object:  # ranks beyond 64 bits: their order, as int64
@@ -491,12 +426,10 @@ class QrelsColumns(NamedTuple):
 
 
 def _index(codes: np.ndarray, docs: np.ndarray, lengths: np.ndarray) -> tuple:
-    """(sorted keys of the rows, the row of each key, the first row to repeat an earlier one)."""
+    """(sorted keys of the rows, the row of each key)."""
     keys = _keys(codes, docs, lengths, docs.itemsize)
     order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    repeats = order[1:][keys[1:] == keys[:-1]]  # the stable sort puts a repeat after its first
-    return keys, order, (int(repeats.min()) if repeats.size else None)
+    return keys[order], order
 
 
 class Qrels:
@@ -508,11 +441,12 @@ class Qrels:
 
     def __init__(self, judgments: dict):
         topic_ids: dict = {}
-        rows = [(topic_ids.setdefault(t, len(topic_ids)), d, g) for (t, d), g in judgments.items()]
+        rows = [(topic_ids.setdefault(t, len(topic_ids)), d.encode("utf-8", "surrogatepass"), g)
+                for (t, d), g in judgments.items()]
         codes, docs, grades = zip(*rows) if rows else ((), (), ())
         codes, (docs, lengths) = np.array(codes, dtype=np.int64), _bytes_column(docs)
-        self.columns = QrelsColumns(list(topic_ids), codes, docs, lengths, np.array(grades),
-                                    *_index(codes, docs, lengths)[:2])
+        self.columns = QrelsColumns(list(topic_ids), codes, docs, lengths, _integers(grades),
+                                    *_index(codes, docs, lengths))
 
     @classmethod
     def _of_columns(cls, columns: QrelsColumns) -> "Qrels":
@@ -567,33 +501,23 @@ def binarize(grade: int) -> int:
     return 1 if grade >= 1 else 0
 
 
-@_gc_held()
 def parse_qrels(source: Source) -> Qrels:
     """Parse a qrels file: four fields per line, grades kept raw."""
     data = _read(source)
     if (loaded := _loaded(data, dict(topic="S", iter="S0", doc="S", grade="i8"))) is not None:
         (records, topics, code), (docs, lengths) = loaded, _trimmed(loaded[0]["doc"])
-        keys, order, index = _index(code, docs, lengths)
-        if index is None:  # else the token reader names the repeat's line
+        keys, order = _index(code, docs, lengths)
+        if not (keys[1:] == keys[:-1]).any():  # else the line loop names the repeat's line
             grades = records["grade"].copy()
             return Qrels._of_columns(QrelsColumns(topics, code, docs, lengths, grades, keys, order))
-    chunks, column, lines, misfit = _records(data, 4, "topic iter doc grade")
-    topic_ids, codes, grades, problems = {}, [], [], []
-    for lo, (topics, _, _, tokens) in chunks:
-        runs = [(topic_ids.setdefault(t, len(topic_ids)), len(list(g))) for t, g in groupby(topics)]
-        codes.append(np.repeat(*np.array(runs, dtype=np.int64).T))
-        grades.append(_numbers(int, tokens, lo, problems, 0, "grade {!r} is not an integer"))
-        if problems:
-            break
-    code = np.concatenate(codes or [np.zeros(0, np.int64)])
-    topics, (docs, lengths) = [t.decode() for t in topic_ids], column(np.arange(len(code)), 2)
-    keys, order, index = _index(code, docs, lengths)
-    if index is not None:
-        doc = _decoded(docs[[index]], lengths[[index]])[0]
-        problems.append((index, 1, f"duplicate judgment for ({topics[code[index]]}, {doc})"))
-    _raise_first(problems or misfit, lines)
-    grades = np.concatenate(grades or [code])
-    return Qrels._of_columns(QrelsColumns(topics, code, docs, lengths, grades, keys, order))
+    judgments: dict = {}
+    for number, (topic, _, doc, grade) in _lines(data, 4, "topic iter doc grade"):
+        grade = _number(int, grade, number, "grade {!r} is not an integer")
+        key = topic.decode(), doc.decode()
+        if key in judgments:
+            raise TrecParseError(f"line {number}: duplicate judgment for ({key[0]}, {key[1]})")
+        judgments[key] = grade
+    return Qrels(judgments)
 
 
 class CoverageEntry(NamedTuple):
