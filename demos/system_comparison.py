@@ -18,7 +18,7 @@ from ipso.experiment import (
     topic_table,
     write_topic_csv,
 )
-from ipso.trecio import build_serps, judgment_coverage, parse_qrels, parse_run
+from ipso.trecio import judgment_coverage, parse_qrels, parse_run
 
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "data"
 
@@ -31,7 +31,7 @@ def main(data_dir=FIXTURE):
     print("systems:", ", ".join(tags))
 
     # how much of what we retrieved was ever judged?
-    coverage = judgment_coverage(build_serps(runs, qrels, 5), runs, qrels)
+    coverage = judgment_coverage(runs, qrels)
     print(f"lists with unjudged documents: "
           f"{coverage.fraction_with_unjudged:.1%} of {coverage.n_lists}")
 

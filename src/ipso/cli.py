@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .enumeration import (
@@ -28,12 +29,11 @@ from .experiment import (
     write_topic_csv,
 )
 from .metrics import parse_metric
+# build_serps is not called here; bench/tracer.py hooks it in this module
 from .trecio import (
     DEFAULT_TRUNCATION,
-    CoverageReport,
     TrecParseError,
-    build_serps,
-    distinct_runs,
+    build_serps,  # noqa: F401
     judgment_coverage,
     parse_qrels,
     parse_run,
@@ -66,8 +66,16 @@ def _load_runs_dir(directory: str, truncate: int = DEFAULT_TRUNCATION) -> list:
     return [parse_run(p, truncate=truncate) for p in paths]
 
 
+#: Encoder chunks joined into one stdout write: json.dump writes each
+#: token alone, a system call apiece when stdout is unbuffered.
+_JSON_BLOCK = 1 << 14
+
+
 def _emit_json(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2)
+    """Write json.dumps(payload, indent=2) and a newline, without building the whole text."""
+    chunks = json.JSONEncoder(indent=2).iterencode(payload)
+    while block := "".join(islice(chunks, _JSON_BLOCK)):
+        sys.stdout.write(block)
     sys.stdout.write("\n")
 
 
@@ -168,14 +176,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    runs = distinct_runs(_load_runs_dir(args.runs))
-    qrels = parse_qrels(args.qrels)
-    reports = [judgment_coverage(build_serps(run, qrels, 1)) for run in runs]
-    merged = CoverageReport.merged(reports)
+    report = judgment_coverage(_load_runs_dir(args.runs), parse_qrels(args.qrels))
     if args.format == "json":
-        _emit_json(merged.to_dict())
+        _emit_json(report.to_dict())
     else:
-        merged.write_csv(sys.stdout)
+        report.write_csv(sys.stdout)
     return 0
 
 

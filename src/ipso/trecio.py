@@ -33,8 +33,9 @@ import math
 import os
 import threading
 import warnings
+from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
@@ -318,7 +319,7 @@ def _run_loaded(data: bytes):
 
 def _run_lines(data: bytes) -> tuple:
     """_run_loaded's tuple by the line loop; the first line at fault raises."""
-    topic_ids, seen, tag = {}, set(), None
+    topic_ids, seen, tag = {}, defaultdict(set), None  # seen[code]: that topic's doc ids
     codes, docs, ranks, scores = [], [], [], []
     for number, (topic, _, doc, rank, score, line_tag) in _lines(
             data, 6, "topic Q0 doc rank score tag"):
@@ -326,15 +327,16 @@ def _run_lines(data: bytes) -> tuple:
         scores.append(_number(float, score, number, "score {!r} is not numeric"))
         if not math.isfinite(scores[-1]):
             raise TrecParseError(f"line {number}: score {score.decode()!r} is not finite")
-        if (topic, doc) in seen:
+        code = topic_ids.setdefault(topic, len(topic_ids))
+        if doc in seen[code]:
             raise TrecParseError(
                 f"line {number}: duplicate document {doc.decode()!r} for topic {topic.decode()}")
-        seen.add((topic, doc))
+        seen[code].add(doc)
         tag = tag or line_tag
         if line_tag != tag:
             raise TrecParseError(
                 f"line {number}: system tag {line_tag.decode()!r} differs from {tag.decode()!r}")
-        codes.append(topic_ids.setdefault(topic, len(topic_ids)))
+        codes.append(code)
         docs.append(doc)
     if tag is None:
         raise TrecParseError("run contains no entries")
@@ -520,14 +522,6 @@ def parse_qrels(source: Source) -> Qrels:
     return Qrels(judgments)
 
 
-class CoverageEntry(NamedTuple):
-    """Judgment coverage of one ranked list."""
-
-    first_unjudged_rank: int | None
-    n_unjudged: int
-    n_retrieved: int
-
-
 def grade_runs(runs: list, qrels: Qrels, topics: list, depth: int) -> tuple:
     """Grade distinct runs' first `depth` documents per topic: (bits, present, coverage).
 
@@ -565,11 +559,10 @@ def grade_runs(runs: list, qrels: Qrels, topics: list, depth: int) -> tuple:
 
 @dataclass(frozen=True)
 class SerpSet:
-    """Depth-k binary SERPs for every (system, topic), plus coverage counts."""
+    """Depth-k binary SERPs for every (system, topic); judgment_coverage reports coverage."""
 
     k: int
     serps: dict  # (system_tag, topic_id) -> Serp of length exactly k
-    coverage: dict = field(default_factory=dict)  # (system_tag, topic_id) -> CoverageEntry
 
     def systems(self) -> list:
         return sorted({s for s, _ in self.serps})
@@ -619,7 +612,6 @@ def build_serps(
     short lists are padded with 0s.  Topics that appear only in the qrels
     are added as all-0 SERPs when include_qrels_only_topics is set.  Runs
     are keyed by system tag, so two different runs may not share one.
-    Coverage counts each whole retained list.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -627,15 +619,9 @@ def build_serps(
     topics = set().union(*(run.columns.topics for run in runs))
     judged = set(qrels.columns.topics) if include_qrels_only_topics else set()
     topics = sorted(topics | judged, key=topic_sort_key)
-    depth = max([k, *(int(np.diff(run.columns.offsets).max(initial=0)) for run in runs)])
-    bits, present, counts = grade_runs(runs, qrels, topics, depth)
-    serps, coverage = {}, {}
-    for s, t in np.argwhere(present | np.isin(topics, list(judged))).tolist():
-        key = (runs[s].system_tag, topics[t])
-        serps[key] = Serp(bits[s, t, :k].tolist())
-        first, unjudged, retrieved = counts[s, t].tolist()
-        coverage[key] = CoverageEntry(first or None, unjudged, retrieved)
-    return SerpSet(k=k, serps=serps, coverage=coverage)
+    bits, present, _ = grade_runs(runs, qrels, topics, k)
+    return SerpSet(k, {(runs[s].system_tag, topics[t]): Serp(bits[s, t].tolist())
+                       for s, t in np.argwhere(present | np.isin(topics, list(judged))).tolist()})
 
 
 class CoverageRow(NamedTuple):
@@ -691,41 +677,27 @@ class CoverageReport:
         }
 
     def write_csv(self, stream: IO[str]) -> None:
+        """One line per row; csv writes a missing first unjudged rank (None) as empty."""
         writer = csv.writer(stream)
         writer.writerow(CoverageRow._fields)
-        for row in self.rows:
-            writer.writerow([
-                row.system, row.topic,
-                "" if row.first_unjudged_rank is None else row.first_unjudged_rank,
-                row.n_unjudged, row.n_retrieved,
-            ])
-
-    @classmethod
-    def merged(cls, reports: Iterable["CoverageReport"]) -> "CoverageReport":
-        rows: list = []
-        for report in reports:
-            rows.extend(report.rows)
-        return cls(rows=tuple(rows))
+        writer.writerows(self.rows)
 
 
-def judgment_coverage(
-    serp_set: SerpSet,
-    runs: Union[RunFile, Iterable[RunFile], None] = None,
-    qrels: Qrels | None = None,
-) -> CoverageReport:
-    """Coverage report for a SerpSet, recomputed from its runs when given.
+def judgment_coverage(runs: Union[RunFile, Iterable[RunFile]], qrels: Qrels) -> CoverageReport:
+    """Judgment coverage of each whole retained list, from one grade_runs pass.
 
-    With runs and qrels supplied, coverage is rebuilt from the rankings
-    directly; otherwise the counters recorded at build time are used.
+    One row per (run, topic) the run ranks: runs one per system tag, in
+    first-seen order (distinct_runs), then topics in topic_sort_key
+    order.  A list with every document judged has no first unjudged rank
+    (None).  At least one run is required.
     """
-    if runs is not None and qrels is not None:
-        serp_set = build_serps(runs, qrels, serp_set.k)
-    rows = [
-        CoverageRow(system, topic, entry.first_unjudged_rank,
-                    entry.n_unjudged, entry.n_retrieved)
-        for (system, topic), entry in sorted(
-            serp_set.coverage.items(),
-            key=lambda item: (item[0][0], topic_sort_key(item[0][1])),
-        )
-    ]
-    return CoverageReport(rows=tuple(rows))
+    runs = distinct_runs(runs)
+    if not runs:
+        raise ValueError("judgment coverage needs at least one run")
+    topics = sorted(set().union(*(run.columns.topics for run in runs)), key=topic_sort_key)
+    depth = max([1, *(int(np.diff(run.columns.offsets).max(initial=0)) for run in runs)])
+    _, present, counts = grade_runs(runs, qrels, topics, depth)
+    return CoverageReport(tuple(
+        CoverageRow(runs[s].system_tag, topics[t], first or None, unjudged, retrieved)
+        for (s, t), (first, unjudged, retrieved)
+        in zip(np.argwhere(present).tolist(), counts[present].tolist())))

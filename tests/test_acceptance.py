@@ -51,7 +51,7 @@ from ipso.serp import (
     trajectory,
 )
 from ipso.stats import sign_test, t_test_paired, wilcoxon_signed_rank
-from ipso.trecio import build_serps, judgment_coverage, parse_qrels, parse_run
+from ipso.trecio import judgment_coverage, parse_qrels, parse_run
 from scalar_reference import prefix_dominance_oracle
 
 DATA = Path(__file__).parent / "data"
@@ -269,7 +269,7 @@ def test_criterion_09_pipeline_on_bundled_fixture():
     qrels = parse_qrels(DATA / "qrels.txt")
 
     # judgment coverage over every retained list
-    coverage = judgment_coverage(build_serps(runs, qrels, 5), runs, qrels)
+    coverage = judgment_coverage(runs, qrels)
     assert coverage.n_lists == 17
     assert coverage.fraction_with_unjudged == pytest.approx(4 / 17)
 
@@ -350,7 +350,7 @@ def test_criterion_09_pipeline_on_robust_track_data():
     assert sizes == ROBUST_GROUP_SIZES
 
     # judgment coverage of the truncated lists
-    coverage = judgment_coverage(build_serps(runs, qrels, 100), runs, qrels)
+    coverage = judgment_coverage(runs, qrels)
     affected = [row for row in coverage.rows if row.n_unjudged]
     mean_unjudged_in_affected = (sum(row.n_unjudged for row in affected)
                                  / len(affected))

@@ -340,6 +340,46 @@ class TestCoverage:
         assert payload["fraction_with_unjudged"] == pytest.approx(4 / 17)
 
 
+class TestJsonBlocks:
+    """JSON goes out in blocks of encoder chunks, with the bytes of json.dumps(indent=2)."""
+
+    def test_blocks_join_to_json_dumps(self, monkeypatch):
+        writes = []
+
+        class Counting(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        payload = {"rows": [{"p": 0.1 + 0.2, "q": None, "tag": "é\"x"} for _ in range(5)],
+                   "n": 5, "empty": [], "nested": {"inf": float("inf")}}
+        chunks = list(json.JSONEncoder(indent=2).iterencode(payload))
+        monkeypatch.setattr(cli, "_JSON_BLOCK", 7)
+        monkeypatch.setattr(sys, "stdout", Counting())
+        cli._emit_json(payload)
+        assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
+        assert len(writes) == -(-len(chunks) // 7) + 1
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_unbuffered_sweep_prints_json_dumps(self):
+        depths = list(range(1, 11))  # 360 rows: more chunks than one block holds
+        metrics, tests = ["P", "AP", "NDCG", "RBP0.8"], ["t", "sign", "wilcoxon"]
+        runs, qrels = cli._load_runs_dir(RUNS, truncate=10), cli.parse_qrels(QRELS)
+        payload = cli.sweep_all_pairs(runs, qrels, depths, metrics, tests).to_dict()
+        chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+        assert chunks > cli._JSON_BLOCK
+        src = str(Path(ipso.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONUNBUFFERED": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["sweep", "--runs", str(RUNS), "--qrels", str(QRELS), "--format", "json",
+                "--k", ",".join(map(str, depths)), "--metrics", ",".join(metrics),
+                "--tests", ",".join(tests)]
+        done = subprocess.run([sys.executable, "-m", "ipso.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (json.dumps(payload, indent=2) + "\n").encode()
+
+
 def _bench_collection():
     """bench/collection.py, the seeded Robust-2004-shaped generator, loaded read-only."""
     path = Path(__file__).resolve().parents[1] / "bench" / "collection.py"

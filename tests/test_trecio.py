@@ -13,7 +13,6 @@ import trec_reference
 from ipso import trecio
 from ipso.serp import Serp
 from ipso.trecio import (
-    CoverageReport,
     Qrels,
     RunEntry,
     RunFile,
@@ -211,15 +210,14 @@ class TestParseRun:
         assert [e.doc_id for e in strict.ranking("1")] == ["d", "d\x00", "d\x00\x00"]
         qrels = parse_qrels(io.StringIO("1 0 d\x00 1\n1 0 d 0\n1 0 d\x00\x00\x00 1\n"))
         assert qrels.judgments == {("1", "d\x00"): 1, ("1", "d"): 0, ("1", "d\x00\x00\x00"): 1}
-        serps = build_serps(run, qrels, 3)
-        assert serps.get("s", "1") == Serp([1, 0, 0])
-        assert serps.coverage[("s", "1")].first_unjudged_rank == 3
+        assert build_serps(run, qrels, 3).get("s", "1") == Serp([1, 0, 0])
+        assert judgment_coverage(run, qrels).rows[0].first_unjudged_rank == 3
 
     def test_ids_longer_than_every_judged_id_are_unjudged(self):
         run = parse_run(io.StringIO("1 Q0 dd 1 2.0 s\n1 Q0 d 2 1.0 s\n"))
-        serps = build_serps(run, parse_qrels(io.StringIO("1 0 d 1\n")), 2)
-        assert serps.get("s", "1") == Serp([0, 1])
-        assert serps.coverage[("s", "1")] == (1, 1, 2)
+        qrels = parse_qrels(io.StringIO("1 0 d 1\n"))
+        assert build_serps(run, qrels, 2).get("s", "1") == Serp([0, 1])
+        assert judgment_coverage(run, qrels).rows == (("s", "1", 1, 1, 2),)
 
     def test_score_ties_at_the_cut(self):
         text = "".join(f"1 Q0 {doc} 1 2.0 s\n" for doc in ("b", "d", "a", "c")) + "1 Q0 z 1 3.0 s\n"
@@ -585,17 +583,14 @@ class TestBuildSerps:
         qrels = parse_qrels(io.StringIO(QRELS))
         serp_set = build_serps(run, qrels, 3, include_qrels_only_topics=True)
         assert serp_set.get("sysA", "3") == Serp([0, 0, 0])
-        assert serp_set.coverage[("sysA", "3")].n_retrieved == 0
 
     def test_coverage_counts_full_retained_list(self):
         run = parse_run(io.StringIO(RUN_A))
         qrels = parse_qrels(io.StringIO(QRELS))
-        serp_set = build_serps(run, qrels, 2)  # k shorter than the lists
-        cov1 = serp_set.coverage[("sysA", "1")]
+        cov1, cov2 = judgment_coverage(run, qrels).rows
         assert cov1.first_unjudged_rank == 2
         assert cov1.n_unjudged == 1
         assert cov1.n_retrieved == 4
-        cov2 = serp_set.coverage[("sysA", "2")]
         assert cov2.first_unjudged_rank == 1
         assert cov2.n_retrieved == 2
 
@@ -646,12 +641,10 @@ class TestBuildSerps:
 
 class TestCoverageReport:
     def _fixture(self):
-        run = parse_run(io.StringIO(RUN_A))
-        qrels = parse_qrels(io.StringIO(QRELS))
-        return build_serps(run, qrels, 3)
+        return parse_run(io.StringIO(RUN_A)), parse_qrels(io.StringIO(QRELS))
 
     def test_aggregates(self):
-        report = judgment_coverage(self._fixture())
+        report = judgment_coverage(*self._fixture())
         assert report.n_lists == 2
         assert report.fraction_with_unjudged == 1.0
         assert report.mean_first_unjudged_rank == 1.5
@@ -660,35 +653,36 @@ class TestCoverageReport:
     def test_fully_judged_corpus(self):
         run = parse_run(io.StringIO("1 Q0 d1 1 5.0 s\n"))
         qrels = parse_qrels(io.StringIO("1 0 d1 1\n"))
-        report = judgment_coverage(build_serps(run, qrels, 1))
+        report = judgment_coverage(run, qrels)
         assert report.fraction_with_unjudged == 0.0
         assert report.mean_first_unjudged_rank is None
         assert report.mean_unjudged_per_list == 0.0
-
-    def test_rebuild_matches_stored_counters(self):
-        run = parse_run(io.StringIO(RUN_A))
-        qrels = parse_qrels(io.StringIO(QRELS))
-        serp_set = build_serps(run, qrels, 3)
-        stored = judgment_coverage(serp_set)
-        rebuilt = judgment_coverage(serp_set, runs=run, qrels=qrels)
-        assert stored.rows == rebuilt.rows
 
     def test_csv_blank_for_missing_rank(self):
         run = parse_run(io.StringIO("1 Q0 d1 1 5.0 s\n"))
         qrels = parse_qrels(io.StringIO("1 0 d1 1\n"))
         buf = io.StringIO()
-        judgment_coverage(build_serps(run, qrels, 1)).write_csv(buf)
+        judgment_coverage(run, qrels).write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "system,topic,first_unjudged_rank,n_unjudged,n_retrieved"
         assert lines[1] == "s,1,,0,1"
 
-    def test_merged(self):
-        a = judgment_coverage(self._fixture())
-        merged = CoverageReport.merged([a, a])
-        assert merged.n_lists == 4
-        assert merged.mean_unjudged_per_list == 1.0
+    def test_rows_follow_run_order(self):
+        run_a, qrels = self._fixture()
+        run_b = parse_run(io.StringIO("3 Q0 d9 1 2.0 sysB\n1 Q0 dZ 1 1.0 sysB\n"))
+        report = judgment_coverage([run_b, run_a, run_b], qrels)
+        assert [(row.system, row.topic) for row in report.rows] == [
+            ("sysB", "1"), ("sysB", "3"), ("sysA", "1"), ("sysA", "2")]
+        assert report.rows[:2] == (("sysB", "1", 1, 1, 1), ("sysB", "3", None, 0, 1))
+        assert report.rows[2:] == judgment_coverage(run_a, qrels).rows
+        assert report.n_lists == 4
+        assert report.mean_unjudged_per_list == 0.75
+
+    def test_needs_a_run(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            judgment_coverage([], parse_qrels(io.StringIO(QRELS)))
 
     def test_to_dict(self):
-        d = judgment_coverage(self._fixture()).to_dict()
+        d = judgment_coverage(*self._fixture()).to_dict()
         assert d["n_lists"] == 2
         assert d["rows"][0]["system"] == "sysA"

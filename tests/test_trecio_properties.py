@@ -19,11 +19,15 @@ from hypothesis import strategies as st
 import trec_reference
 from ipso import trecio
 from ipso.serp import Serp
-from ipso.trecio import TrecParseError, build_serps, parse_qrels, parse_run, write_run
+from ipso.trecio import (
+    TrecParseError, build_serps, judgment_coverage, parse_qrels, parse_run, write_run)
 
 # PLAIN_* draw what numpy's C reader reads; the rest also what only the line loop reads
 PLAIN_IDS = st.text(alphabet="abAB09-#\"", min_size=1, max_size=3)
 IDS = st.text(alphabet="abAB09-é€àÅ\x1c\x00", min_size=1, max_size=3)
+# ids that end in à (C3 A0) or Å (C3 85), before a separator: numpy would take the last
+# byte for one more separator and keep the field count, so only the byte screen catches them
+SCREENED_IDS = st.builds(str.__add__, PLAIN_IDS, st.sampled_from(["à", "Å"]))
 PLAIN_TOPIC_IDS = st.text(alphabet="0123ab", min_size=1, max_size=3)
 TOPIC_IDS = st.text(alphabet="0123ab²", min_size=1, max_size=3)
 PLAIN_RANKS = st.one_of(st.integers(-2, 40).map(str), st.sampled_from(["007", "+5"]))
@@ -48,14 +52,16 @@ BAD_SCORES = ["x", "1.5.", "٣", "0x1", "1,5", "nan", "NaN", "inf", "-Infinity",
 def records(draw, make_record, max_topics=4, max_docs=8):
     """Rows for a few topics, each with unique doc ids, in a shuffled order.
 
-    Three examples in four draw only plain fields.
+    Three examples in four draw only plain fields; in one of those three,
+    doc ids may also end in à or Å.
     """
-    plain = draw(st.integers(0, 3)) < 3
+    kind = draw(st.integers(0, 3))
+    plain = kind < 3
     topics = PLAIN_TOPIC_IDS if plain else TOPIC_IDS
+    ids = [PLAIN_IDS, PLAIN_IDS, st.one_of(PLAIN_IDS, SCREENED_IDS), IDS][kind]
     rows = []
     for topic in draw(st.lists(topics, min_size=1, max_size=max_topics, unique=True)):
-        for doc in draw(st.lists(PLAIN_IDS if plain else IDS, min_size=1, max_size=max_docs,
-                                 unique=True)):
+        for doc in draw(st.lists(ids, min_size=1, max_size=max_docs, unique=True)):
             rows.append(make_record(draw, topic, doc, plain))
     return draw(st.permutations(rows))
 
@@ -160,6 +166,7 @@ def test_run_round_trips_through_writer(rows, data, truncate):
 
 @settings(max_examples=100, deadline=None)
 @given(judgments=st.dictionaries(st.one_of(st.tuples(PLAIN_TOPIC_IDS, PLAIN_IDS),
+                                           st.tuples(PLAIN_TOPIC_IDS, SCREENED_IDS),
                                            st.tuples(TOPIC_IDS, IDS)), st.integers(-5, 5),
                                  min_size=1))
 def test_qrels_round_trip(judgments):
@@ -170,20 +177,22 @@ def test_qrels_round_trip(judgments):
 @settings(max_examples=100, deadline=None)
 @given(rows=records(_run_record), data=st.data(), k=st.integers(1, 10))
 def test_serps_match_a_lookup_per_document(rows, data, k):
-    """build_serps' one searchsorted per run against a dict lookup per ranked document."""
+    """grade_runs' one searchsorted per run against a dict lookup per ranked document."""
     run = parse_run(io.StringIO(_text(*data.draw(lines_of(rows)))))
     pairs = [(fields[0], fields[2]) for fields in rows]
     pairs += data.draw(st.lists(st.tuples(TOPIC_IDS, IDS), max_size=5))
     judgments = {pair: data.draw(st.integers(-2, 3)) for pair in pairs if data.draw(st.booleans())}
     text = "".join(f"{topic} 0 {doc} {grade}\n" for (topic, doc), grade in judgments.items())
-    serps = build_serps(run, parse_qrels(io.StringIO(text)), k)
+    qrels = parse_qrels(io.StringIO(text))
+    serps = build_serps(run, qrels, k)
+    coverage = {row.topic: row[2:] for row in judgment_coverage(run, qrels).rows}
+    assert list(coverage) == run.topics()
     for topic, ranking in run.entries.items():
         grades = [judgments.get((topic, entry.doc_id)) for entry in ranking]
         bits = [int(grade is not None and grade >= 1) for grade in grades[:k]]
         assert serps.get(run.system_tag, topic) == Serp(bits + [0] * (k - len(bits)))
         unjudged = [rank for rank, grade in enumerate(grades, start=1) if grade is None]
-        assert serps.coverage[(run.system_tag, topic)] == (
-            unjudged[0] if unjudged else None, len(unjudged), len(ranking))
+        assert coverage[topic] == (unjudged[0] if unjudged else None, len(unjudged), len(ranking))
 
 
 def _break_run_line(draw, kind, fields, first):
