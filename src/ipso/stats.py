@@ -5,8 +5,13 @@ of paired differences at once; the one-sample functions are a row of one.
 The Sign test and the small-sample Wilcoxon null distribution are
 computed exactly with integer arithmetic; larger Wilcoxon samples fall
 back to the usual normal approximation with continuity and tie
-corrections.  A tie is |difference| <= SCORE_TOLERANCE.  scipy.special is
-imported on first use, so only the t and Wilcoxon tests pay for it.
+corrections.  A tie is |difference| <= SCORE_TOLERANCE.
+
+The t and normal tails are computed here, with no scipy.  The normal
+tail is math.erfc.  The Student t tail with an integer df is exact in
+closed form for 1 and 2 df; beyond, it is a fixed Gauss quadrature of the
+incomplete beta integral, within 1e-12 relative of the true tail for
+every p >= 1e-300 (tests/test_tails.py holds it to mpmath).
 """
 
 from __future__ import annotations
@@ -101,28 +106,119 @@ def sign_test_diffs(diffs: Sequence[float]) -> TestResult:
     return sign_test_rows([diffs]).result(0)
 
 
+def _gauss_rule(diagonal, off_diagonal, mass: float) -> tuple:
+    """Nodes and weights of the Gauss rule with this Jacobi matrix (Golub-Welsch)."""
+    jacobi = np.diag(diagonal) + np.diag(off_diagonal, 1) + np.diag(off_diagonal, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    return nodes, mass * vectors[0] ** 2
+
+
+@lru_cache(maxsize=64)
+def _t_constants(nu: int) -> tuple:
+    """_t_tail's constants at nu >= 3, with a = nu/2 and K = 1/(a B(a, 1/2)).
+
+    They are log K; the 32-point Gauss-Laguerre nodes times -1/a, and its
+    weights; and the positive half of the 18-point Gauss-Legendre rule, with
+    its weights times nu K.  K(1) = 2/pi, K(2) = 1/2 and
+    K(nu) = K(nu - 2) (nu - 1)/nu; math.fsum adds the steps' logs exactly, so
+    K is good to a few ulp at any nu.
+    """
+    log_k = math.fsum(np.log1p(-1.0 / np.arange(nu, 2, -2)).tolist())
+    log_k += math.log(2.0 / math.pi if nu % 2 else 0.5)
+    k = np.arange(1.0, 32.0)
+    laguerre_nodes, laguerre_weights = _gauss_rule(2.0 * np.arange(32.0) + 1.0, k, 1.0)
+    k = np.arange(1.0, 18.0)
+    legendre_nodes, legendre_weights = _gauss_rule(np.zeros(18), k / np.sqrt(4 * k * k - 1), 2.0)
+    return (log_k, laguerre_nodes * (-2.0 / nu), laguerre_weights,
+            legendre_nodes[9:], legendre_weights[9:] * (nu * math.exp(log_k)))
+
+
+def _t_tail(nu: int, t) -> np.ndarray:
+    """P(|T| >= |t|) for Student's T with an integer nu >= 1 degrees of freedom, over an array.
+
+    1 and 2 df have closed forms.  Beyond, with a = nu/2, x = nu/(nu + t^2)
+    and K = 1/(a B(a, 1/2)), the tail is the incomplete beta I_x(a, 1/2)
+    (DLMF 8.17), and two fixed Gauss rules evaluate it for all t at once:
+    - once a log(1/x) > 2.5, w = x e^(-v/a) turns it into
+      K x^a int_0^inf e^-v (1 - x e^(-v/a))^(-1/2) dv: Gauss-Laguerre;
+    - nearer t = 0, it is 1 - nu K int_0^theta cos^(nu-1)(phi) dphi, with
+      theta = atan(|t|/sqrt(nu)), the integral that A&S 26.7.3-4 sum in
+      closed form: Gauss-Legendre.  There p > 0.02, so the difference
+      loses no accuracy.
+    Each log(1 + .) is a log1p and 1 - x e^(-v/a) an expm1, so x near 1 at
+    large nu loses nothing.  From 3 df on, |t| is clipped at 1e150, where
+    p < 1e-400.  Each t's tail is computed alone, so its bits do not depend
+    on the array around it.
+    """
+    t = np.abs(np.array(t, dtype=np.float64, ndmin=1))
+    if nu == 1:
+        return np.arctan2(1.0, t) / (math.pi / 2)
+    if nu == 2:  # 2/(s (s + |t|)) with s = sqrt(2 + t^2), in 40 digits: doubles would cost 3 ulp
+        import decimal
+
+        with decimal.localcontext() as context:
+            context.prec = 40
+            tails = [float(2 / (s * (s + v))) for v in map(decimal.Decimal, t.ravel().tolist())
+                     for s in [(2 + v * v).sqrt()]]
+        return np.array(tails).reshape(t.shape)
+    np.minimum(t, 1e150, out=t)
+    log_k, laguerre_nodes, laguerre_weights, legendre_nodes, legendre_weights = _t_constants(nu)
+    q = t / math.sqrt(nu)
+    log_inv_x = np.log1p(q * q)
+    # the Laguerre integrand: 1 - x e^(-v/a) = -expm1(-log(1/x) - v/a), to the power -1/2
+    g = np.expm1(np.subtract(laguerre_nodes, log_inv_x[..., None]))
+    np.negative(g, out=g)
+    np.sqrt(g, out=g)
+    np.divide(laguerre_weights, g, out=g)
+    a_log_inv_x = np.multiply(log_inv_x, nu / 2, out=log_inv_x)  # -log(x^a)
+    p = np.exp(log_k - a_log_inv_x)
+    p *= np.add.reduce(g, axis=-1)
+    # the Legendre integrand: cos^(nu-1) = exp((nu-1)/2 log1p(-sin^2))
+    theta = np.arctan(q)
+    c = np.sin(theta[..., None] * legendre_nodes)
+    c *= c
+    np.negative(c, out=c)
+    np.log1p(c, out=c)
+    c *= (nu - 1) / 2
+    np.exp(c, out=c)
+    c *= legendre_weights
+    near = np.add.reduce(c, axis=-1)
+    near *= theta
+    np.copyto(p, np.subtract(1.0, near, out=near), where=a_log_inv_x <= 2.5)
+    return p
+
+
+def _normal_tail(z) -> np.ndarray:
+    """P(|Z| >= |z|) = erfc(|z|/sqrt(2)) for a standard normal Z, over an array."""
+    x = np.abs(np.asarray(z, dtype=np.float64)) * math.sqrt(0.5)
+    return np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def t_test_rows(diffs) -> RowOutcomes:
     """Two-tailed paired Student t test on each row of paired differences.
 
     A row whose differences all tie has no spread to test against: its
     result is degenerate, with p = 1 for a zero mean and p = 0 otherwise.
     Rows shorter than 2 raise UndefinedTestError.  Row-wise mean and std
-    reduce each contiguous row as numpy reduces a 1-d array, so a row gets
-    the bits it gets alone.
+    reduce each contiguous row as numpy reduces a 1-d array, and the tail is
+    taken per t, so a row gets the bits it gets alone.
     """
     d = np.ascontiguousarray(_untied(diffs))
     m, n = d.shape
     if n < 2:
         raise UndefinedTestError(f"paired t test needs n >= 2, got {n}")
-    import scipy.special  # loaded on first use: it dominates import time
-
-    mean = d.mean(axis=1)
+    # d.mean(axis=1) and d.std(axis=1, ddof=1), step for step, without numpy's wrappers
+    mean = np.add.reduce(d, axis=1) / n
+    squares = d - mean[:, None]
+    squares *= squares
+    se = np.sqrt(np.add.reduce(squares, axis=1) / (n - 1)) / math.sqrt(n)
     flat = np.ptp(d, axis=1) <= SCORE_TOLERANCE
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = mean / (d.std(axis=1, ddof=1) / math.sqrt(n))
-    p = np.minimum(1.0, 2.0 * scipy.special.stdtr(n - 1, -np.abs(t)))
-    t[flat] = np.where(mean[flat] == 0.0, 0.0, np.copysign(math.inf, mean[flat]))
-    p[flat] = mean[flat] == 0.0
+    se[flat] = math.inf  # a zero se is a flat row's; its t and p are set below
+    t = mean / se
+    p = np.minimum(1.0, _t_tail(n - 1, t))
+    if flat.any():
+        t[flat] = np.where(mean[flat] == 0.0, 0.0, np.copysign(math.inf, mean[flat]))
+        p[flat] = mean[flat] == 0.0
     return RowOutcomes(p, t, np.full(m, n), np.ones(m, dtype=bool), flat)
 
 
@@ -196,15 +292,13 @@ def wilcoxon_rows(diffs, exact_cutover: int = 25) -> RowOutcomes:
     for i in np.flatnonzero(exact & (n > 0)):
         p[i] = _exact_signed_rank_p(ranks[i, zeros[i]:], statistic[i])
     if (approx := ~exact).any():
-        import scipy.special  # loaded on first use: it dominates import time
-
         m = n[approx]
         # a tie group of size s adds s^2 - 1 once per member, s^3 - s in all
         tie_term = np.where(signs != 0, sizes * sizes - 1, 0).sum(axis=1)[approx] / 48.0
         var = m * (m + 1) * (2 * m + 1) / 24.0 - tie_term
         delta = t_plus[approx] - m * (m + 1) / 4.0
         delta -= np.where(delta != 0.0, np.copysign(0.5, delta), 0.0)  # continuity correction
-        p[approx] = np.minimum(1.0, 2.0 * scipy.special.ndtr(-np.abs(delta / np.sqrt(var))))
+        p[approx] = np.minimum(1.0, _normal_tail(delta / np.sqrt(var)))
     return RowOutcomes(p, statistic, n, exact, n == 0)
 
 

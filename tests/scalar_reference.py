@@ -5,7 +5,9 @@ a walk.  The metric formulas score one SERP term by term.  Every sum is an
 explicit left-to-right loop: from Python 3.12 on, the built-in sum() over
 floats compensates and can end in a different last bit.  The test
 formulas take one sample at a time; the signed-rank midranks come from
-np.unique over the sample, not from a sort along rows.
+np.unique over the sample, not from a sort along rows.  The t and normal
+tails are ipso.stats' own, taken one value at a time; tests/test_tails.py
+holds them to mpmath and scipy.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special
 
 from ipso.metrics import SCORE_TOLERANCE, MetricSpec
 from ipso.serp import CATEGORY_TO_RELATIONSHIP, Relationship, as_serp
-from ipso.stats import TestResult, UndefinedTestError, _exact_signed_rank_p, sign_test
+from ipso.stats import (TestResult, UndefinedTestError, _exact_signed_rank_p, _normal_tail, _t_tail,
+                        sign_test)
 
 
 def prefix_dominance_oracle(s1, s2, k: int) -> Relationship:
@@ -158,7 +160,7 @@ def t_test_paired(diffs) -> TestResult:
         return TestResult(p_value=0.0, statistic=math.copysign(math.inf, mean),
                           n_effective=n, method="exact", degenerate=True)
     t = mean / (sd / math.sqrt(n))
-    p = min(1.0, 2.0 * float(scipy.special.stdtr(n - 1, -abs(t))))
+    p = min(1.0, float(_t_tail(n - 1, t)[0]))
     return TestResult(p_value=p, statistic=t, n_effective=n, method="exact")
 
 
@@ -191,7 +193,7 @@ def wilcoxon_signed_rank(diffs, exact_cutover: int = 25) -> TestResult:
     if delta != 0.0:
         delta -= math.copysign(0.5, delta)
     z = delta / math.sqrt(var)
-    p = min(1.0, 2.0 * float(scipy.special.ndtr(-abs(z))))
+    p = min(1.0, float(_normal_tail(z)))
     return TestResult(p_value=p, statistic=statistic, n_effective=n, method="approximate")
 
 

@@ -478,25 +478,59 @@ class TestParser:
 
 
 
-def test_cli_runs_without_loading_scipy_stats():
-    """scipy.stats takes about a second to import; no subcommand may load it.
+def write_forty_topic_pair(directory: Path) -> tuple:
+    """Two seeded 10-deep runs and their qrels over 40 topics; return (runs dir, qrels path).
 
-    scipy.special is loaded only by the t and Wilcoxon tests that need it,
-    so the subcommands without a significance test never load scipy.
+    Their NDCG@10 differences are nonzero on more than 25 topics, so the
+    Wilcoxon test on them takes the normal tail.
     """
+    rng = random.Random(20)
+    docs = [f"d{i}" for i in range(20)]
+    runs = directory / "runs"
+    runs.mkdir()
+    topics = range(1, 41)
+    qrels = [f"{topic} 0 {doc} {rng.choice((0, 0, 1, 2))}" for topic in topics for doc in docs]
+    (directory / "qrels.txt").write_text("\n".join(qrels) + "\n")
+    for tag in ("one", "two"):
+        lines = []
+        for topic in topics:
+            ranking = enumerate(rng.sample(docs, 10), 1)
+            lines += [f"{topic} Q0 {doc} {rank} {10 - rank} {tag}" for rank, doc in ranking]
+        (runs / f"{tag}.run").write_text("\n".join(lines) + "\n")
+    return runs, directory / "qrels.txt"
+
+
+def test_cli_runs_without_loading_scipy_stats(tmp_path):
+    """No subcommand loads scipy, not even scipy.special: the t and normal tails are ipso's own.
+
+    Every subcommand runs, and compare, topics and sweep run the t and
+    Wilcoxon tests, on the fixture and on a 40-topic pair whose Wilcoxon
+    test takes the normal tail.  (scipy.stats alone takes about a second to
+    import.)
+    """
+    runs, qrels = write_forty_topic_pair(tmp_path)
     script = f"""
 import contextlib, io, sys
 import ipso, ipso.cli
-pair = ["--run-a", {str(RUNS / "alpha.run")!r}, "--run-b", {str(RUNS / "bravo.run")!r},
-        "--qrels", {str(QRELS)!r}, "--k", "5"]
+fixture = ["--run-a", {str(RUNS / "alpha.run")!r}, "--run-b", {str(RUNS / "bravo.run")!r},
+           "--qrels", {str(QRELS)!r}, "--k", "5"]
+forty = ["--run-a", {str(runs / "one.run")!r}, "--run-b", {str(runs / "two.run")!r},
+         "--qrels", {str(qrels)!r}, "--k", "10"]
+sweep = ["--k", "5,10", "--metrics", "P,AP,NDCG", "--tests", "t,sign,wilcoxon", "--format", "json"]
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["enumerate", "--k", "6"], ["grid", "--k", "4", "--rows", "RBP0.5@4",
                  "--cols", "NDCG@4"], ["hasse", "--k", "3"],
-                 ["coverage", "--runs", {str(RUNS)!r}, "--qrels", {str(QRELS)!r}]):
+                 ["coverage", "--runs", {str(RUNS)!r}, "--qrels", {str(QRELS)!r}],
+                 ["compare", *fixture], ["compare", *fixture, "--test", "wilcoxon"],
+                 ["compare", *fixture, "--test", "sign"],
+                 ["topics", *fixture, "--metrics", "P,AP,NDCG"],
+                 ["compare", *forty, "--metric", "NDCG"], ["compare", *forty, "--metric", "NDCG",
+                 "--test", "wilcoxon"], ["topics", *forty, "--metrics", "P,NDCG"],
+                 ["sweep", "--runs", {str(RUNS)!r}, "--qrels", {str(QRELS)!r}, *sweep],
+                 ["sweep", "--runs", {str(runs)!r}, "--qrels", {str(qrels)!r}, *sweep]):
         assert ipso.cli.main(argv) == 0, argv
-    assert "scipy.special" not in sys.modules, "scipy.special loaded"
-    assert ipso.cli.main(["compare", *pair]) == 0
-sys.exit("scipy.stats" in sys.modules)
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+sys.exit(f"scipy modules loaded: {{loaded}}" if loaded else 0)
 """
     src = str(Path(ipso.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -505,11 +539,27 @@ sys.exit("scipy.stats" in sys.modules)
     assert result.returncode == 0, result.stderr
 
 
+def test_forty_topic_pair_takes_the_normal_tail(tmp_path):
+    runs, qrels = write_forty_topic_pair(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["topics", "--run-a", str(runs / "one.run"), "--run-b", str(runs / "two.run"),
+                     "--qrels", str(qrels), "--k", "10", "--metrics", "NDCG",
+                     "--format", "json"]) == 0
+    diffs = [row["score_diffs"]["NDCG@10"] for row in json.loads(out.getvalue())]
+    assert len(diffs) == 40
+    assert sum(abs(d) > 1e-12 for d in diffs) > 25
+
+
 #: SHA-256 of the fixture's sweep, compare and topics outputs, as the
-#: per-topic scalar scoring and per-cell tests printed them.
+#: per-topic scalar scoring and per-cell tests printed them.  The sweep and
+#: compare digests moved when the t tail moved from scipy.special.stdtr to
+#: ipso.stats._t_tail: 24 of the sweep's 36 t-test p-values and 16 of the
+#: compare JSON p-values changed in their last bits (at most 1.1e-14
+#: relative), and no agreement category or significance decision changed.
 GOLDEN = {
-    "sweep": "103a3b6f96f5a8b52aa902fba5067fd2af23c6216ec56d1f8c831ada77fa8a61",
-    "compare": "23cf6c127cef54076dccafdbb1e1c3b76db08dec201002aa6e97d36042599678",
+    "sweep": "2834db57ef64eaa5929364a79f097b39884c051ba2edb13204122bfcf679101b",
+    "compare": "4eac24a795d094431009b755e2611afbaf28264fa94f0d1e6937410b260c83d5",
     "topics": "723bc3781bfe3c30aae8886feee0a29e0aafca273c2566e8c9510921e8c2caba",
 }
 

@@ -189,9 +189,9 @@ class TestPairedT:
             assert mine.p_value == pytest.approx(float(ref.pvalue), abs=1e-14)
             assert mine.statistic == pytest.approx(float(ref.statistic), abs=1e-12)
             assert mine.n_effective == n
-            # the p-value is the t distribution's own tail, bit for bit
-            assert mine.p_value == min(1.0, 2.0 * float(
-                scipy.stats.t.sf(abs(mine.statistic), n - 1)))
+            # the p-value is the t distribution's own tail, to 1e-12 relative
+            assert mine.p_value == pytest.approx(min(1.0, 2.0 * float(
+                scipy.stats.t.sf(abs(mine.statistic), n - 1))), rel=1e-12, abs=0)
 
     def test_constant_nonzero_is_certain(self):
         r = t_test_paired([0.5, 0.5, 0.5])
