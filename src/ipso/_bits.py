@@ -3,7 +3,8 @@
 Row/column index i always denotes the SERP whose MSB-first integer
 encoding is i, so index order equals lexicographic vector order.
 Category codes are shared across the package: 0 equal, 1 non-inferior,
-2 non-superior, 3 non-separable.
+2 non-superior, 3 non-separable.  Every pair relation is one fold,
+fold_blocks, over 8-position blocks packed or cut from the pair's bits.
 """
 
 from __future__ import annotations
@@ -57,16 +58,17 @@ def _pack_blocks(bits: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=None).reshape(*padded.shape[:-1], -1)
 
 
-def classify_pair_rows(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
-    """Category code per row for two (..., k) 0/1 arrays compared rowwise.
+MAX_WALK_DEPTH = (1 << 15) - 1  #: deepest pair fold_blocks takes: its sums are int16
 
-    Leading axes broadcast.  Each 8-position block of a row pair indexes
-    the walk-summary table, and the blocks fold in depth order into a
-    running sum and the lowest and highest prefix so far.
+
+def fold_blocks(index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lowest, highest) prefix of a - b per row, folded in depth order over the blocks.
+
+    index[j] is each row's (a_byte << 8) | b_byte at positions 8j to 8j + 7, zero past k.
     """
-    index = np.left_shift(_pack_blocks(bits_a), 8, dtype=np.uint16) | _pack_blocks(bits_b)
-    # block-major, so each fold step reads one contiguous row of indices
-    index = np.moveaxis(index, -1, 0).astype(np.intp, order="C")
+    if k > MAX_WALK_DEPTH:
+        raise ValueError(f"the block walk takes k <= {MAX_WALK_DEPTH}, got k = {k}")
+    index = np.ascontiguousarray(index, dtype=np.intp)  # a contiguous row per fold step
     total, low, high = _block_walk_table()
     run, lowest, highest = (np.take(t, index[0]) for t in (total, low, high))
     step = np.empty_like(run)
@@ -81,6 +83,18 @@ def classify_pair_rows(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
         np.maximum(highest, step, out=highest)
         np.take(total, block, out=step, mode="clip")
         run += step
+    return lowest, highest
+
+
+def classify_pair_rows(rows_a: np.ndarray, rows_b: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Category code per row for two (..., k) 0/1 arrays compared rowwise.
+
+    Leading axes broadcast.  With k given, the rows come packed to depth k by _pack_blocks.
+    """
+    if k is None:
+        k, rows_a, rows_b = np.shape(rows_a)[-1], _pack_blocks(rows_a), _pack_blocks(rows_b)
+    index = np.left_shift(rows_a, 8, dtype=np.uint16) | rows_b
+    lowest, highest = fold_blocks(np.moveaxis(index, -1, 0), k)
     codes = (lowest < 0).view(np.uint8) << 1
     codes |= highest > 0
     return codes
@@ -98,14 +112,17 @@ def group_code(category, first):
     return 2 + first * (1 + (category == XX))
 
 
-def group_codes(bits_a: np.ndarray, bits_b: np.ndarray) -> np.ndarray:
-    """Per row, the five-way group code (see group_code) of two (..., k) 0/1 arrays."""
-    bits_a, bits_b = np.broadcast_arrays(bits_a, bits_b)
-    at = (bits_a != bits_b).argmax(axis=-1)[..., None]
-    # rows that never differ point at rank 1, where the difference is 0
-    first = np.subtract(np.take_along_axis(bits_a, at, -1), np.take_along_axis(bits_b, at, -1),
-                        dtype=np.int8)
-    return group_code(classify_pair_rows(bits_a, bits_b), first[..., 0])
+def group_codes(rows_a: np.ndarray, rows_b: np.ndarray, k: int | None = None) -> np.ndarray:
+    """Per row, the five-way group code (see group_code); arguments as classify_pair_rows'."""
+    if k is None:
+        k, rows_a, rows_b = np.shape(rows_a)[-1], _pack_blocks(rows_a), _pack_blocks(rows_b)
+    rows_a, rows_b = np.broadcast_arrays(rows_a, rows_b)
+    # in the first block that differs, the top differing bit is A's (up) or B's (down)
+    differ = rows_a ^ rows_b
+    at = (differ != 0).argmax(axis=-1)[..., None]
+    up, down = (np.take_along_axis(rows & differ, at, -1)[..., 0] for rows in (rows_a, rows_b))
+    first = np.subtract(up > down, down > up, dtype=np.int8)
+    return group_code(classify_pair_rows(rows_a, rows_b, k), first)
 
 
 @lru_cache(maxsize=2)  # the k = 12 matrix alone is 16 MB
@@ -134,14 +151,6 @@ def dominance_pairs(k: int) -> np.ndarray:
     return pairs
 
 
-def _pack_bits(flags: np.ndarray) -> np.ndarray:
-    """Pack a boolean vector into little-endian uint64 words (zero padded)."""
-    packed = np.packbits(flags, bitorder="little")
-    if packed.size % 8:
-        packed = np.concatenate([packed, np.zeros(8 - packed.size % 8, dtype=np.uint8)])
-    return packed.view(np.uint64)
-
-
 def relationship_counts_exact(k: int, block: int = 1024) -> tuple[int, int, int, int]:
     """Exact (equal, ni, ns, non_separable) counts over all 2^{2k} ordered pairs.
 
@@ -158,22 +167,18 @@ def relationship_counts_exact(k: int, block: int = 1024) -> tuple[int, int, int,
     n = 1 << k
     pc = np.cumsum(bit_matrix(k), axis=1, dtype=np.int8)  # per-depth prefix one-counts
     words = (n + 63) // 64
-    # mask_lt[i, v] marks SERPs b with fewer than v ones in their depth-i prefix
-    mask_lt = np.zeros((k, k + 2, words), dtype=np.uint64)
-    mask_gt = np.zeros((k, k + 2, words), dtype=np.uint64)
-    for i in range(k):
-        col = pc[:, i]
-        for v in range(i + 2):
-            mask_lt[i, v] = _pack_bits(col < v)
-            mask_gt[i, v] = _pack_bits(col > v)
+    # mask_lt[i, v] marks SERPs b with fewer than v ones in their depth-i prefix, mask_gt
+    # those with more, as little-endian uint64 words, zero padded
+    flags = np.zeros((2, k, k + 2, 64 * words), dtype=bool)
+    counts, v = pc.T[:, None, :], np.arange(k + 2, dtype=np.int8)[:, None]
+    flags[0, ..., :n], flags[1, ..., :n] = counts < v, counts > v
+    mask_lt, mask_gt = np.packbits(flags, axis=-1, bitorder="little").view(np.uint64)
     eq = ni = ns = xx = 0
     for start in range(0, n, block):
         pcb = pc[start:start + block].astype(np.intp)
         rows = pcb.shape[0]
-        been_pos = np.zeros((rows, words), dtype=np.uint64)
-        been_neg = np.zeros((rows, words), dtype=np.uint64)
-        for i in range(k):
-            v = pcb[:, i]
+        been_pos, been_neg = (np.zeros((rows, words), dtype=np.uint64) for _ in range(2))
+        for i, v in enumerate(pcb.T):
             been_pos |= mask_lt[i, v]
             been_neg |= mask_gt[i, v]
         both = been_pos & been_neg

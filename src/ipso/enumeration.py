@@ -17,9 +17,9 @@ from typing import IO
 import numpy as np
 
 from . import _bits
-from .metrics import MetricSpec, TopicContext, score_all
+from .metrics import MetricSpec, TopicContext, score_all, score_ranks
 from .serp import CATEGORY_TO_RELATIONSHIP, Relationship
-from .stats import kendall_tau_b
+from .stats import _kendall_tau_b_ranks
 
 #: Largest depth at which tests run _bits.relationship_counts_exact, the
 #: bit-parallel cross-check of the exact counts over all 2^{2k} pairs.
@@ -29,9 +29,9 @@ EXHAUSTIVE_LIMIT = 15
 #: bit-identical for any worker count.
 SAMPLE_CHUNK = 1 << 16
 
-#: Rows unpacked and classified at a time within a chunk, which bounds
-#: each worker's scratch memory.  A multiple of 4, so that every piece
-#: (2k bits a row) starts on a byte of the stream.
+#: Rows cut and folded at a time within a chunk, which bounds each
+#: worker's scratch memory.  A multiple of 4, so that every piece (2k
+#: bits a row) starts on a byte of the stream, at a group of _cut_index.
 SAMPLE_PIECE = 1 << 13
 
 COUNTS_CSV_HEADER = ("k", "equal", "separable", "non_separable", "total", "mode", "seed")
@@ -145,14 +145,36 @@ def _chunk_bytes(seed: int, chunk_index: int, n: int) -> np.ndarray:
     return words.astype("<u8", copy=False).view(np.uint8)[:n]
 
 
+def _cut_index(raw: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """(blocks, g, groups) fold indices of the first rows sampled pairs, cut from raw's bytes.
+
+    Row r is bits 2kr to 2kr + 2k - 1 of raw, a side first.  Groups of g = 4 / gcd(k, 4) rows
+    start on a byte, so row gq + p ([:, p, q]) sits at one byte offset and shift per side.
+    """
+    g = 4 // min(k & -k, 4)  # gcd(k, 4) is the lowest set bit of k, at most 4
+    blocks, groups = -(-k // 8), -(-rows // g)
+    cuts = [divmod(2 * k * p + k * side, 8) for p in range(g) for side in (0, 1)]
+    words = np.ndarray((groups, cuts[-1][0] + blocks), ">u2", raw, strides=(g * k // 4, 1))
+    words = words.T.astype(np.uint16, order="C")  # one transposing copy: a group's 16-bit words
+    index = np.empty((blocks, g, groups), np.uint16)
+    for high, (at_a, shift_a), (at_b, shift_b) in zip(index.swapaxes(0, 1), cuts[::2], cuts[1::2]):
+        np.left_shift(words[at_a:at_a + blocks], shift_a, out=high)
+        high &= 0xFF00
+        high |= words[at_b:at_b + blocks] << shift_b >> 8
+    index[-1] &= ((0xFF << 8 * blocks - k) & 0xFF) * 0x101  # zero past depth k
+    return index
+
+
 def _sample_chunk(k: int, seed: int, chunk_index: int, size: int) -> np.ndarray:
     """Category tallies for one fixed chunk of the sample stream."""
-    raw = _chunk_bytes(seed, chunk_index, (size * 2 * k + 7) // 8)
+    raw = _chunk_bytes(seed, chunk_index, (size + 4) * k // 4 + 1)  # _cut_index reads k more
     tally = np.zeros(4, dtype=np.int64)
     for start in range(0, size, SAMPLE_PIECE):
         rows = min(SAMPLE_PIECE, size - start)
-        bits = np.unpackbits(raw[start * k // 4:], count=rows * 2 * k).reshape(rows, 2, k)
-        tally += np.bincount(_bits.classify_pair_rows(bits[:, 0, :], bits[:, 1, :]), minlength=4)
+        lowest, highest = _bits.fold_blocks(_cut_index(raw[start * k // 4:], k, rows), k)
+        neg, pos = (flags.T.reshape(-1)[:rows] for flags in (lowest < 0, highest > 0))
+        xx, ni, ns = (np.count_nonzero(f) for f in (neg & pos, pos & ~neg, neg & ~pos))
+        tally += (rows - ni - ns - xx, ni, ns, xx)
     return tally
 
 
@@ -161,25 +183,22 @@ def sample_pairs(k: int, n_samples: int, seed: int = 0, workers: int = 1) -> Cat
 
     Every position of both SERPs is an independent fair bit.  The sample
     stream is carved into fixed-size chunks keyed by (seed, chunk index),
-    so results for a given seed are identical for any worker count.
+    so results for a given seed are identical for any worker count.  Each
+    chunk's bytes are cut into blocks that _bits.fold_blocks walks, so k <= _bits.MAX_WALK_DEPTH.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not 1 <= k <= _bits.MAX_WALK_DEPTH:
+        raise ValueError(f"k must be between 1 and {_bits.MAX_WALK_DEPTH}, got {k}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    sizes = [SAMPLE_CHUNK] * (n_samples // SAMPLE_CHUNK)
-    if n_samples % SAMPLE_CHUNK:
-        sizes.append(n_samples % SAMPLE_CHUNK)
+    sizes = [min(SAMPLE_CHUNK, n_samples - lo) for lo in range(0, n_samples, SAMPLE_CHUNK)]
+    chunks = ([k] * len(sizes), [seed] * len(sizes), range(len(sizes)), sizes)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(
-                lambda args: _sample_chunk(k, seed, *args),
-                list(enumerate(sizes)),
-            ))
+            tallies = list(pool.map(_sample_chunk, *chunks))
     else:
-        tallies = [_sample_chunk(k, seed, i, size) for i, size in enumerate(sizes)]
+        tallies = list(map(_sample_chunk, *chunks))
     eq, ni, ns, xx = (int(x) for x in np.sum(tallies, axis=0))
     return CategoryCounts(k=k, equal=eq, separable=ni + ns, non_separable=xx,
                           total=n_samples, mode="sampled", sample_seed=seed)
@@ -322,7 +341,7 @@ def kendall_tau(
     k: int,
     ctx: TopicContext | None = None,
 ) -> float:
-    """Tie-aware (tau-b) rank correlation of two metrics over all 2^k SERPs."""
+    """Tie-aware (tau-b) rank correlation of two metrics over all 2^k SERPs, from score_ranks."""
     if not 1 <= k <= 12:
         raise ValueError(f"kendall_tau supports 1 <= k <= 12, got {k}")
     scores_a = score_all(metric_a, k, ctx)
@@ -331,4 +350,4 @@ def kendall_tau(
         # identical score vectors correlate exactly; skip the floating-point
         # tie arithmetic, which can land a hair under 1.0
         return 1.0
-    return kendall_tau_b(scores_a, scores_b)
+    return _kendall_tau_b_ranks(score_ranks(metric_a, k, ctx), score_ranks(metric_b, k, ctx))

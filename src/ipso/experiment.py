@@ -123,9 +123,10 @@ def _evaluate(collection: _Collection, blocks: Sequence[tuple], k: int, scores: 
 
     outcomes maps (metric, test) to RowOutcomes over the scored topics, None if undefined.
     """
+    packed = _bits._pack_blocks(collection.bits[:, :, :k])  # each system's rows, once
     for members, sides, at in blocks:
         a, b = sides[:, :1], sides[:, 1:]
-        codes = _bits.group_codes(collection.bits[a, at, :k], collection.bits[b, at, :k])
+        codes = _bits.group_codes(packed[a, at], packed[b, at], k)
         scored = at[collection.relevant[at] >= 1]
         outcomes = {}
         for spec, matrix in scores.items():

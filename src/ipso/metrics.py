@@ -212,6 +212,14 @@ def score_all(metric: MetricSpec, k: int, ctx: TopicContext | None = None) -> np
     return scores
 
 
+@lru_cache(maxsize=32)
+def score_ranks(metric: MetricSpec, k: int, ctx: TopicContext | None = None) -> np.ndarray:
+    """score_all's dense ranks (np.unique's inverse), cached and read-only like its scores."""
+    ranks = np.unique(score_all(metric, k, ctx), return_inverse=True)[1]
+    ranks.setflags(write=False)
+    return ranks
+
+
 MetricLike = Union[MetricSpec, Callable[[Serp], float]]
 
 

@@ -333,8 +333,11 @@ def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
     """
     if len(x) != len(y):
         raise ValueError(f"samples differ in length: {len(x)} vs {len(y)}")
-    _, x = np.unique(np.asarray(x), return_inverse=True)
-    _, y = np.unique(np.asarray(y), return_inverse=True)
+    return _kendall_tau_b_ranks(*(np.unique(np.asarray(s), return_inverse=True)[1] for s in (x, y)))
+
+
+def _kendall_tau_b_ranks(x: np.ndarray, y: np.ndarray) -> float:
+    """kendall_tau_b of two samples given as their dense ranks, np.unique's inverse."""
     pairs = np.sort(x * x.size + y)  # by x, then y
     ntie, xtie, ytie = (int((c * (c - 1) // 2).sum()) for c in (
         np.unique(pairs, return_counts=True)[1], np.bincount(x), np.bincount(y)))

@@ -74,6 +74,12 @@ class TestEnumerate:
         assert code == 2
         assert err
 
+    def test_samples_deeper_than_the_walk_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--k", "32768", "--samples", "10")
+        assert code == 2
+        assert "32767" in err
+        assert out == ""
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, capsys, monkeypatch, workers):
         def no_pool(*args, **kwargs):

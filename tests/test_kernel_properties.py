@@ -3,15 +3,19 @@
 Every row's group from _bits.group_codes must equal classify_group and an
 independent prefix-walk oracle.  The four-way category from the block-walk
 classify_pair_rows and from category_matrix must equal the same walk's.
+The sampler's walk-table index, cut straight from the random bytes, must
+equal the index packed from unpacked bits, and its tallies the unpacking
+sampler's.
 """
 
+import census_reference
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ipso import _bits
-from ipso.enumeration import relationship_counts
+from ipso import _bits, enumeration
+from ipso.enumeration import SAMPLE_PIECE, relationship_counts, sample_pairs
 from ipso.serp import CATEGORY_TO_RELATIONSHIP, GROUP_TABLE_ORDER, TopicGroup, classify_group
 
 
@@ -146,6 +150,35 @@ def test_group_codes_match_walk_across_block_edges(pair):
         walk_group(x, y) for x, y in zip(a.tolist(), b.tolist())]
 
 
+@settings(max_examples=100, deadline=None)
+@given(pair=category_rows())
+def test_group_codes_of_rows_packed_once_equal_the_unpacked(pair):
+    a, b = pair
+    k = a.shape[1]
+    packed_a, packed_b = _bits._pack_blocks(a), _bits._pack_blocks(b)
+    assert _bits.group_codes(packed_a, packed_b, k).tolist() == _bits.group_codes(a, b).tolist()
+    assert _bits.group_codes(packed_a[:, None], packed_b[None], k).tolist() == \
+        _bits.group_codes(a[:, None], b[None]).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.one_of(st.integers(1, 130), st.sampled_from(EDGE_DEPTHS)),
+       seed=st.one_of(st.just(2**63), st.integers(0, 2**64 - 1)),
+       chunk=st.integers(0, 3), pieces=st.integers(0, 3), ragged=st.integers(1, SAMPLE_PIECE - 1))
+@example(k=130, seed=2**63, chunk=1, pieces=2, ragged=5)
+def test_sampled_chunk_cuts_the_packed_index(k, seed, chunk, pieces, ragged):
+    size = pieces * SAMPLE_PIECE + ragged
+    assert enumeration._sample_chunk(k, seed, chunk, size).tolist() == \
+        census_reference.sample_chunk_unpacked(k, seed, chunk, size).tolist()
+    raw = enumeration._chunk_bytes(seed, chunk, (size + 4) * k // 4 + 1)
+    # the first piece, and the ragged last one
+    for start in {0, pieces * SAMPLE_PIECE}:
+        rows, piece = min(SAMPLE_PIECE, size - start), raw[start * k // 4:]
+        cut = enumeration._cut_index(piece, k, rows)
+        in_row_order = np.moveaxis(cut, 1, 2).reshape(len(cut), -1)[:, :rows].T
+        assert np.array_equal(in_row_order, census_reference.packed_index(piece, k, rows))
+
+
 @settings(max_examples=60, deadline=None)
 @given(pair=category_rows(), data=st.data())
 def test_classify_pair_rows_broadcasts_leading_axes(pair, data):
@@ -193,3 +226,18 @@ def test_long_one_sided_walks_do_not_wrap():
     late = np.concatenate([zeros[:, :65], ones[:, :65]], axis=1)
     early = np.concatenate([ones[:, :64], zeros[:, :66]], axis=1)
     assert _bits.classify_pair_rows(early, late).tolist() == [_bits.XX]
+
+
+def test_walks_deeper_than_int16_are_refused():
+    k = _bits.MAX_WALK_DEPTH
+    assert k == 32_767
+    ones, zeros = np.ones((1, k + 1), dtype=np.int8), np.zeros((1, k + 1), dtype=np.int8)
+    assert _bits.classify_pair_rows(ones[:, :k], zeros[:, :k]).tolist() == [_bits.NI]
+    assert [GROUP_TABLE_ORDER[c] for c in _bits.group_codes(ones[:, :k], zeros[:, :k])] == [
+        TopicGroup.SEPARABLE_NI]
+    # one position deeper, the int16 sums would wrap to -32,768
+    for kernel in (_bits.classify_pair_rows, _bits.group_codes):
+        with pytest.raises(ValueError, match="k <= 32767"):
+            kernel(ones, zeros)
+    with pytest.raises(ValueError, match="32767"):
+        sample_pairs(k + 1, 10)
