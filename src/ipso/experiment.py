@@ -83,7 +83,8 @@ def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int]) 
     topics = sorted(set().union(*(run.columns.topics for run in runs)) & set(qrels.topics()),
                     key=topic_sort_key)
     bits, present, _ = grade_runs(runs, qrels, topics, max(k_values))
-    relevant = np.array([qrels.relevant_count(t) for t in topics], dtype=np.int64)
+    counts = qrels.relevant_counts()
+    relevant = np.array([counts[t] for t in topics], dtype=np.int64)
     return _Collection(topics, [run.system_tag for run in runs], bits, present, relevant)
 
 

@@ -189,22 +189,16 @@ class Trajectory(tuple):
 
     def leading_equal_run(self) -> int:
         """Number of consecutive EQUAL entries at the start."""
-        n = 0
-        for r in self:
-            if r is not Relationship.EQUAL:
-                break
-            n += 1
-        return n
+        return next((i for i, r in enumerate(self) if r is not Relationship.EQUAL), len(self))
 
     def non_separable_count(self) -> int:
-        return sum(1 for r in self if r is Relationship.NON_SEPARABLE)
+        return self.count(Relationship.NON_SEPARABLE)
 
     def first_non_separable_depth(self) -> int | None:
         """1-based depth at which the pair first becomes non-separable."""
-        for i, r in enumerate(self):
-            if r is Relationship.NON_SEPARABLE:
-                return i + 1
-        return None
+        if Relationship.NON_SEPARABLE not in self:
+            return None
+        return self.index(Relationship.NON_SEPARABLE) + 1
 
     def midpoint(self) -> Relationship | None:
         """Directional state held just before turning non-separable.

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, repeat
 from pathlib import Path
-from types import MappingProxyType
 from typing import IO, Iterable, NamedTuple, Union
 
 import numpy as np
@@ -48,8 +47,6 @@ from .serp import Serp
 
 #: Documents retained per topic after ordering, unless overridden.
 DEFAULT_TRUNCATION = 100
-
-SERPSET_CSV_HEADER = ("system", "topic", "bitstring")
 
 
 class TrecParseError(ValueError):
@@ -94,13 +91,18 @@ class RunColumns(NamedTuple):
 class RunFile:
     """One system's ranked document lists, one list per topic.
 
-    `entries` maps topic_id -> tuple of RunEntry, already ordered and
-    truncated; `columns` holds the same rows.  A run is made from one of
-    the two and builds the other on first use.
+    `columns` holds the rows, topic after topic, already ordered and
+    truncated; a run made from `entries` (topic_id -> tuple of RunEntry)
+    builds them once.  `entries` is built from the columns on first use.
     """
 
     def __init__(self, system_tag: str, entries: dict, truncation: int = DEFAULT_TRUNCATION):
-        self.system_tag, self.entries, self.truncation = system_tag, entries, truncation
+        rows = [entry for ranking in entries.values() for entry in ranking]
+        docs = [e.doc_id.encode("utf-8", "surrogatepass") for e in rows]
+        self.system_tag, self.truncation = system_tag, truncation
+        self.columns = RunColumns(list(entries), np.cumsum([0, *map(len, entries.values())]),
+                                  *_bytes_column(docs), _integers([e.rank for e in rows]),
+                                  np.array([e.score for e in rows], dtype=float))
 
     @classmethod
     def _of_columns(cls, system_tag: str, columns: RunColumns, truncation: int) -> "RunFile":
@@ -114,15 +116,6 @@ class RunFile:
         rows = map(tuple.__new__, repeat(RunEntry), zip(
             _decoded(c.docs, c.lengths), c.ranks.tolist(), c.scores.tolist()))
         return {t: tuple(islice(rows, n)) for t, n in zip(c.topics, np.diff(c.offsets).tolist())}
-
-    @cached_property
-    def columns(self) -> RunColumns:
-        rows = [entry for ranking in self.entries.values() for entry in ranking]
-        sizes = [len(ranking) for ranking in self.entries.values()]
-        docs = [e.doc_id.encode("utf-8", "surrogatepass") for e in rows]
-        return RunColumns(list(self.entries), np.cumsum([0, *sizes]), *_bytes_column(docs),
-                          np.array([e.rank for e in rows], dtype=object),
-                          np.array([e.score for e in rows], dtype=float))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunFile):
@@ -437,8 +430,8 @@ def _index(codes: np.ndarray, docs: np.ndarray, lengths: np.ndarray) -> tuple:
 class Qrels:
     """Relevance judgments: raw integer grade per (topic, document).
 
-    Held as QrelsColumns; `judgments`, (topic_id, doc_id) -> grade, and
-    the per-topic index behind by_topic() are built on first use.
+    Held as QrelsColumns; `judgments`, (topic_id, doc_id) -> grade, is
+    built on first use.
     """
 
     def __init__(self, judgments: dict):
@@ -462,45 +455,17 @@ class Qrels:
         keys = zip(map(c.topics.__getitem__, c.codes.tolist()), _decoded(c.docs, c.lengths))
         return dict(zip(keys, c.grades.tolist()))
 
-    @cached_property
-    def _by_topic(self) -> dict:
-        """topic_id -> {doc_id: grade}, built on first use in one pass over the judgments."""
-        grades: dict = {}
-        for (topic_id, doc_id), grade in self.judgments.items():
-            grades.setdefault(topic_id, {})[doc_id] = grade
-        return grades
-
-    @cached_property
-    def _relevant(self) -> dict:
-        c = self.columns
-        relevant = c.codes[np.asarray(c.grades >= 1, dtype=bool)]
-        return dict(zip(c.topics, np.bincount(relevant, minlength=len(c.topics)).tolist()))
-
     def __eq__(self, other) -> bool:
         return self.judgments == other.judgments if isinstance(other, Qrels) else NotImplemented
 
     def topics(self) -> list:
         return sorted(self.columns.topics, key=topic_sort_key)
 
-    def grade(self, topic_id: str, doc_id: str, default: int | None = None):
-        return self.judgments.get((topic_id, doc_id), default)
-
-    def by_topic(self) -> MappingProxyType:
-        """topic_id -> {doc_id: grade}, as read-only views of the one shared index."""
-        return MappingProxyType({t: MappingProxyType(docs) for t, docs in self._by_topic.items()})
-
-    def relevant_count(self, topic_id: str) -> int:
-        """Number of documents judged relevant (grade >= 1) for a topic."""
-        return self._relevant.get(topic_id, 0)
-
     def relevant_counts(self) -> dict:
-        """topic_id -> count of documents judged relevant."""
-        return dict(self._relevant)
-
-
-def binarize(grade: int) -> int:
-    """Collapse a raw grade to binary relevance: 1 iff grade >= 1."""
-    return 1 if grade >= 1 else 0
+        """topic_id -> count of documents judged relevant (grade >= 1)."""
+        c = self.columns
+        relevant = c.codes[np.asarray(c.grades >= 1, dtype=bool)]
+        return dict(zip(c.topics, np.bincount(relevant, minlength=len(c.topics)).tolist()))
 
 
 def parse_qrels(source: Source) -> Qrels:
@@ -564,27 +529,11 @@ class SerpSet:
     k: int
     serps: dict  # (system_tag, topic_id) -> Serp of length exactly k
 
-    def systems(self) -> list:
-        return sorted({s for s, _ in self.serps})
-
     def topics(self) -> list:
         return sorted({t for _, t in self.serps}, key=topic_sort_key)
 
     def get(self, system_tag: str, topic_id: str) -> Serp | None:
         return self.serps.get((system_tag, topic_id))
-
-    def serp_or_empty(self, system_tag: str, topic_id: str) -> Serp:
-        """The stored SERP, or an all-0 SERP for a missing (system, topic)."""
-        found = self.serps.get((system_tag, topic_id))
-        return found if found is not None else Serp((0,) * self.k)
-
-    def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(SERPSET_CSV_HEADER)
-        for system_tag, topic_id in sorted(
-            self.serps, key=lambda key: (key[0], topic_sort_key(key[1]))
-        ):
-            writer.writerow([system_tag, topic_id, self.serps[(system_tag, topic_id)].bitstring])
 
 
 def distinct_runs(runs: Union[RunFile, Iterable[RunFile]]) -> list:
@@ -599,29 +548,21 @@ def distinct_runs(runs: Union[RunFile, Iterable[RunFile]]) -> list:
     return list(by_tag.values())
 
 
-def build_serps(
-    runs: Union[RunFile, Iterable[RunFile]],
-    qrels: Qrels,
-    k: int,
-    include_qrels_only_topics: bool = False,
-) -> SerpSet:
+def build_serps(runs: Union[RunFile, Iterable[RunFile]], qrels: Qrels, k: int) -> SerpSet:
     """Materialize depth-k SERPs from one or more runs against judgments.
 
     Position i of a SERP is 1 exactly when the i-th ranked document is
     judged with grade >= 1; unjudged documents count as non-relevant and
-    short lists are padded with 0s.  Topics that appear only in the qrels
-    are added as all-0 SERPs when include_qrels_only_topics is set.  Runs
-    are keyed by system tag, so two different runs may not share one.
+    short lists are padded with 0s.  Runs are keyed by system tag, so two
+    different runs may not share one.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     runs = distinct_runs(runs)
-    topics = set().union(*(run.columns.topics for run in runs))
-    judged = set(qrels.columns.topics) if include_qrels_only_topics else set()
-    topics = sorted(topics | judged, key=topic_sort_key)
+    topics = sorted(set().union(*(run.columns.topics for run in runs)), key=topic_sort_key)
     bits, present, _ = grade_runs(runs, qrels, topics, k)
     return SerpSet(k, {(runs[s].system_tag, topics[t]): Serp(bits[s, t].tolist())
-                       for s, t in np.argwhere(present | np.isin(topics, list(judged))).tolist()})
+                       for s, t in np.argwhere(present).tolist()})
 
 
 class CoverageRow(NamedTuple):

@@ -18,7 +18,6 @@ from ipso.trecio import (
     RunFile,
     SerpSet,
     TrecParseError,
-    binarize,
     build_serps,
     distinct_runs,
     judgment_coverage,
@@ -475,17 +474,13 @@ except TrecParseError as error:
 class TestQrels:
     def test_parse_and_grades(self):
         qrels = parse_qrels(io.StringIO(QRELS))
-        assert qrels.grade("1", "d1") == 1
-        assert qrels.grade("1", "d2") == 0
-        assert qrels.grade("1", "d3") == 2
-        assert qrels.grade("1", "missing") is None
-        assert qrels.grade("1", "missing", default=0) == 0
+        assert qrels.judgments == {("1", "d1"): 1, ("1", "d2"): 0, ("1", "d3"): 2,
+                                   ("2", "d1"): 1, ("3", "d9"): 1}
         assert qrels.topics() == ["1", "2", "3"]
 
     def test_relevant_counts_use_binary_threshold(self):
         qrels = parse_qrels(io.StringIO(QRELS))
-        assert qrels.relevant_count("1") == 2  # d2 has grade 0
-        assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}
+        assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}  # d2 has grade 0
 
     def test_judgments_scanned_once(self):
         class CountingDict(dict):
@@ -499,27 +494,20 @@ class TestQrels:
         for _ in range(3):
             assert qrels.topics() == ["1", "2", "3"]
             assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}
-            assert dict(qrels.by_topic()["1"]) == {"d1": 1, "d2": 0, "d3": 2}
             build_serps(parse_run(io.StringIO(RUN_A)), qrels, 3)
         assert CountingDict.scans == 1
 
     def test_index_cannot_be_mutated_by_callers(self):
         qrels = parse_qrels(io.StringIO(QRELS))
-        grades = qrels.by_topic()
-        with pytest.raises(TypeError):
-            grades["1"]["d1"] = 0
-        with pytest.raises(TypeError):
-            grades["9"] = {}
         qrels.relevant_counts()["1"] = 99
         qrels.topics().append("9")
         assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}
         assert qrels.topics() == ["1", "2", "3"]
-        assert qrels.relevant_count("1") == 2
 
     def test_negative_grades_kept_raw(self):
         qrels = parse_qrels(io.StringIO("1 0 d1 -2\n"))
-        assert qrels.grade("1", "d1") == -2
-        assert qrels.relevant_count("1") == 0
+        assert qrels.judgments == {("1", "d1"): -2}
+        assert qrels.relevant_counts() == {"1": 0}
 
     def test_field_count_error(self):
         with pytest.raises(TrecParseError, match="line 1"):
@@ -539,12 +527,6 @@ class TestQrels:
         text = "1 0 d1 1\n1 0 d1 0\n"
         with pytest.raises(TrecParseError, match="duplicate"):
             parse_qrels(io.StringIO(text))
-
-    def test_binarize(self):
-        assert binarize(2) == 1
-        assert binarize(1) == 1
-        assert binarize(0) == 0
-        assert binarize(-1) == 0
 
 
 class TestTopicSortKey:
@@ -570,19 +552,13 @@ class TestBuildSerps:
         # topic 2 is dY(unjudged) d1(rel), padded to depth 3
         assert serp_set.get("sysA", "2") == Serp([0, 1, 0])
         assert serp_set.get("sysA", "3") is None
-        assert serp_set.serp_or_empty("sysA", "3") == Serp([0, 0, 0])
+        assert serp_set.topics() == ["1", "2"]
 
     def test_depth_truncation(self):
         run = parse_run(io.StringIO(RUN_A))
         qrels = parse_qrels(io.StringIO(QRELS))
         assert build_serps(run, qrels, 4).get("sysA", "1") == Serp([1, 0, 0, 1])
         assert build_serps(run, qrels, 1).get("sysA", "1") == Serp([1])
-
-    def test_qrels_only_topics_optional(self):
-        run = parse_run(io.StringIO(RUN_A))
-        qrels = parse_qrels(io.StringIO(QRELS))
-        serp_set = build_serps(run, qrels, 3, include_qrels_only_topics=True)
-        assert serp_set.get("sysA", "3") == Serp([0, 0, 0])
 
     def test_coverage_counts_full_retained_list(self):
         run = parse_run(io.StringIO(RUN_A))
@@ -599,7 +575,7 @@ class TestBuildSerps:
         run_b = parse_run(io.StringIO("1 Q0 d3 1 2.0 sysB\n"))
         qrels = parse_qrels(io.StringIO(QRELS))
         serp_set = build_serps([run_a, run_b], qrels, 2)
-        assert serp_set.systems() == ["sysA", "sysB"]
+        assert list(serp_set.serps) == [("sysA", "1"), ("sysA", "2"), ("sysB", "1")]
         assert serp_set.get("sysB", "1") == Serp([1, 0])
 
     def test_rejects_two_runs_with_one_tag(self):
@@ -608,7 +584,7 @@ class TestBuildSerps:
         qrels = parse_qrels(io.StringIO(QRELS))
         with pytest.raises(ValueError, match="system tag 'sysA'"):
             build_serps([run_a, run_b], qrels, 2)
-        assert build_serps([run_a, run_a], qrels, 2).systems() == ["sysA"]
+        assert {tag for tag, _ in build_serps([run_a, run_a], qrels, 2).serps} == {"sysA"}
 
     def test_distinct_runs_keeps_one_run_per_tag_in_first_seen_order(self):
         run_a = parse_run(io.StringIO(RUN_A))
@@ -621,16 +597,6 @@ class TestBuildSerps:
         run = parse_run(io.StringIO(RUN_A))
         with pytest.raises(ValueError):
             build_serps(run, parse_qrels(io.StringIO(QRELS)), 0)
-
-    def test_csv_layout(self):
-        run = parse_run(io.StringIO(RUN_A))
-        qrels = parse_qrels(io.StringIO(QRELS))
-        buf = io.StringIO()
-        build_serps(run, qrels, 3).write_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "system,topic,bitstring"
-        assert lines[1] == "sysA,1,100"
-        assert lines[2] == "sysA,2,010"
 
     def test_topics_sorted_numerically(self):
         entries = {t: (RunEntry("d1", 1, 1.0),) for t in ("10", "9", "2")}

@@ -20,7 +20,8 @@ import trec_reference
 from ipso import trecio
 from ipso.serp import Serp
 from ipso.trecio import (
-    TrecParseError, build_serps, judgment_coverage, parse_qrels, parse_run, write_run)
+    Qrels, RunFile, TrecParseError, build_serps, judgment_coverage, parse_qrels, parse_run,
+    write_run)
 
 # PLAIN_* draw what numpy's C reader reads; the rest also what only the line loop reads
 PLAIN_IDS = st.text(alphabet="abAB09-#\"", min_size=1, max_size=3)
@@ -107,6 +108,10 @@ def _summary(run):
     return run.system_tag, run.truncation, list(run.entries.items())
 
 
+def _dtypes(columns) -> list:
+    return [getattr(column, "dtype", None) for column in columns]
+
+
 def _error(parse, text, **kwargs) -> str:
     with pytest.raises(TrecParseError) as info:
         parse(io.StringIO(text), **kwargs)
@@ -158,10 +163,14 @@ def test_qrels_parser_matches_reference(rows, data):
 @settings(max_examples=100, deadline=None)
 @given(rows=records(_run_record), data=st.data(), truncate=st.integers(1, 10))
 def test_run_round_trips_through_writer(rows, data, truncate):
+    """A run made from a parsed run's entries equals it and has parse_run's column dtypes."""
     run = parse_run(io.StringIO(_text(*data.draw(lines_of(rows)))), truncate=truncate)
+    built = RunFile(run.system_tag, run.entries, truncate)
     buf = io.StringIO()
-    write_run(run, buf)
-    assert parse_run(io.StringIO(buf.getvalue()), truncate=truncate) == run
+    write_run(built, buf)
+    again = parse_run(io.StringIO(buf.getvalue()), truncate=truncate)
+    assert again == run == built
+    assert _dtypes(built.columns) == _dtypes(again.columns)
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,7 +180,9 @@ def test_run_round_trips_through_writer(rows, data, truncate):
                                  min_size=1))
 def test_qrels_round_trip(judgments):
     text = "".join(f"{topic} 0 {doc} {grade}\n" for (topic, doc), grade in judgments.items())
-    assert parse_qrels(io.StringIO(text)).judgments == judgments
+    parsed = parse_qrels(io.StringIO(text))
+    assert parsed.judgments == judgments
+    assert _dtypes(Qrels(judgments).columns) == _dtypes(parsed.columns)
 
 
 @settings(max_examples=100, deadline=None)
