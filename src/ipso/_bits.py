@@ -1,10 +1,10 @@
 """Vectorised kernels over the full set of length-k binary SERPs.
 
-Row/column index i always denotes the SERP whose MSB-first integer
-encoding is i, so index order equals lexicographic vector order.
-Category codes are shared across the package: 0 equal, 1 non-inferior,
-2 non-superior, 3 non-separable.  Every pair relation is one fold,
-fold_blocks, over 8-position blocks packed or cut from the pair's bits.
+Row/column index i always denotes the SERP whose MSB-first integer encoding is i, so
+index order equals lexicographic vector order.  Category codes are shared across the
+package: 0 equal, 1 non-inferior, 2 non-superior, 3 non-separable.  Every pair relation
+is one fold, fold_blocks, over 8-position blocks packed or cut from the pair's bits: one
+lookup per block into one packed table of every block's walk.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ def bit_matrix(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _block_walk_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(total, lowest prefix, highest prefix) of a - b over every 8-position block.
+def _block_walk_table() -> np.ndarray:
+    """Read-only int16 total << 8 | highest << 4 | -lowest prefix of a - b per 8-position block.
 
     Entry (a_byte << 8) | b_byte summarises the block whose MSB-first bytes,
     as np.packbits lays them out, are a_byte and b_byte; the empty prefix
-    counts, so lowest <= 0 <= highest.
+    counts, so lowest <= 0 <= highest, and both fit in 4 bits.
     """
     index = np.arange(1 << 16, dtype=np.uint16)
     total = np.zeros(1 << 16, dtype=np.int16)
@@ -44,9 +44,9 @@ def _block_walk_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         total -= index >> (7 - pos) & 1
         np.minimum(low, total, out=low)
         np.maximum(high, total, out=high)
-    for table in (total, low, high):
-        table.setflags(write=False)
-    return total, low, high
+    table = total << 8 | high << 4 | -low
+    table.setflags(write=False)
+    return table
 
 
 def _pack_blocks(bits: np.ndarray) -> np.ndarray:
@@ -69,19 +69,22 @@ def fold_blocks(index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k > MAX_WALK_DEPTH:
         raise ValueError(f"the block walk takes k <= {MAX_WALK_DEPTH}, got k = {k}")
     index = np.ascontiguousarray(index, dtype=np.intp)  # a contiguous row per fold step
-    total, low, high = _block_walk_table()
-    run, lowest, highest = (np.take(t, index[0]) for t in (total, low, high))
-    step = np.empty_like(run)
+    table = _block_walk_table()
+    step = np.take(table, index[0])
+    lowest, highest, run = -(step & 15), step >> 4 & 15, step >> 8
+    part = np.empty_like(step)
     # mode="clip" clips nothing (indices are < 2^16) but, unlike the
     # default, writes straight into out instead of through a copy
     for block in index[1:]:
-        np.take(low, block, out=step, mode="clip")
-        step += run
-        np.minimum(lowest, step, out=lowest)
-        np.take(high, block, out=step, mode="clip")
-        step += run
-        np.maximum(highest, step, out=highest)
-        np.take(total, block, out=step, mode="clip")
+        np.take(table, block, out=step, mode="clip")
+        np.bitwise_and(step, 15, out=part)
+        np.subtract(run, part, out=part)
+        np.minimum(lowest, part, out=lowest)
+        np.right_shift(step, 4, out=part)
+        part &= 15
+        part += run
+        np.maximum(highest, part, out=highest)
+        step >>= 8  # arithmetic: the total keeps its sign
         run += step
     return lowest, highest
 

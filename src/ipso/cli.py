@@ -203,7 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="estimate from this many random pairs instead of counting "
                         "exactly (exact counts work at any k)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="threads for --samples, at most one per CPU and per 65,536-pair chunk")
     _add_format(p)
     p.set_defaults(handler=_cmd_enumerate)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import itertools
 import math
 import warnings
@@ -432,15 +433,17 @@ class SweepResult:
         return out
 
     def write_csv(self, stream: IO[str]) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(SweepRow._fields)
-        for row in self.rows:
-            writer.writerow((
-                row.system_a, row.system_b, row.k, row.metric, row.test,
-                "" if row.metric_p is None else repr(row.metric_p),
-                "" if row.ipso_p is None else repr(row.ipso_p),
-                row.category.label,
-            ))
+        # csv.writer writes each row alone, a system call apiece when stream is unbuffered
+        lines = itertools.chain([SweepRow._fields], ((
+            row.system_a, row.system_b, row.k, row.metric, row.test,
+            "" if row.metric_p is None else repr(row.metric_p),
+            "" if row.ipso_p is None else repr(row.ipso_p),
+            row.category.label,
+        ) for row in self.rows))
+        while block := list(itertools.islice(lines, 1 << 12)):
+            buffer = io.StringIO()
+            csv.writer(buffer).writerows(block)
+            stream.write(buffer.getvalue())
 
     def to_dict(self) -> dict:
         return {

@@ -3,10 +3,11 @@
 The grid and Hasse renderers build every line from Serp.from_int and
 write it through csv.writer or one f-string a line.  The compliance check
 scores the whole 2^k x 2^k gap matrix and checks the equal pairs as well
-as the dominance pairs.  The sampler unpacks each sampled pair to one
-byte per position and packs it again before the block walk.  The array
-forms in ipso must match them byte for byte, pair for pair and tally for
-tally.
+as the dominance pairs.  The block walk is stepped one position at a
+time.  The sampler draws each chunk's stream whole through Philox, from
+the chunk's own counter, and unpacks each sampled pair to one byte per
+position and packs it again before the block walk.  The array forms in
+ipso must match them byte for byte, pair for pair and tally for tally.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import io
 
 import numpy as np
 
-from ipso import _bits, enumeration
-from ipso.enumeration import HasseEdges, RelationshipGrid
+from ipso import _bits
+from ipso.enumeration import SAMPLE_PIECE, HasseEdges, RelationshipGrid
 from ipso.metrics import SCORE_TOLERANCE, MetricSpec, score_all
 from ipso.serp import CATEGORY_TO_RELATIONSHIP, Serp
 
@@ -78,6 +79,30 @@ def certify_compliance_dense(metric, k: int, ctx=None, tolerance: float = SCORE_
     return [(Serp.from_int(int(a), k), Serp.from_int(int(b), k)) for a, b in np.argwhere(bad)]
 
 
+def block_walk(entry: int) -> tuple[int, int, int]:
+    """(total, lowest prefix, highest prefix) of a - b over one 8-position block.
+
+    entry is (a_byte << 8) | b_byte with each byte's bits in rank order,
+    most significant first; the empty prefix counts.
+    """
+    a, b = format(entry >> 8, "08b"), format(entry & 0xFF, "08b")
+    walk = lowest = highest = 0
+    for x, y in zip(a, b):
+        walk += int(x) - int(y)
+        lowest, highest = min(lowest, walk), max(highest, walk)
+    return walk, lowest, highest
+
+
+def chunk_bytes(seed: int, chunk_index: int, n: int) -> np.ndarray:
+    """The first n bytes of a chunk's stream, drawn whole: Generator.bytes(n), from raw words.
+
+    Each chunk owns the counter range from chunk_index << 64, so the stream
+    is the same whichever worker draws it.
+    """
+    words = np.random.Philox(key=seed, counter=chunk_index << 64).random_raw(-(-n // 8))
+    return words.astype("<u8", copy=False).view(np.uint8)[:n]
+
+
 def packed_index(raw: np.ndarray, k: int, rows: int) -> np.ndarray:
     """(rows, blocks) walk-table indices of the first rows sample pairs in raw.
 
@@ -95,10 +120,10 @@ def sample_chunk_unpacked(k: int, seed: int, chunk_index: int, size: int) -> np.
     Each piece's pairs are unpacked to one byte per position, classified
     by classify_pair_rows (which packs them again) and counted by bincount.
     """
-    raw = enumeration._chunk_bytes(seed, chunk_index, (size * 2 * k + 7) // 8)
+    raw = chunk_bytes(seed, chunk_index, (size * 2 * k + 7) // 8)
     tally = np.zeros(4, dtype=np.int64)
-    for start in range(0, size, enumeration.SAMPLE_PIECE):
-        rows = min(enumeration.SAMPLE_PIECE, size - start)
+    for start in range(0, size, SAMPLE_PIECE):
+        rows = min(SAMPLE_PIECE, size - start)
         bits = np.unpackbits(raw[start * k // 4:], count=rows * 2 * k).reshape(rows, 2, k)
         tally += np.bincount(_bits.classify_pair_rows(bits[:, 0], bits[:, 1]), minlength=4)
     return tally

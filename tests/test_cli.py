@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import importlib.util
 import io
@@ -15,6 +16,7 @@ import pytest
 import ipso
 from ipso import cli
 from ipso.cli import main
+from ipso.experiment import AgreementCategory, SweepResult, SweepRow
 from ipso.trecio import DEFAULT_TRUNCATION
 
 DATA = Path(__file__).parent / "data"
@@ -78,6 +80,14 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--k", "32768", "--samples", "10")
         assert code == 2
         assert "32767" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("seed", [str(-1), str(2**128)])
+    def test_seeds_outside_the_philox_key_exit_2(self, capsys, seed):
+        code, out, err = run_cli(capsys, "enumerate", "--k", "20", "--samples", "10",
+                                 "--seed", seed)
+        assert code == 2
+        assert f"seed must be between 0 and 2**128 - 1, got {seed}" in err
         assert out == ""
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -384,6 +394,56 @@ class TestJsonBlocks:
                               capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout == (json.dumps(payload, indent=2) + "\n").encode()
+
+
+def _rowwise_sweep_csv(result) -> bytes:
+    """SweepResult.write_csv's text, one csv.writer row at a time."""
+    stream = io.StringIO()
+    writer = csv.writer(stream)
+    writer.writerow(SweepRow._fields)
+    for row in result.rows:
+        writer.writerow((row.system_a, row.system_b, row.k, row.metric, row.test,
+                         "" if row.metric_p is None else repr(row.metric_p),
+                         "" if row.ipso_p is None else repr(row.ipso_p), row.category.label))
+    return stream.getvalue().encode()
+
+
+class TestCsvBlocks:
+    """A sweep's CSV goes out 4,096 rows a write, with the bytes of one csv.writer row a write."""
+
+    def test_blocks_join_to_rowwise_csv(self):
+        writes = []
+
+        class Counting(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        rows = [SweepRow("a,1", 'b"2', k, "P@5", "t", p, q, category)
+                for k in range(1, 3001)
+                for p, q, category in [(None, 0.5, AgreementCategory.METRIC_NO),
+                                       (0.1 + 0.2, None, AgreementCategory.BOTH_YES)]]
+        for result in (SweepResult(tuple(rows), 0.05), SweepResult((), 0.05)):
+            writes.clear()
+            result.write_csv(Counting())
+            assert "".join(writes).encode() == _rowwise_sweep_csv(result)
+            assert len(writes) == -(-(len(result.rows) + 1) // 4096)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_unbuffered_sweep_prints_rowwise_csv(self):
+        depths, metrics, tests = list(range(1, 11)), ["P", "AP", "NDCG", "RBP0.8"], ["t", "sign"]
+        runs, qrels = cli._load_runs_dir(RUNS, truncate=10), cli.parse_qrels(QRELS)
+        expected = _rowwise_sweep_csv(cli.sweep_all_pairs(runs, qrels, depths, metrics, tests))
+        src = str(Path(ipso.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONUNBUFFERED": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["sweep", "--runs", str(RUNS), "--qrels", str(QRELS), "--format", "csv",
+                "--k", ",".join(map(str, depths)), "--metrics", ",".join(metrics),
+                "--tests", ",".join(tests)]
+        done = subprocess.run([sys.executable, "-m", "ipso.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == expected
 
 
 def _bench_collection():

@@ -11,6 +11,7 @@ from ipso import _bits, enumeration
 from ipso.enumeration import (
     COUNTS_CSV_HEADER,
     EXHAUSTIVE_LIMIT,
+    SAMPLE_CHUNK,
     CategoryCounts,
     build_grid,
     dp_counts,
@@ -217,7 +218,7 @@ class TestSampling:
     def test_chunk_bytes_are_generator_bytes(self, seed, chunk, n):
         bit_generator = np.random.Philox(key=seed, counter=chunk << 64)
         expected = np.random.Generator(bit_generator).bytes(n)
-        assert enumeration._chunk_bytes(seed, chunk, n).tobytes() == expected
+        assert census_reference.chunk_bytes(seed, chunk, n).tobytes() == expected
 
     def test_deep_k_runs(self):
         c = sample_pairs(60, 10_000, seed=1)
@@ -229,6 +230,50 @@ class TestSampling:
             sample_pairs(5, 0)
         with pytest.raises(ValueError):
             sample_pairs(0, 100)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_rejects_seeds_outside_the_philox_key_before_any_draw(self, seed, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a Philox stream was made")
+
+        monkeypatch.setattr(np.random, "Philox", no_draw)
+        with pytest.raises(ValueError, match=r"^seed must be between 0 and 2\*\*128 - 1"):
+            sample_pairs(5, 100, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1])
+    def test_takes_the_ends_of_the_philox_key(self, seed):
+        assert sample_pairs(5, 100, seed=seed).total == 100
+
+    @pytest.mark.parametrize("workers, n_samples, cpus, threads", [
+        (10_000, 3 * SAMPLE_CHUNK, 8, 3),           # one thread per chunk
+        (10_000, 10 * SAMPLE_CHUNK + 1, 2, 2),      # one thread per CPU
+        (3, 10 * SAMPLE_CHUNK, 8, 3),               # the workers asked for
+        (64, 100, 8, None),                         # one chunk: no pool
+        (4, 5 * SAMPLE_CHUNK, None, None),          # an unknown CPU count counts as one
+    ])
+    def test_threads_are_capped(self, workers, n_samples, cpus, threads, monkeypatch):
+        made = []
+
+        class RecordingPool:
+            """Runs the chunks in this thread; it starts none."""
+
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(enumeration, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+        counts = sample_pairs(3, n_samples, seed=5, workers=workers)
+        assert made == ([] if threads is None else [threads])
+        assert counts == sample_pairs(3, n_samples, seed=5)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one_before_any_pool(self, workers, monkeypatch):

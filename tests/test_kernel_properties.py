@@ -3,9 +3,11 @@
 Every row's group from _bits.group_codes must equal classify_group and an
 independent prefix-walk oracle.  The four-way category from the block-walk
 classify_pair_rows and from category_matrix must equal the same walk's.
-The sampler's walk-table index, cut straight from the random bytes, must
-equal the index packed from unpacked bits, and its tallies the unpacking
-sampler's.
+The packed walk table must decode to a scalar walk of every block.  Each
+sampled piece's own Philox draw must equal its slice of the chunk's whole
+stream; the sampler's walk-table index, cut straight from those bytes,
+must equal the index packed from unpacked bits, and its tallies the
+unpacking sampler's.
 """
 
 import census_reference
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ipso import _bits, enumeration
-from ipso.enumeration import SAMPLE_PIECE, relationship_counts, sample_pairs
+from ipso.enumeration import SAMPLE_CHUNK, SAMPLE_PIECE, relationship_counts, sample_pairs
 from ipso.serp import CATEGORY_TO_RELATIONSHIP, GROUP_TABLE_ORDER, TopicGroup, classify_group
 
 
@@ -170,13 +172,38 @@ def test_sampled_chunk_cuts_the_packed_index(k, seed, chunk, pieces, ragged):
     size = pieces * SAMPLE_PIECE + ragged
     assert enumeration._sample_chunk(k, seed, chunk, size).tolist() == \
         census_reference.sample_chunk_unpacked(k, seed, chunk, size).tolist()
-    raw = enumeration._chunk_bytes(seed, chunk, (size + 4) * k // 4 + 1)
+    raw = census_reference.chunk_bytes(seed, chunk, (size + 4) * k // 4 + 1)
     # the first piece, and the ragged last one
     for start in {0, pieces * SAMPLE_PIECE}:
         rows, piece = min(SAMPLE_PIECE, size - start), raw[start * k // 4:]
         cut = enumeration._cut_index(piece, k, rows)
-        in_row_order = np.moveaxis(cut, 1, 2).reshape(len(cut), -1)[:, :rows].T
-        assert np.array_equal(in_row_order, census_reference.packed_index(piece, k, rows))
+        in_row_order = np.moveaxis(cut, 1, 2).reshape(len(cut), -1)
+        assert np.array_equal(in_row_order[:, :rows].T,
+                              census_reference.packed_index(piece, k, rows))
+        assert not in_row_order[:, rows:].any()  # the last group's padding: equal pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.one_of(st.integers(1, 130), st.sampled_from(EDGE_DEPTHS)),
+       seed=st.sampled_from([0, 2**63, 2**128 - 1]), chunk=st.integers(0, 15),
+       piece=st.integers(0, SAMPLE_CHUNK // SAMPLE_PIECE - 1), rows=st.integers(1, SAMPLE_PIECE))
+@example(k=130, seed=2**128 - 1, chunk=15, piece=SAMPLE_CHUNK // SAMPLE_PIECE - 1,
+         rows=SAMPLE_PIECE)
+def test_piece_bytes_are_their_slice_of_the_chunk_stream(k, seed, chunk, piece, rows):
+    start = piece * SAMPLE_PIECE
+    drawn = enumeration._piece_bytes(k, seed, chunk, start, rows)
+    # all that _cut_index reads, in whole 8-byte words
+    assert len(drawn) == -(-((rows + 4) * k // 4 + 1) // 8) * 8
+    stream = census_reference.chunk_bytes(seed, chunk, start * k // 4 + len(drawn))
+    assert drawn.tobytes() == stream[start * k // 4:].tobytes()
+
+
+def test_block_walk_table_decodes_to_the_scalar_walk():
+    table = _bits._block_walk_table()
+    assert table.dtype == np.int16 and table.shape == (1 << 16,)
+    assert not table.flags.writeable
+    decoded = zip((table >> 8).tolist(), (-(table & 15)).tolist(), (table >> 4 & 15).tolist())
+    assert list(decoded) == [census_reference.block_walk(entry) for entry in range(1 << 16)]
 
 
 @settings(max_examples=60, deadline=None)
