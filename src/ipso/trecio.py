@@ -18,11 +18,14 @@ ordering step serves both readers.
 Runs and qrels are held as numpy columns.  A document id is a row of a
 NUL-padded bytes column beside its length, because numpy drops trailing
 NULs when it reads such a row; ids are UTF-8, so their byte order is
-their code-point order.  One lexsort orders the kept rows of all of a
-run's topics by score, and a second orders each score tie by doc id.
-The qrels sort their (topic, document) keys once, and grading a run is
-one searchsorted of its keys against them.  `RunFile.entries` and
-`Qrels.judgments` are built from the columns only when asked for.
+their code-point order.  One integer argsort, by topic and score rank,
+orders the kept rows of all of a run's topics; a lexsort orders each
+score tie by doc id.  The qrels sort one 64-bit hash per (topic, doc id,
+length), under the first seed that gives no two judgments one hash.
+Grading hashes a run's documents under that seed, finds them by one
+searchsorted and checks each hit's bytes, so a shared hash judges
+nothing.  `RunFile.entries` and `Qrels.judgments` are built from the
+columns only when asked for.
 """
 
 from __future__ import annotations
@@ -244,16 +247,19 @@ def _trimmed(docs: np.ndarray) -> tuple:
     return docs.astype(f"S{max(int(lengths.max(initial=0)), 1)}"), lengths
 
 
-def _words(column: np.ndarray) -> np.ndarray:
-    """A loaded bytes column (a multiple of 8 bytes wide) as rows of 64-bit words, in place."""
-    return column[:, None].view(np.uint64).T
+def _words(column: np.ndarray, width: int = 0) -> np.ndarray:
+    """A bytes column, cut or NUL-padded to width bytes rounded up to 8, as rows of 64-bit words."""
+    width = -(-(width or column.itemsize) // 8) * 8  # a loaded column is viewed in place
+    return column.astype(f"S{width}", copy=False)[:, None].view(np.uint64).T
 
 
-def _id_hashes(codes: np.ndarray, docs: np.ndarray) -> np.ndarray:
-    """A 64-bit hash of each row's (topic code, doc id)."""
-    hashes = codes.astype(np.uint64)
+def _id_hashes(codes: np.ndarray, docs: np.ndarray, lengths=0, seed=0, width=0) -> np.ndarray:
+    """A 64-bit hash (SplitMix64's mixer) of each row's (topic code, _words(docs, width), length)
+    under seed; lengths may stay 0 where no id holds a NUL."""
+    hashes = codes.astype(np.uint64) << np.uint64(32) | np.asarray(lengths, np.uint64)
+    hashes ^= np.uint64(seed)
     hashes *= np.uint64(0x9E3779B97F4A7C15)
-    for word in _words(docs):
+    for word in _words(docs, width):
         hashes ^= word
         hashes *= np.uint64(0xBF58476D1CE4E5B9)
         hashes ^= hashes >> np.uint64(31)
@@ -367,7 +373,9 @@ def parse_run(
         cuts[t] = np.partition(ordered[starts[t]:starts[t] + size[t]], truncate - 1)[truncate - 1]
     kept = order[ordered <= np.repeat(cuts, size)]
     topic, key = topic_code[kept], key[kept]
-    rows = np.lexsort((key, topic))  # by topic, then key: a score descends as its negation ascends
+    rank = np.empty(len(key), np.int64)  # by topic, then key's rank: ties stay adjacent
+    rank[np.argsort(key)] = np.arange(len(key))
+    rows = np.argsort(topic * len(key) + rank)
     tied = (topic[rows[1:]] == topic[rows[:-1]]) & (key[rows[1:]] == key[rows[:-1]])
     docs, lengths = docs_of(kept)
     if tied.any():  # sort each tie by doc id, then length: descending, or ascending when strict
@@ -392,22 +400,6 @@ def write_run(run: RunFile, stream: IO[str]) -> None:
             )
 
 
-def _keys(codes: np.ndarray, docs: np.ndarray, lengths: np.ndarray, width: int) -> np.ndarray:
-    """(topic code, doc id) keys as one bytes column.
-
-    A key is the code, the id cut or NUL-padded to width, then the id's
-    length, so no cut or trailing NUL makes two ids' keys equal; keys of
-    ids no longer than width sort in (code, id) order.
-    """
-    n = len(codes)
-    cells = np.zeros((n, width + 8), np.uint8)
-    cells[:, :4] = codes.astype(">u4").view(np.uint8).reshape(n, 4)
-    shown = min(width, docs.itemsize)
-    cells[:, 4:4 + shown] = docs.view(np.uint8).reshape(n, docs.itemsize)[:, :shown]
-    cells[:, -4:] = lengths.astype(">u4").view(np.uint8).reshape(n, 4)
-    return cells.view(f"S{width + 8}").ravel()
-
-
 class QrelsColumns(NamedTuple):
     """Judgments as arrays: row i grades docs[i] for topics[codes[i]] with grades[i]."""
 
@@ -416,15 +408,24 @@ class QrelsColumns(NamedTuple):
     docs: np.ndarray  # as RunColumns.docs
     lengths: np.ndarray
     grades: np.ndarray
-    keys: np.ndarray  # every row's (code, doc id) key, sorted
-    order: np.ndarray  # the row of each key
+    seed: int  # the first seed under which no two rows' _id_hashes are equal
+    keys: np.ndarray  # rows' _id_hashes under seed, sorted, distinct; a run id may share one
+    order: np.ndarray  # the row of each key, whose code, length and bytes confirm a hit
 
 
-def _index(codes: np.ndarray, docs: np.ndarray, lengths: np.ndarray) -> tuple:
-    """(sorted keys of the rows, the row of each key)."""
-    keys = _keys(codes, docs, lengths, docs.itemsize)
-    order = np.argsort(keys, kind="stable")
-    return keys[order], order
+def _index(codes: np.ndarray, docs: np.ndarray, lengths: np.ndarray) -> tuple | None:
+    """(seed, sorted hashes of the rows, the row of each) under the first seed that sets
+    different (code, doc id, length) keys apart; None if two rows hold one key."""
+    for seed in range(16):
+        keys = _id_hashes(codes, docs, lengths, seed, docs.itemsize)
+        order = np.argsort(keys)
+        keys = keys[order]
+        if not len(tie := np.flatnonzero(keys[1:] == keys[:-1])):
+            return seed, keys, order
+        a, b = order[tie], order[tie + 1]
+        if ((codes[a] == codes[b]) & (lengths[a] == lengths[b]) & (docs[a] == docs[b])).any():
+            return None
+    raise ValueError("different judgments share a hash under each of 16 seeds")
 
 
 class Qrels:
@@ -473,10 +474,9 @@ def parse_qrels(source: Source) -> Qrels:
     data = _read(source)
     if (loaded := _loaded(data, dict(topic="S", iter="S0", doc="S", grade="i8"))) is not None:
         (records, topics, code), (docs, lengths) = loaded, _trimmed(loaded[0]["doc"])
-        keys, order = _index(code, docs, lengths)
-        if not (keys[1:] == keys[:-1]).any():  # else the line loop names the repeat's line
+        if (index := _index(code, docs, lengths)) is not None:  # else the line loop names the line
             grades = records["grade"].copy()
-            return Qrels._of_columns(QrelsColumns(topics, code, docs, lengths, grades, keys, order))
+            return Qrels._of_columns(QrelsColumns(topics, code, docs, lengths, grades, *index))
     judgments: dict = {}
     for number, (topic, _, doc, grade) in _lines(data, 4, "topic iter doc grade"):
         grade = _number(int, grade, number, "grade {!r} is not an integer")
@@ -495,7 +495,7 @@ def grade_runs(runs: list, qrels: Qrels, topics: list, depth: int) -> tuple:
     lists leave 0s.  present (runs x topics) marks the topics a run ranks.
     coverage (runs x topics x 3) holds the rank of the first unjudged
     document (0 if none), the unjudged count and the documents graded.
-    Each run's (topic, doc) keys are found in the qrels' by one searchsorted.
+    A run's (topic, doc) hashes are found by one searchsorted; each hit's bytes are checked.
     """
     q = qrels.columns
     code, index = {t: i for i, t in enumerate(q.topics)}, {t: i for i, t in enumerate(topics)}
@@ -509,12 +509,20 @@ def grade_runs(runs: list, qrels: Qrels, topics: list, depth: int) -> tuple:
         n = np.minimum(np.diff(c.offsets)[listed], depth)
         rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
         rows = np.repeat(c.offsets[listed], n) + rank
-        keys = _keys(np.repeat(topic_code, n), c.docs[rows], c.lengths[rows], q.docs.itemsize)
+        codes, docs, lengths = np.repeat(topic_code, n), c.docs[rows], c.lengths[rows]
+        keys = _id_hashes(codes, docs, lengths, q.seed, q.docs.itemsize)
+        by_key = np.argsort(keys)  # searched in order, each key starts near the last one found
+        keys = keys[by_key]
         found = np.searchsorted(q.keys, keys)
-        judged = found < len(q.keys)
-        judged[judged] = q.keys[found[judged]] == keys[judged]
-        topic, hit, missing = np.repeat(at, n), np.flatnonzero(judged), np.flatnonzero(~judged)
-        bits[s, topic[hit], rank[hit]] = q.grades[q.order[found[hit]]] >= 1
+        hit = np.flatnonzero(found < len(q.keys))
+        hit = hit[q.keys[found[hit]] == keys[hit]]
+        row, hit = q.order[found[hit]], by_key[hit]
+        # an equal hash is a hit only if the qrels row holds the same code, length and bytes
+        same = (q.codes[row] == codes[hit]) & (q.lengths[row] == lengths[hit])
+        same &= q.docs[row] == docs[hit]
+        hit, row = hit[same], row[same]
+        topic, missing = np.repeat(at, n), np.delete(np.arange(len(rows)), hit)
+        bits[s, topic[hit], rank[hit]] = q.grades[row] >= 1
         firsts = missing[np.unique(topic[missing], return_index=True)[1]]
         coverage[s, topic[firsts], 0] = rank[firsts] + 1
         coverage[s, :, 1] = np.bincount(topic[missing], minlength=len(topics))

@@ -3,12 +3,15 @@
 The tests in test_acceptance.py are numbered release criteria.  After any
 run that touched them, a closing summary prints one PASS/FAIL line per
 criterion so readiness can be read straight off the terminal, plus a note
-where a criterion needs context (see ACCEPTANCE_NOTES).
+where a criterion needs context (see ACCEPTANCE_NOTES).  The
+`colliding_hashes` fixture serves the trecio tests of both files.
 """
 
 from __future__ import annotations
 
 import re
+
+import pytest
 
 _CRITERION_ID = re.compile(r"test_acceptance\.py.*::test_criterion_(\d+)")
 
@@ -71,3 +74,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
                     "data to enable it); bundled-fixture pipeline verified")
         if note:
             terminalreporter.write_line(f"             note: {note}")
+
+
+@pytest.fixture
+def colliding_hashes(monkeypatch):
+    """Every doc id of a topic hashes alike under seed 0; other seeds hash as before."""
+    import numpy as np
+
+    from ipso import trecio
+
+    hashes = trecio._id_hashes
+
+    def colliding(codes, docs, lengths=0, seed=0, width=0):
+        return hashes(codes, docs, lengths, seed, width) if seed else codes.astype(np.uint64)
+
+    monkeypatch.setattr(trecio, "_id_hashes", colliding)

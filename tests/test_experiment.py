@@ -384,7 +384,8 @@ class TestAgreementCategory:
 class TestAggregates:
     def test_category_fractions(self, fixture):
         runs, qrels = fixture
-        counts = category_fractions(list(runs.values()), qrels, 5)
+        with pytest.warns(UserWarning, match="charlie"):
+            counts = category_fractions(list(runs.values()), qrels, 5)
         assert (counts.equal, counts.separable, counts.non_separable) == (4, 11, 3)
         assert counts.total == 18  # 6 topics x 3 unordered pairs
         assert counts.mode == "exact"
@@ -411,7 +412,8 @@ class TestAggregates:
                         tally["separable"] += n
                     else:
                         tally["non_separable"] += n
-        counts = category_fractions(list(runs.values()), qrels, 5)
+        with pytest.warns(UserWarning, match="charlie"):
+            counts = category_fractions(list(runs.values()), qrels, 5)
         assert tally == {
             "equal": counts.equal,
             "separable": counts.separable,

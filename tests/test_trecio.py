@@ -254,6 +254,31 @@ class TestParseRun:
             expected = trec_reference.parse_run(io.StringIO(text), truncate=2, **options)
             assert parse_run(io.StringIO(text), truncate=2, **options) == expected
 
+    @pytest.mark.parametrize("truncate", [1, 2, 100])
+    @pytest.mark.parametrize("strict_ranks", [False, True])
+    def test_equal_keys_on_interleaved_topics_order_as_the_reference(self, strict_ranks, truncate):
+        # the keys are ranked across all topics at once; each topic's ties must stay together
+        text = "".join(f"{topic} Q0 {doc} {rank} {score} s\n" for topic, doc, rank, score in [
+            ("1", "b", 2, 5.0), ("3", "b", 2, 5.0), ("2", "a", 2, 5.0), ("1", "c", 1, 7.0),
+            ("3", "c", 2, 5.0), ("2", "c", 1, 7.0), ("1", "a", 2, 5.0), ("3", "a", 1, 5.0),
+            ("2", "b", 2, -0.0), ("1", "d", 3, 0.0), ("3", "d", 3, 0.0), ("2", "d", 1, 5.0),
+        ])
+        options = {"truncate": truncate, "strict_ranks": strict_ranks}
+        expected = trec_reference.parse_run(io.StringIO(text), **options)
+        assert parse_run(io.StringIO(text), **options) == expected
+
+    @pytest.mark.parametrize("truncate", [1, 2, 100])
+    def test_ranks_past_int64_on_interleaved_topics_order_as_the_reference(self, truncate):
+        big = ["99999999999999999999", "-99999999999999999999", "9223372036854775808"]
+        text = "".join(f"{topic} Q0 {doc} {rank} 1.0 s\n" for topic, doc, rank in [
+            ("1", "a", big[0]), ("2", "a", big[1]), ("1", "b", 5), ("2", "b", big[0]),
+            ("1", "c", big[2]), ("2", "c", 5), ("1", "d", big[1]), ("2", "d", big[1]),
+            ("1", "e", 5), ("2", "e", big[2]),
+        ])
+        options = {"truncate": truncate, "strict_ranks": True}
+        expected = trec_reference.parse_run(io.StringIO(text), **options)
+        assert parse_run(io.StringIO(text), **options) == expected
+
     def test_problem_in_a_later_chunk_precedes_a_field_count_error(self):
         text = "".join(f"1 Q0 d{i} {i} 1.0 s\n" for i in range(6))
         with pytest.raises(TrecParseError, match="line 4: rank 'x'"):
@@ -527,6 +552,49 @@ class TestQrels:
         text = "1 0 d1 1\n1 0 d1 0\n"
         with pytest.raises(TrecParseError, match="duplicate"):
             parse_qrels(io.StringIO(text))
+
+
+class TestHashCollisions:
+    """Equal hashes of different (topic, doc id) keys never merge or judge documents."""
+
+    def test_qrels_hash_again_under_the_next_seed(self, colliding_hashes):
+        expected = {("1", "d1"): 1, ("1", "d2"): 0, ("1", "d3"): 2, ("2", "d1"): 1, ("3", "d9"): 1}
+        for qrels in (parse_qrels(io.StringIO(QRELS)), Qrels(expected)):
+            assert qrels.columns.seed == 1 and qrels.judgments == expected
+            assert build_serps(parse_run(io.StringIO(RUN_A)), qrels, 4).serps == {
+                ("sysA", "1"): Serp([1, 0, 0, 1]), ("sysA", "2"): Serp([0, 1, 0, 0])}
+
+    def test_a_shared_hash_judges_nothing(self, colliding_hashes):
+        # one judgment per topic keeps seed 0, under which every ranked id of topic 1 hashes
+        # as d2 does and every id of topic 2 as d1 does
+        qrels = parse_qrels(io.StringIO("1 0 d2 1\n2 0 d1 1\n"))
+        assert qrels.columns.seed == 0
+        run = parse_run(io.StringIO(RUN_A))
+        assert build_serps(run, qrels, 4).serps == {
+            ("sysA", "1"): Serp([0, 0, 1, 0]), ("sysA", "2"): Serp([0, 1, 0, 0])}
+        assert judgment_coverage(run, qrels).rows == (
+            ("sysA", "1", 1, 3, 4), ("sysA", "2", 1, 1, 2))
+
+    def test_a_duplicate_judgment_still_names_its_line(self, colliding_hashes):
+        for text, line in [("1 0 d1 1\n1 0 d2 0\n1 0 d1 0\n", 3), ("1 0 d1 1\n1 0 d1 0\n", 2),
+                           ("1 0 d1 1\n2 0 d1 1\n1 0 d2 1\n2 0 d1 0\n", 4)]:
+            with pytest.raises(TrecParseError, match=f"line {line}: duplicate judgment"):
+                parse_qrels(io.StringIO(text))
+
+    def test_hashes_that_never_part_are_an_error(self, monkeypatch):
+        monkeypatch.setattr(trecio, "_id_hashes", lambda codes, *_: codes.astype(np.uint64))
+        assert Qrels({("1", "d1"): 1, ("2", "d1"): 1}).columns.seed == 0
+        with pytest.raises(ValueError, match="under each of 16 seeds"):
+            Qrels({("1", "d1"): 1, ("1", "d2"): 1})
+
+    def test_empty_qrels_and_unjudged_topics_judge_nothing(self):
+        run = parse_run(io.StringIO(RUN_A))
+        # the same doc ids judged for topics the run does not rank
+        for qrels in (Qrels({}), parse_qrels(io.StringIO("")),
+                      parse_qrels(io.StringIO("3 0 d1 1\n9 0 dY 2\n2x 0 d1 1\n"))):
+            bits, present, coverage = trecio.grade_runs([run], qrels, ["1", "2"], 4)
+            assert not bits.any() and present.all()
+            assert coverage[0].tolist() == [[1, 4, 4], [1, 2, 2]]
 
 
 class TestTopicSortKey:

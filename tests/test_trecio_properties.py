@@ -206,6 +206,22 @@ def test_serps_match_a_lookup_per_document(rows, data, k):
         assert coverage[topic] == (unjudged[0] if unjudged else None, len(unjudged), len(ranking))
 
 
+def test_serps_match_a_lookup_when_hashes_collide(colliding_hashes, monkeypatch):
+    """Under seed 0 every id of a topic hashes alike: qrels with two ids of one topic hash
+    again under seed 1, and the rest keep seed 0, where each equal hash must be checked."""
+    seeds = Counter()
+    index = trecio._index
+
+    def spy(*args):
+        result = index(*args)
+        seeds[result[0]] += 1
+        return result
+
+    monkeypatch.setattr(trecio, "_index", spy)
+    test_serps_match_a_lookup_per_document()
+    assert seeds[0] > 0 and seeds[1] > 0 and set(seeds) == {0, 1}
+
+
 def _break_run_line(draw, kind, fields, first):
     fields = list(fields)
     if kind == "fields":
