@@ -19,7 +19,6 @@ from ipso.metrics import (
     evaluate,
     metric_suite,
     ordering_check,
-    precision,
 )
 from ipso.serp import Serp
 
@@ -51,7 +50,7 @@ for metric in metric_suite(4):
 # A scorer that breaks the contract is caught and the offending pairs
 # are returned, smallest encodings first.
 def late_bonus(serp):
-    return precision(serp, 3) + 1e-6 * ((1 << 3) - 1 - serp.to_int())
+    return evaluate(MetricSpec("P", 3), serp) + 1e-6 * ((1 << 3) - 1 - serp.to_int())
 
 bad = certify_compliance(late_bonus, 3)
 print(f"certify late_bonus: {len(bad)} violations, e.g. "

@@ -64,11 +64,15 @@ MAX_WALK_DEPTH = (1 << 15) - 1  #: deepest pair fold_blocks takes: its sums are 
 def fold_blocks(index: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(lowest, highest) prefix of a - b per row, folded in depth order over the blocks.
 
-    index[j] is each row's (a_byte << 8) | b_byte at positions 8j to 8j + 7, zero past k.
+    index[j] is each row's (a_byte << 8) | b_byte at positions 8j to 8j + 7, zero past k;
+    index may be 1-d, one unbatched row.
     """
     if k > MAX_WALK_DEPTH:
         raise ValueError(f"the block walk takes k <= {MAX_WALK_DEPTH}, got k = {k}")
     index = np.ascontiguousarray(index, dtype=np.intp)  # a contiguous row per fold step
+    if index.ndim == 1:  # take and out= need an array per step: give the fold a row axis
+        lowest, highest = fold_blocks(index[:, None], k)
+        return lowest[0], highest[0]
     table = _block_walk_table()
     step = np.take(table, index[0])
     lowest, highest, run = -(step & 15), step >> 4 & 15, step >> 8

@@ -47,13 +47,12 @@ def _metric_arg(text: str, k: int) -> str:
     return text if "@" in text else f"{text}@{k}"
 
 
-def _depth(k_values) -> int:
-    """Parse depth for a job that reads the first max(k) documents; the default caps it.
-
-    Every row tied at a cut is kept until the doc-id sort, so a run parsed
-    to this depth ranks its first max(k) documents as a full parse does.
-    """
-    return min(max([*k_values, 1]), DEFAULT_TRUNCATION)
+def _depth(k_values, metrics=()) -> int:
+    """Parse depth for a job that reads max(k) documents, and each full metric label's (one
+    with an @) own depth; the default caps it.  Every row tied at a cut is kept until the
+    doc-id sort, so a run parsed to this depth ranks those documents as a full parse does."""
+    depths = [parse_metric(m).depth for m in metrics if "@" in m]
+    return min(max([*k_values, *depths, 1]), DEFAULT_TRUNCATION)
 
 
 def _load_runs_dir(directory: str, truncate: int = DEFAULT_TRUNCATION) -> list:
@@ -110,12 +109,13 @@ def _cmd_hasse(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    metric = _metric_arg(args.metric, args.k)
     report = compare_systems(
-        parse_run(args.run_a, truncate=_depth([args.k])),
-        parse_run(args.run_b, truncate=_depth([args.k])),
+        parse_run(args.run_a, truncate=_depth([args.k], [metric])),
+        parse_run(args.run_b, truncate=_depth([args.k], [metric])),
         parse_qrels(args.qrels),
         args.k,
-        metric=_metric_arg(args.metric, args.k),
+        metric=metric,
         alpha=args.alpha,
         test=args.test,
     )
@@ -136,8 +136,8 @@ def _cmd_topics(args) -> int:
         for token in args.metrics.split(",") if token.strip()
     ]
     rows = topic_table(
-        parse_run(args.run_a, truncate=_depth([args.k])),
-        parse_run(args.run_b, truncate=_depth([args.k])),
+        parse_run(args.run_a, truncate=_depth([args.k], metrics)),
+        parse_run(args.run_b, truncate=_depth([args.k], metrics)),
         parse_qrels(args.qrels),
         args.k,
         metrics=metrics,
@@ -161,11 +161,11 @@ def _cmd_topics(args) -> int:
 
 def _cmd_sweep(args) -> int:
     k_values = [int(token) for token in args.k.split(",") if token.strip()]
-    runs = _load_runs_dir(args.runs, truncate=_depth(k_values))
-    qrels = parse_qrels(args.qrels)
     # bare family names are handed through so each sweep depth scores at
     # its own k; explicit labels like P@5 stay fixed
     metrics = [token.strip() for token in args.metrics.split(",") if token.strip()]
+    runs = _load_runs_dir(args.runs, truncate=_depth(k_values, metrics))
+    qrels = parse_qrels(args.qrels)
     tests = [token.strip() for token in args.tests.split(",") if token.strip()]
     result = sweep_all_pairs(runs, qrels, k_values, metrics, tests, alpha=args.alpha)
     if args.format == "json":

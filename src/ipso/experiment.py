@@ -75,24 +75,26 @@ class _Collection(NamedTuple):
     relevant: np.ndarray  # R per topic: the count of documents judged relevant
 
 
-def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int]) -> _Collection:
-    """One grading pass over the first max(k) documents of each run's rankings."""
-    if min(k_values) < 1:
-        raise ValueError(f"k must be >= 1, got {min(k_values)}")
+def _collection(runs: Sequence[RunFile], qrels: Qrels, depths: Sequence[int]) -> _Collection:
+    """One grading pass over each run's first max(depths) documents: depths holds every k
+    and the depth of every metric scored."""
+    if min(depths) < 1:
+        raise ValueError(f"k must be >= 1, got {min(depths)}")
     runs = distinct_runs(runs)
     # the evaluation topics: judged topics that at least one run retrieved
     topics = sorted(set().union(*(run.columns.topics for run in runs)) & set(qrels.topics()),
                     key=topic_sort_key)
-    bits, present, _ = grade_runs(runs, qrels, topics, max(k_values))
+    bits, present, _ = grade_runs(runs, qrels, topics, max(depths))
     counts = qrels.relevant_counts()
     relevant = np.array([counts[t] for t in topics], dtype=np.int64)
     return _Collection(topics, [run.system_tag for run in runs], bits, present, relevant)
 
 
-def _score_matrix(collection: _Collection, k: int, metric: MetricSpec) -> np.ndarray:
-    """(systems x topics) scores of the depth-k SERPs, rows in collection order."""
-    bits = collection.bits[:, :, :k]
-    flat = evaluate_rows(metric, bits.reshape(-1, k), np.tile(collection.relevant, len(bits)))
+def _score_matrix(collection: _Collection, metric: MetricSpec) -> np.ndarray:
+    """(systems x topics) scores of the SERPs at the metric's depth, rows in collection order."""
+    bits = collection.bits[:, :, :metric.depth]
+    flat = evaluate_rows(metric, bits.reshape(-1, metric.depth),
+                         np.tile(collection.relevant, len(bits)))
     return flat.reshape(bits.shape[:2])
 
 
@@ -279,10 +281,10 @@ def compare_systems(
     _check_alpha(alpha)
     _check_test(test)
     spec = MetricSpec("P", k) if metric is None else _as_metric(metric)
-    collection = _collection([run_a, run_b], qrels, [k])
+    collection = _collection([run_a, run_b], qrels, [k, spec.depth])
     # rows are run_a's and run_b's, or one row when the two are the same run
     [(_, _, at)] = blocks = _pair_blocks(collection, [(0, len(collection.tags) - 1)])
-    scores = {spec: _score_matrix(collection, k, spec)}
+    scores = {spec: _score_matrix(collection, spec)}
     [(_, codes, outcomes)] = _evaluate(collection, blocks, k, scores, [test])
     scored = collection.relevant >= 1
     a, b = scores[spec][[0, -1]][:, scored]
@@ -335,13 +337,13 @@ def topic_table(
     (A minus B) are attached to every row.
     """
     specs = [_as_metric(m) for m in metrics]
-    collection = _collection([run_a, run_b], qrels, [k])
+    collection = _collection([run_a, run_b], qrels, [k, *(spec.depth for spec in specs)])
     # rows are run_a's and run_b's, or one row when the two are the same run
     [(_, _, at)] = blocks = _pair_blocks(collection, [(0, len(collection.tags) - 1)])
     [(_, codes, _)] = _evaluate(collection, blocks, k, {}, ())
-    diffs = {spec.label: np.subtract(*_score_matrix(collection, k, spec)[[0, -1]]).tolist()
+    diffs = {spec.label: np.subtract(*_score_matrix(collection, spec)[[0, -1]]).tolist()
              for spec in specs}
-    rel_a, rel_b = collection.bits[[0, -1]].tolist()
+    rel_a, rel_b = collection.bits[[0, -1], :, :k].tolist()
     rows = []
     for i, code in zip(at.tolist(), codes[0].tolist()):
         serp_a, serp_b = Serp(rel_a[i]), Serp(rel_b[i])
@@ -489,14 +491,15 @@ def sweep_all_pairs(
             plan.append(_as_metric(m))
     if not plan or not tests or not k_values:
         raise ValueError("k_values, metrics, and tests must all be non-empty")
-    collection = _collection(runs, qrels, k_values)
+    label_depths = [m.depth for m in plan if isinstance(m, MetricSpec)]
+    collection = _collection(runs, qrels, [*k_values, *label_depths])
     pairs = list(itertools.combinations(range(len(runs)), 2))
     blocks = _pair_blocks(collection, pairs)
     rows = []
     for k in k_values:
         specs = list(dict.fromkeys(parse_metric(f"{m}@{k}") if isinstance(m, str) else m
                                    for m in plan))
-        scores = {spec: _score_matrix(collection, k, spec) for spec in specs}
+        scores = {spec: _score_matrix(collection, spec) for spec in specs}
         ipso_p = [None] * len(pairs)
         metric_p = {cell: [None] * len(pairs) for cell in itertools.product(specs, tests)}
         for members, codes, outcomes in _evaluate(collection, blocks, k, scores, tests):
@@ -553,7 +556,7 @@ def mean_metric_by_system(
     scored = collection.relevant >= 1
     if not scored.any():
         raise ValueError("no topics with relevant documents to score")
-    scores = _score_matrix(collection, spec.depth, spec)[:, scored]
+    scores = _score_matrix(collection, spec)[:, scored]
     return dict(zip(collection.tags, (np.cumsum(scores, axis=1)[:, -1] / scored.sum()).tolist()))
 
 

@@ -5,7 +5,7 @@ average precision, and NDCG.  Scores are in [0, 1].  AP and NDCG need the
 topic's total number of relevant documents R; in enumeration settings
 without judgments, R defaults to the evaluation depth so that every
 possible SERP has a well-defined score.  evaluate_rows scores a batch of
-SERPs; evaluate and the six family functions score a batch of one.
+SERPs, and evaluate, the one scalar view, scores a batch of one.
 """
 
 from __future__ import annotations
@@ -141,48 +141,14 @@ def _running_sum(hits: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return total
 
 
-def _one(metric: MetricSpec, serp: SerpLike, total_relevant: int | None = None) -> float:
-    bits = np.array(as_serp(serp), dtype=np.int8).reshape(1, -1)
-    return float(evaluate_rows(metric, bits, total_relevant)[0])
-
-
-def precision(serp: SerpLike, k: int) -> float:
-    """Fraction of the top k that is relevant."""
-    return _one(MetricSpec("P", k), serp)
-
-
-def success(serp: SerpLike, k: int) -> float:
-    """1 if anything relevant appears in the top k, else 0."""
-    return _one(MetricSpec("S", k), serp)
-
-
-def reciprocal_rank(serp: SerpLike, k: int) -> float:
-    """1/rank of the first relevant document in the top k, 0 if none."""
-    return _one(MetricSpec("RR", k), serp)
-
-
-def rbp(serp: SerpLike, persistence: float, k: int) -> float:
-    """Rank-biased precision with the given persistence, truncated at k."""
-    return _one(MetricSpec("RBP", k, persistence), serp)
-
-
-def average_precision(serp: SerpLike, k: int, total_relevant: int) -> float:
-    """AP truncated at k: mean of precision at relevant ranks over R."""
-    return _one(MetricSpec("AP", k), serp, total_relevant)
-
-
-def ndcg(serp: SerpLike, k: int, total_relevant: int) -> float:
-    """NDCG at k with 1/log2(rank+1) discounts and an ideal of min(R, k) ones."""
-    return _one(MetricSpec("NDCG", k), serp, total_relevant)
-
-
 def evaluate(metric: MetricSpec, serp: SerpLike, ctx: TopicContext | None = None) -> float:
     """Score one SERP under a metric; pads with 0s if shorter than the depth.
 
     ctx supplies R for AP and NDCG and is ignored by the other families;
     without a ctx, R defaults to the metric depth.
     """
-    return _one(metric, serp, None if ctx is None else ctx.total_relevant)
+    bits = np.array(as_serp(serp), dtype=np.int8).reshape(1, -1)
+    return float(evaluate_rows(metric, bits, None if ctx is None else ctx.total_relevant)[0])
 
 
 def ordering_check(

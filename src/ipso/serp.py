@@ -29,13 +29,6 @@ class Relationship(enum.Enum):
         """Two-character text code used in tables and exports."""
         return self.value
 
-    @classmethod
-    def from_code(cls, code: str) -> "Relationship":
-        try:
-            return cls(code)
-        except ValueError:
-            raise ValueError(f"unknown relationship code {code!r}") from None
-
     def flipped(self) -> "Relationship":
         """The relationship seen from the other SERP's point of view."""
         if self is Relationship.NON_INFERIOR:
@@ -93,21 +86,6 @@ class Serp(tuple):
     @property
     def bitstring(self) -> str:
         return "".join(str(v) for v in self)
-
-    @property
-    def ones(self) -> int:
-        return sum(self)
-
-    def padded(self, k: int) -> "Serp":
-        """Extend with non-relevant entries to length k (no-op if already >= k)."""
-        if len(self) >= k:
-            return self
-        return Serp(tuple(self) + (0,) * (k - len(self)))
-
-    def prefix(self, k: int) -> "Serp":
-        if k > len(self):
-            raise ValueError(f"prefix depth {k} exceeds SERP length {len(self)}")
-        return Serp(tuple(self)[:k])
 
     def __repr__(self) -> str:
         return f"Serp({self.bitstring!r})"

@@ -12,8 +12,9 @@ bytes into a pipe that loadtxt opens by its /dev/fd name, so loadtxt
 reads text in chunks, with \\r\\n and a lone \\r turned into line
 breaks.  A plain line loop reads the rest and every file whose records
 fail a check (a line, number, tag or score it would judge, a repeated
-document), so every error comes from it and names the line.  One
-ordering step serves both readers.
+document), so every error comes from it and names the line.  Both
+readers of a type give the same columns: one ordering step finishes
+either run reader's, one indexing step either qrels reader's.
 
 Runs and qrels are held as numpy columns.  A document id is a row of a
 NUL-padded bytes column beside its length, because numpy drops trailing
@@ -24,8 +25,7 @@ score tie by doc id.  The qrels sort one 64-bit hash per (topic, doc id,
 length), under the first seed that gives no two judgments one hash.
 Grading hashes a run's documents under that seed, finds them by one
 searchsorted and checks each hit's bytes, so a shared hash judges
-nothing.  `RunFile.entries` and `Qrels.judgments` are built from the
-columns only when asked for.
+nothing.  `RunFile` and `Qrels` are made only from such columns.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ import warnings
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import islice, repeat
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple, Union
 
@@ -56,12 +54,6 @@ class TrecParseError(ValueError):
     """Malformed run or qrels input; the message names the offending line."""
 
 
-class RunEntry(NamedTuple):
-    doc_id: str
-    rank: int
-    score: float
-
-
 def topic_sort_key(topic_id: str):
     """Numeric order for all-decimal topic ids, lexicographic otherwise."""
     if topic_id.isdecimal():
@@ -72,12 +64,6 @@ def topic_sort_key(topic_id: str):
 def _bytes_column(ids) -> tuple:
     """(NUL-padded bytes column, byte lengths) of bytes ids."""
     return np.array(ids, dtype=bytes), np.fromiter(map(len, ids), np.int64, len(ids))
-
-
-def _decoded(docs: np.ndarray, lengths: np.ndarray) -> list:
-    """A bytes column's ids as str, their trailing NULs restored from their lengths."""
-    return [doc.ljust(n, b"\0").decode("utf-8", "surrogatepass")
-            for doc, n in zip(docs.tolist(), lengths.tolist())]
 
 
 class RunColumns(NamedTuple):
@@ -92,45 +78,20 @@ class RunColumns(NamedTuple):
 
 
 class RunFile:
-    """One system's ranked document lists, one list per topic.
+    """One system's ranked document lists: `columns` holds the rows, topic
+    after topic, already ordered and cut to `truncation` per topic."""
 
-    `columns` holds the rows, topic after topic, already ordered and
-    truncated; a run made from `entries` (topic_id -> tuple of RunEntry)
-    builds them once.  `entries` is built from the columns on first use.
-    """
-
-    def __init__(self, system_tag: str, entries: dict, truncation: int = DEFAULT_TRUNCATION):
-        rows = [entry for ranking in entries.values() for entry in ranking]
-        docs = [e.doc_id.encode("utf-8", "surrogatepass") for e in rows]
-        self.system_tag, self.truncation = system_tag, truncation
-        self.columns = RunColumns(list(entries), np.cumsum([0, *map(len, entries.values())]),
-                                  *_bytes_column(docs), _integers([e.rank for e in rows]),
-                                  np.array([e.score for e in rows], dtype=float))
-
-    @classmethod
-    def _of_columns(cls, system_tag: str, columns: RunColumns, truncation: int) -> "RunFile":
-        run = cls.__new__(cls)
-        run.system_tag, run.columns, run.truncation = system_tag, columns, truncation
-        return run
-
-    @cached_property
-    def entries(self) -> dict:
-        c = self.columns
-        rows = map(tuple.__new__, repeat(RunEntry), zip(
-            _decoded(c.docs, c.lengths), c.ranks.tolist(), c.scores.tolist()))
-        return {t: tuple(islice(rows, n)) for t, n in zip(c.topics, np.diff(c.offsets).tolist())}
+    def __init__(self, system_tag: str, columns: RunColumns, truncation: int):
+        self.system_tag, self.columns, self.truncation = system_tag, columns, truncation
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RunFile):
             return NotImplemented
-        return other is self or (self.system_tag, self.truncation, self.entries) == (
-            other.system_tag, other.truncation, other.entries)
-
-    def topics(self) -> list:
-        return sorted(self.columns.topics, key=topic_sort_key)
-
-    def ranking(self, topic_id: str) -> tuple:
-        return self.entries.get(topic_id, ())
+        a, b = self.columns, other.columns
+        same = (self.system_tag, self.truncation, a.topics) == (
+            other.system_tag, other.truncation, b.topics)
+        # array_equal compares values: object ranks with int64, "S" columns of any width
+        return other is self or same and all(map(np.array_equal, a[1:], b[1:]))
 
 
 Source = Union[str, Path, IO[str]]
@@ -387,17 +348,7 @@ def parse_run(
     rows = rows[np.arange(len(rows)) - np.repeat(np.cumsum(size) - size, size) < truncate]
     columns = RunColumns(topics, np.concatenate(([0], np.cumsum(np.minimum(size, truncate)))),
                          docs[rows], lengths[rows], ranks[kept[rows]], scores[kept[rows]])
-    return RunFile._of_columns(tag.decode(), columns, truncate)
-
-
-def write_run(run: RunFile, stream: IO[str]) -> None:
-    """Serialize a RunFile in TREC format; re-parsing restores it exactly."""
-    for topic_id in run.topics():
-        for entry in run.ranking(topic_id):
-            stream.write(
-                f"{topic_id} Q0 {entry.doc_id} {entry.rank} {entry.score!r} "
-                f"{run.system_tag}\n"
-            )
+    return RunFile(tag.decode(), columns, truncate)
 
 
 class QrelsColumns(NamedTuple):
@@ -429,35 +380,10 @@ def _index(codes: np.ndarray, docs: np.ndarray, lengths: np.ndarray) -> tuple | 
 
 
 class Qrels:
-    """Relevance judgments: raw integer grade per (topic, document).
+    """Relevance judgments: a raw integer grade per (topic, document), held as QrelsColumns."""
 
-    Held as QrelsColumns; `judgments`, (topic_id, doc_id) -> grade, is
-    built on first use.
-    """
-
-    def __init__(self, judgments: dict):
-        topic_ids: dict = {}
-        rows = [(topic_ids.setdefault(t, len(topic_ids)), d.encode("utf-8", "surrogatepass"), g)
-                for (t, d), g in judgments.items()]
-        codes, docs, grades = zip(*rows) if rows else ((), (), ())
-        codes, (docs, lengths) = np.array(codes, dtype=np.int64), _bytes_column(docs)
-        self.columns = QrelsColumns(list(topic_ids), codes, docs, lengths, _integers(grades),
-                                    *_index(codes, docs, lengths))
-
-    @classmethod
-    def _of_columns(cls, columns: QrelsColumns) -> "Qrels":
-        qrels = cls.__new__(cls)
-        qrels.columns = columns
-        return qrels
-
-    @cached_property
-    def judgments(self) -> dict:
-        c = self.columns
-        keys = zip(map(c.topics.__getitem__, c.codes.tolist()), _decoded(c.docs, c.lengths))
-        return dict(zip(keys, c.grades.tolist()))
-
-    def __eq__(self, other) -> bool:
-        return self.judgments == other.judgments if isinstance(other, Qrels) else NotImplemented
+    def __init__(self, columns: QrelsColumns):
+        self.columns = columns
 
     def topics(self) -> list:
         return sorted(self.columns.topics, key=topic_sort_key)
@@ -469,22 +395,32 @@ class Qrels:
         return dict(zip(c.topics, np.bincount(relevant, minlength=len(c.topics)).tolist()))
 
 
+def _qrels_lines(data: bytes) -> tuple:
+    """(topic ids, topic codes, docs, lengths, grades) by the line loop; a line at fault raises."""
+    topic_ids, seen = {}, defaultdict(set)  # seen[code]: that topic's doc ids
+    codes, docs, grades = [], [], []
+    for number, (topic, _, doc, grade) in _lines(data, 4, "topic iter doc grade"):
+        grades.append(_number(int, grade, number, "grade {!r} is not an integer"))
+        code = topic_ids.setdefault(topic, len(topic_ids))
+        if doc in seen[code]:
+            raise TrecParseError(
+                f"line {number}: duplicate judgment for ({topic.decode()}, {doc.decode()})")
+        seen[code].add(doc)
+        codes.append(code)
+        docs.append(doc)
+    return ([t.decode() for t in topic_ids], np.array(codes, np.int64), *_bytes_column(docs),
+            _integers(grades))
+
+
 def parse_qrels(source: Source) -> Qrels:
     """Parse a qrels file: four fields per line, grades kept raw."""
     data = _read(source)
     if (loaded := _loaded(data, dict(topic="S", iter="S0", doc="S", grade="i8"))) is not None:
         (records, topics, code), (docs, lengths) = loaded, _trimmed(loaded[0]["doc"])
         if (index := _index(code, docs, lengths)) is not None:  # else the line loop names the line
-            grades = records["grade"].copy()
-            return Qrels._of_columns(QrelsColumns(topics, code, docs, lengths, grades, *index))
-    judgments: dict = {}
-    for number, (topic, _, doc, grade) in _lines(data, 4, "topic iter doc grade"):
-        grade = _number(int, grade, number, "grade {!r} is not an integer")
-        key = topic.decode(), doc.decode()
-        if key in judgments:
-            raise TrecParseError(f"line {number}: duplicate judgment for ({key[0]}, {key[1]})")
-        judgments[key] = grade
-    return Qrels(judgments)
+            return Qrels(QrelsColumns(topics, code, docs, lengths, records["grade"].copy(), *index))
+    topics, code, docs, lengths, grades = _qrels_lines(data)
+    return Qrels(QrelsColumns(topics, code, docs, lengths, grades, *_index(code, docs, lengths)))
 
 
 def grade_runs(runs: list, qrels: Qrels, topics: list, depth: int) -> tuple:

@@ -39,8 +39,8 @@ from ipso.metrics import (
     TopicContext,
     certify_compliance,
     metric_suite,
+    evaluate,
     ordering_check,
-    precision,
     score_all,
 )
 from ipso.serp import (
@@ -182,7 +182,7 @@ def test_criterion_05_compliance_certification():
     # items later.  It flips score ties on dominance pairs and must be
     # reported.
     def late_bonus_precision(serp):
-        return precision(serp, 3) + 1e-6 * ((1 << 3) - 1 - serp.to_int())
+        return evaluate(MetricSpec("P", 3), serp) + 1e-6 * ((1 << 3) - 1 - serp.to_int())
 
     violations = certify_compliance(late_bonus_precision, 3)
     assert violations

@@ -525,6 +525,16 @@ class TestParseDepthPushdown:
             assert depths == {min(k, DEFAULT_TRUNCATION)}
             assert pushed == full, argv[0]
 
+    @pytest.mark.parametrize("label, depth", [("P@10", 10), ("NDCG@150", DEFAULT_TRUNCATION)])
+    def test_full_labels_deeper_than_k_set_the_depth(self, capsys, monkeypatch, inputs, label,
+                                                     depth):
+        runs, qrels = (str(path) for path in inputs["tied"])
+        pair = ["--run-a", f"{runs}/tiesA.run", "--run-b", f"{runs}/tiesB.run", "--qrels", qrels]
+        for argv in (["sweep", "--runs", runs, "--qrels", qrels, "--metrics", f"P,{label}"],
+                     ["compare", *pair, "--metric", label], ["topics", *pair, "--metrics", label]):
+            pushed, full, depths = self.outputs(capsys, monkeypatch, [*argv, "--k", "3"])
+            assert (pushed, depths) == (full, {depth}), argv[0]
+
 
 class TestParser:
     def test_no_command(self):

@@ -24,9 +24,8 @@ from ipso.experiment import (
     write_topic_csv,
 )
 from ipso.metrics import PHI, MetricSpec
-from ipso import trecio
 from ipso.serp import Serp, TopicGroup, classify_group
-from ipso.trecio import Qrels, RunEntry, RunFile, build_serps, parse_qrels, parse_run
+from ipso.trecio import Qrels, RunFile, build_serps, parse_qrels, parse_run
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,31 +40,31 @@ def fixture():
     return runs, qrels
 
 
+def run_of(tag: str, rankings: dict) -> RunFile:
+    """The run, parsed from TREC text, ranking each topic's doc ids in the order given."""
+    return parse_run(io.StringIO("".join(f"{topic} Q0 {doc} {i + 1} {-i} {tag}\n"
+                                         for topic, docs in rankings.items()
+                                         for i, doc in enumerate(docs))))
+
+
+def qrels_of(judgments: dict) -> Qrels:
+    """The qrels, parsed from TREC text, that grade each (topic, doc id)."""
+    return parse_qrels(io.StringIO("".join(f"{topic} 0 {doc} {grade}\n"
+                                           for (topic, doc), grade in judgments.items())))
+
+
 def synthetic_pair(diff_profile):
     """Two runs over a shared judged pool whose depth-5 SERPs realise the
     given (sup_bits, inf_bits) per topic."""
-    rel_pool = [f"rel{i}" for i in range(8)]
-    non_pool = [f"non{i}" for i in range(8)]
-    judgments = {}
-    entries_a, entries_b = {}, {}
-    for t, (sup_bits, inf_bits) in enumerate(diff_profile, start=1):
-        topic = str(t)
-        for doc in rel_pool:
-            judgments[(topic, doc)] = 1
-        for doc in non_pool:
-            judgments[(topic, doc)] = 0
-        for entries, bits in ((entries_a, sup_bits), (entries_b, inf_bits)):
-            rel = iter(rel_pool)
-            non = iter(non_pool)
-            docs = [next(rel) if b else next(non) for b in bits]
-            entries[topic] = tuple(
-                RunEntry(doc, i + 1, float(len(docs) - i)) for i, doc in enumerate(docs)
-            )
-    return (
-        RunFile(system_tag="sup", entries=entries_a),
-        RunFile(system_tag="inf", entries=entries_b),
-        Qrels(judgments=judgments),
-    )
+    pools = [f"non{i}" for i in range(8)], [f"rel{i}" for i in range(8)]
+    topics = [str(t) for t in range(1, len(diff_profile) + 1)]
+    judgments = {(t, doc): grade for t in topics for grade in (1, 0) for doc in pools[grade]}
+    rankings = {}, {}
+    for topic, bit_pair in zip(topics, diff_profile):
+        for ranking, bits in zip(rankings, bit_pair):
+            docs = [iter(pool) for pool in pools]
+            ranking[topic] = [next(docs[b]) for b in bits]
+    return run_of("sup", rankings[0]), run_of("inf", rankings[1]), qrels_of(judgments)
 
 
 class TestCompareSystems:
@@ -166,16 +165,13 @@ class TestCompareSystems:
 
     def test_no_shared_judged_topics(self, fixture):
         runs, qrels = fixture
-        stranger = RunFile(
-            system_tag="stray",
-            entries={"999": (RunEntry("d1", 1, 1.0),)},
-        )
+        stranger = run_of("stray", {"999": ["d1"]})
         with pytest.raises(ValueError, match="judged"):
             compare_systems(stranger, stranger, qrels, 5)
 
     def test_two_runs_with_one_tag_rejected(self, fixture):
         runs, qrels = fixture
-        renamed = RunFile(system_tag="alpha", entries=runs["bravo"].entries)
+        renamed = RunFile("alpha", runs["bravo"].columns, runs["bravo"].truncation)
         with pytest.raises(ValueError, match="system tag 'alpha'"):
             compare_systems(runs["alpha"], renamed, qrels, 5)
 
@@ -368,6 +364,23 @@ class TestSweep:
             assert len(calls) == 3
 
 
+@pytest.mark.filterwarnings("ignore:system charlie")
+def test_full_label_deeper_than_k_keeps_its_depth(fixture):
+    runs, qrels = fixture
+    alpha, bravo, charlie = runs["alpha"], runs["bravo"], runs["charlie"]
+    at3, at10 = (compare_systems(alpha, bravo, qrels, k, metric="P@10") for k in (3, 10))
+    scores = ("mean_a", "mean_b", "effect_size", "metric_p", "metric_statistic")
+    assert [getattr(at3, name) for name in scores] == [getattr(at10, name) for name in scores]
+    assert at3.mean_a == at3.mean_b == pytest.approx(0.2)
+    tables = [topic_table(alpha, charlie, qrels, k, ["P@10"]) for k in (3, 10)]
+    diffs3, diffs10 = ({r.topic_id: r.score_diffs for r in table} for table in tables)
+    assert diffs3 == diffs10 and {len(r.serp_a) for r in tables[0]} == {3}
+    rows = sweep_all_pairs(list(runs.values()), qrels, [3, 10], ["P@10"], ["t"]).rows
+    p = {(r.system_a, r.system_b, r.k): r.metric_p for r in rows}
+    assert p["alpha", "charlie", 3] == pytest.approx(0.0993, abs=1e-4)
+    assert all(p[a, b, 3] == p[a, b, 10] for a, b, _ in p)
+
+
 class TestAgreementCategory:
     def test_from_flags(self):
         assert AgreementCategory.from_flags(True, True) is AgreementCategory.BOTH_YES
@@ -442,15 +455,11 @@ def gapped_runs():
     """Runs a and b lack topic 3, which only c retrieved; all three topics are judged."""
     judgments = {(t, d): int(d.startswith("r")) for t in "123" for d in ("r1", "r2", "n1", "n2")}
 
-    def run(tag, topics, docs):
-        ranking = tuple(RunEntry(doc, i + 1, float(-i)) for i, doc in enumerate(docs))
-        return RunFile(system_tag=tag, entries={t: ranking for t in topics})
-
-    return [
-        run("a", "12", ["r1", "n1", "r2"]),
-        run("b", "12", ["n1", "r1", "r2"]),
-        run("c", "123", ["r1", "r2", "n1"]),
-    ], Qrels(judgments=judgments)
+    return [run_of(tag, {t: docs for t in topics}) for tag, topics, docs in [
+        ("a", "12", ["r1", "n1", "r2"]),
+        ("b", "12", ["n1", "r1", "r2"]),
+        ("c", "123", ["r1", "r2", "n1"]),
+    ]], qrels_of(judgments)
 
 
 class TestCollection:
@@ -530,15 +539,12 @@ def uneven_collections(draw):
     topics = [str(t) for t in range(1, draw(st.integers(1, 4)) + 1)]
     docs = [f"d{i}" for i in range(6)]
     grades = st.integers(0, 2)
-    qrels = Qrels(judgments={(t, d): draw(grades) for t in topics for d in docs})
+    qrels = qrels_of({(t, d): draw(grades) for t in topics for d in docs})
     runs = []
     for i in range(draw(st.integers(3, 4))):
         ranked = draw(st.lists(st.sampled_from(topics), min_size=1, unique=True))
-        entries = {}
-        for t in ranked:
-            order = draw(st.permutations(docs))[:draw(st.integers(1, len(docs)))]
-            entries[t] = tuple(RunEntry(d, r + 1, float(-r)) for r, d in enumerate(order))
-        runs.append(RunFile(system_tag=f"s{i}", entries=entries))
+        runs.append(run_of(f"s{i}", {t: draw(st.permutations(docs))[:draw(st.integers(1, len(docs)))]
+                                     for t in ranked}))
     return runs, qrels, draw(st.integers(1, 6))
 
 
@@ -584,16 +590,13 @@ class TestTies:
 
 
 def test_sweep_builds_no_per_row_objects(fixture, monkeypatch):
-    """The sweep path reads the run and qrels columns: it makes no RunEntry and no Serp."""
+    """The sweep path reads the run and qrels columns: it makes no Serp."""
     runs, qrels = fixture
 
     def refuse(*args, **kwargs):
         raise AssertionError("a per-row object was built")
 
-    monkeypatch.setattr(trecio, "RunEntry", refuse)
     monkeypatch.setattr(Serp, "__new__", refuse)
-    with pytest.raises((AssertionError, TypeError)):
-        parse_run(DATA / "runs" / "alpha.run").entries
     with pytest.raises(AssertionError):
         Serp([1])
     with warnings.catch_warnings():

@@ -255,6 +255,15 @@ def test_long_one_sided_walks_do_not_wrap():
     assert _bits.classify_pair_rows(early, late).tolist() == [_bits.XX]
 
 
+@pytest.mark.parametrize("k", range(1, 21))
+def test_unbatched_rows_fold_as_a_batch_of_one(k):
+    # past 8 positions the fold takes a step per block, each written into an array
+    for a, b in np.random.default_rng(k).integers(0, 2, size=(20, 2, k), dtype=np.int8):
+        for kernel in (_bits.classify_pair_rows, _bits.group_codes):
+            packed = kernel(_bits._pack_blocks(a), _bits._pack_blocks(b), k)
+            assert kernel(a, b) == packed == kernel(a[None], b[None])[0], (kernel.__name__, a, b)
+
+
 def test_walks_deeper_than_int16_are_refused():
     k = _bits.MAX_WALK_DEPTH
     assert k == 32_767

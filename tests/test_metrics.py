@@ -13,24 +13,24 @@ from ipso.metrics import (
     SCORE_TOLERANCE,
     MetricSpec,
     TopicContext,
-    average_precision,
     certify_compliance,
     evaluate,
     evaluate_rows,
     metric_suite,
-    ndcg,
     ordering_check,
     parse_metric,
-    precision,
-    rbp,
-    reciprocal_rank,
     score_all,
-    success,
 )
 from ipso.serp import Relationship, Serp, compare
 
 A = Serp([1, 0, 0])
 B = Serp([0, 1, 1])
+
+
+def score(label: str, serp, total_relevant: int | None = None) -> float:
+    """evaluate under a metric label, with R given as an int."""
+    ctx = None if total_relevant is None else TopicContext(total_relevant)
+    return evaluate(parse_metric(label), serp, ctx)
 
 
 def deeper_is_better(serp):
@@ -40,11 +40,11 @@ def deeper_is_better(serp):
 def late_bonus_precision(serp):
     # a tiny bonus for placing relevant items later flips score ties on
     # dominance pairs like [1,0,0] vs [0,1,0]
-    return precision(serp, len(serp)) + 1e-6 * ((1 << len(serp)) - 1 - serp.to_int())
+    return score(f"P@{len(serp)}", serp) + 1e-6 * ((1 << len(serp)) - 1 - serp.to_int())
 
 
 def noisy_precision(serp):
-    return precision(serp, len(serp)) + 1e-13 * ((1 << len(serp)) - 1 - serp.to_int())
+    return score(f"P@{len(serp)}", serp) + 1e-13 * ((1 << len(serp)) - 1 - serp.to_int())
 
 
 class TestMetricSpec:
@@ -86,38 +86,39 @@ class TestScalarValues:
     which is better: the canonical depth-3 pair with two relevant documents."""
 
     def test_precision(self):
-        assert_allclose(precision(A, 3), 1 / 3)
-        assert_allclose(precision(B, 3), 2 / 3)
+        assert_allclose(score("P@3", A), 1 / 3)
+        assert_allclose(score("P@3", B), 2 / 3)
 
     def test_rbp_08_prefers_b(self):
-        assert_allclose(rbp(A, 0.8, 3), 0.2)
-        assert_allclose(rbp(B, 0.8, 3), 0.288)
+        assert_allclose(score("RBP0.8@3", A), 0.2)
+        assert_allclose(score("RBP0.8@3", B), 0.288)
 
     def test_average_precision(self):
-        assert_allclose(average_precision(A, 3, 2), 0.5)
-        assert_allclose(average_precision(B, 3, 2), 7 / 12)
+        assert_allclose(score("AP@3", A, 2), 0.5)
+        assert_allclose(score("AP@3", B, 2), 7 / 12)
 
     def test_ndcg(self):
         ideal = 1.0 + 1.0 / math.log2(3)
-        assert_allclose(ndcg(A, 3, 2), 1.0 / ideal)
-        assert_allclose(ndcg(B, 3, 2), (1.0 / math.log2(3) + 0.5) / ideal)
-        assert ndcg(A, 3, 2) < ndcg(B, 3, 2)
+        assert_allclose(score("NDCG@3", A, 2), 1.0 / ideal)
+        assert_allclose(score("NDCG@3", B, 2), (1.0 / math.log2(3) + 0.5) / ideal)
+        assert score("NDCG@3", A, 2) < score("NDCG@3", B, 2)
 
     def test_success_ties(self):
-        assert success(A, 3) == success(B, 3) == 1.0
+        assert score("S@3", A) == score("S@3", B) == 1.0
 
     def test_rbp_phi_ties_exactly(self):
         # phi + phi^2 == 1, so the single early hit exactly balances two late ones
-        assert_allclose(rbp(A, PHI, 3), rbp(B, PHI, 3), rtol=0, atol=1e-15)
-        assert ordering_check(MetricSpec("RBP", 3, PHI), A, B) == "="
+        phi = MetricSpec("RBP", 3, PHI)
+        assert_allclose(evaluate(phi, A), evaluate(phi, B), rtol=0, atol=1e-15)
+        assert ordering_check(phi, A, B) == "="
 
     def test_reciprocal_rank_prefers_a(self):
-        assert_allclose(reciprocal_rank(A, 3), 1.0)
-        assert_allclose(reciprocal_rank(B, 3), 0.5)
+        assert_allclose(score("RR@3", A), 1.0)
+        assert_allclose(score("RR@3", B), 0.5)
 
     def test_rbp_05_prefers_a(self):
-        assert_allclose(rbp(A, 0.5, 3), 0.5)
-        assert_allclose(rbp(B, 0.5, 3), 0.375)
+        assert_allclose(score("RBP0.5@3", A), 0.5)
+        assert_allclose(score("RBP0.5@3", B), 0.375)
 
     def test_disagreement_summary(self):
         ctx = TopicContext(total_relevant=2)
@@ -159,12 +160,12 @@ def _all(k):
 
 class TestPaddingAndDepth:
     def test_short_serp_padded_with_zeros(self):
-        assert precision([1], 3) == precision([1, 0, 0], 3)
-        assert rbp([1], 0.8, 4) == rbp([1, 0, 0, 0], 0.8, 4)
+        assert score("P@3", [1]) == score("P@3", [1, 0, 0])
+        assert score("RBP0.8@4", [1]) == score("RBP0.8@4", [1, 0, 0, 0])
 
     def test_long_serp_truncated(self):
-        assert precision([1, 0, 1, 1], 2) == 0.5
-        assert reciprocal_rank([0, 0, 1, 1], 2) == 0.0
+        assert score("P@2", [1, 0, 1, 1]) == 0.5
+        assert score("RR@2", [0, 0, 1, 1]) == 0.0
 
     def test_evaluate_uses_metric_depth(self):
         assert evaluate(MetricSpec("P", 2), Serp([1, 0, 1])) == 0.5
@@ -184,17 +185,17 @@ class TestTotalRelevant:
 
     def test_fewer_relevant_than_retrieved_is_an_error(self):
         with pytest.raises(ValueError):
-            average_precision(Serp([1, 1, 0]), 3, 1)
+            score("AP@3", Serp([1, 1, 0]), 1)
         with pytest.raises(ValueError):
-            ndcg(Serp([1, 0, 1]), 3, 1)
+            score("NDCG@3", Serp([1, 0, 1]), 1)
         with pytest.raises(ValueError):
             evaluate(MetricSpec("AP", 3), Serp([1, 1, 0]), TopicContext(total_relevant=1))
 
     def test_ideal_gain_capped_by_pool(self):
         # one relevant document in the collection; retrieving it at rank 1
         # is already ideal no matter the depth
-        assert_allclose(ndcg(Serp([1, 0, 0]), 3, 1), 1.0)
-        assert_allclose(average_precision(Serp([1, 0, 0]), 3, 1), 1.0)
+        assert_allclose(score("NDCG@3", Serp([1, 0, 0]), 1), 1.0)
+        assert_allclose(score("AP@3", Serp([1, 0, 0]), 1), 1.0)
 
     def test_negative_total_relevant_rejected(self):
         with pytest.raises(ValueError):

@@ -39,7 +39,6 @@ class TestSerpType:
         s = Serp.from_bitstring("10110")
         assert s == (1, 0, 1, 1, 0)
         assert s.bitstring == "10110"
-        assert s.ones == 3
 
     def test_int_encoding_is_lexicographic(self):
         # MSB-first: integer order of codes == lexicographic order of vectors
@@ -49,14 +48,6 @@ class TestSerpType:
             assert s.to_int() == code
         with pytest.raises(ValueError):
             Serp.from_int(16, 4)
-
-    def test_padding_and_prefix(self):
-        s = Serp([1, 0])
-        assert s.padded(4) == (1, 0, 0, 0)
-        assert s.padded(2) is s
-        assert s.prefix(1) == (1,)
-        with pytest.raises(ValueError):
-            s.prefix(3)
 
     def test_as_serp_coercions(self):
         assert as_serp("101") == Serp([1, 0, 1])
@@ -68,9 +59,6 @@ class TestSerpType:
 class TestRelationship:
     def test_codes(self):
         assert [r.code for r in (EQ, NI, NS, XX)] == ["==", "ni", "ns", "**"]
-        assert Relationship.from_code("ni") is NI
-        with pytest.raises(ValueError):
-            Relationship.from_code("nx")
 
     def test_flipped(self):
         assert NI.flipped() is NS

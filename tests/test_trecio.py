@@ -11,12 +11,9 @@ import pytest
 
 import trec_reference
 from ipso import trecio
+from ipso.experiment import compare_systems
 from ipso.serp import Serp
 from ipso.trecio import (
-    Qrels,
-    RunEntry,
-    RunFile,
-    SerpSet,
     TrecParseError,
     build_serps,
     distinct_runs,
@@ -24,8 +21,8 @@ from ipso.trecio import (
     parse_qrels,
     parse_run,
     topic_sort_key,
-    write_run,
 )
+from trec_reference import decoded
 
 RUN_A = """\
 1 Q0 d1 1 9.0 sysA
@@ -45,36 +42,46 @@ QRELS = """\
 """
 
 
+def _docs(run, topic: str) -> list:
+    """The doc ids a run ranks for a topic, in ranking order."""
+    return [doc for doc, _, _ in decoded(run)[2].get(topic, ())]
+
+
+def _matches(parse, text: str) -> bool:
+    """parse (parse_run or parse_qrels) reads text as the line-by-line reference does."""
+    reference = getattr(trec_reference, parse.__name__)
+    return decoded(parse(io.StringIO(text))) == reference(io.StringIO(text))
+
+
 class TestParseRun:
     def test_single_line(self):
         run = parse_run(io.StringIO("351 Q0 doc1 1 5.0 sysA\n"))
         assert run.system_tag == "sysA"
-        assert run.topics() == ["351"]
-        assert run.ranking("351") == (RunEntry("doc1", 1, 5.0),)
+        assert decoded(run) == ("sysA", 100, {"351": [("doc1", 1, 5.0)]})
 
     def test_orders_by_score_not_rank_column(self):
         text = ("1 Q0 low 1 1.0 s\n"
                 "1 Q0 high 2 9.0 s\n"
                 "1 Q0 mid 3 5.0 s\n")
         run = parse_run(io.StringIO(text))
-        assert [e.doc_id for e in run.ranking("1")] == ["high", "mid", "low"]
+        assert _docs(run, "1") == ["high", "mid", "low"]
 
     def test_score_ties_break_by_doc_id_descending(self):
         text = ("1 Q0 aaa 1 5.0 s\n"
                 "1 Q0 ccc 2 5.0 s\n"
                 "1 Q0 bbb 3 5.0 s\n")
         run = parse_run(io.StringIO(text))
-        assert [e.doc_id for e in run.ranking("1")] == ["ccc", "bbb", "aaa"]
+        assert _docs(run, "1") == ["ccc", "bbb", "aaa"]
 
     def test_strict_ranks_uses_rank_column(self):
         text = ("1 Q0 low 1 1.0 s\n"
                 "1 Q0 high 2 9.0 s\n")
         run = parse_run(io.StringIO(text), strict_ranks=True)
-        assert [e.doc_id for e in run.ranking("1")] == ["low", "high"]
+        assert _docs(run, "1") == ["low", "high"]
 
     def test_truncates_after_sorting(self):
         run = parse_run(io.StringIO(RUN_A), truncate=2)
-        assert [e.doc_id for e in run.ranking("1")] == ["d1", "dX"]
+        assert _docs(run, "1") == ["d1", "dX"]
         assert run.truncation == 2
 
     def test_field_count_error_names_line(self):
@@ -106,7 +113,7 @@ class TestParseRun:
         text = ("1 Q0 d1 1 5.0 s\n"
                 "2 Q0 d1 1 4.0 s\n")
         run = parse_run(io.StringIO(text))
-        assert run.topics() == ["1", "2"]
+        assert run.columns.topics == ["1", "2"]
 
     def test_empty_input_rejected(self):
         with pytest.raises(TrecParseError, match="no entries"):
@@ -119,20 +126,12 @@ class TestParseRun:
         path.write_text(RUN_A)
         run = parse_run(path)
         assert run.system_tag == "sysA"
-        assert parse_run(str(path)).entries == run.entries
-
-    def test_round_trip_through_writer(self):
-        run = parse_run(io.StringIO(RUN_A))
-        buf = io.StringIO()
-        write_run(run, buf)
-        again = parse_run(io.StringIO(buf.getvalue()))
-        assert again.system_tag == run.system_tag
-        assert again.entries == run.entries
+        assert parse_run(str(path)) == run
 
     def test_utf8_doc_ids_stay_distinct(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_bytes("1 Q0 dé 1 5.0 s\n1 Q0 dè 2 4.0 s\n".encode())
-        assert [e.doc_id for e in parse_run(path).ranking("1")] == ["dé", "dè"]
+        assert _docs(parse_run(path), "1") == ["dé", "dè"]
 
     def test_invalid_utf8_names_line(self, tmp_path):
         path = tmp_path / "run.txt"
@@ -157,7 +156,7 @@ class TestParseRun:
         with pytest.raises(TrecParseError, match="line 4: rank 'x'"):
             parse_run(io.StringIO(text))
         run = parse_run(io.StringIO(text.replace(" x ", " 3 ")))
-        assert [e.doc_id for e in run.ranking("1")] == ["d\x1c1", "d2", "d3"]
+        assert _docs(run, "1") == ["d\x1c1", "d2", "d3"]
 
     def test_earliest_problem_wins(self):
         text = ("1 Q0 d1 1 5.0 s\n"
@@ -204,11 +203,11 @@ class TestParseRun:
         # numpy drops trailing NULs from a bytes column; the length column keeps them
         text = "\n".join(lines) + "\n"
         run = parse_run(io.StringIO(text))
-        assert [e.doc_id for e in run.ranking("1")] == ["d\x00", "d", "d\x00\x00"]
+        assert _docs(run, "1") == ["d\x00", "d", "d\x00\x00"]
         strict = parse_run(io.StringIO(text), strict_ranks=True)
-        assert [e.doc_id for e in strict.ranking("1")] == ["d", "d\x00", "d\x00\x00"]
+        assert _docs(strict, "1") == ["d", "d\x00", "d\x00\x00"]
         qrels = parse_qrels(io.StringIO("1 0 d\x00 1\n1 0 d 0\n1 0 d\x00\x00\x00 1\n"))
-        assert qrels.judgments == {("1", "d\x00"): 1, ("1", "d"): 0, ("1", "d\x00\x00\x00"): 1}
+        assert decoded(qrels) == {("1", "d\x00"): 1, ("1", "d"): 0, ("1", "d\x00\x00\x00"): 1}
         assert build_serps(run, qrels, 3).get("s", "1") == Serp([1, 0, 0])
         assert judgment_coverage(run, qrels).rows[0].first_unjudged_rank == 3
 
@@ -221,14 +220,13 @@ class TestParseRun:
     def test_score_ties_at_the_cut(self):
         text = "".join(f"1 Q0 {doc} 1 2.0 s\n" for doc in ("b", "d", "a", "c")) + "1 Q0 z 1 3.0 s\n"
         run = parse_run(io.StringIO(text), truncate=3)
-        assert [e.doc_id for e in run.ranking("1")] == ["z", "d", "c"]
+        assert _docs(run, "1") == ["z", "d", "c"]
 
     def test_round_trip_preserves_awkward_scores(self):
+        # each score is the float its text names: repr gives the text back
         text = "1 Q0 d1 1 0.1000000000000001 s\n1 Q0 d2 2 -3.5e-07 s\n"
         run = parse_run(io.StringIO(text))
-        buf = io.StringIO()
-        write_run(run, buf)
-        assert parse_run(io.StringIO(buf.getvalue())).entries == run.entries
+        assert list(map(repr, run.columns.scores.tolist())) == ["0.1000000000000001", "-3.5e-07"]
 
     @pytest.mark.parametrize("parse", [parse_run, trec_reference.parse_run],
                              ids=["columnar", "reference"])
@@ -245,14 +243,14 @@ class TestParseRun:
             ("2", "z", 3, 1.0), ("1", "c", 2, 2.0), ("2", "x", 1, 1.0), ("1", "d", 2, 2.0),
         ])
         run = parse_run(io.StringIO(text), truncate=2)
-        assert [e.doc_id for e in run.ranking("1")] == ["a", "e"]
-        assert [e.doc_id for e in run.ranking("2")] == ["z", "y"]
+        assert _docs(run, "1") == ["a", "e"]
+        assert _docs(run, "2") == ["z", "y"]
         strict = parse_run(io.StringIO(text), truncate=2, strict_ranks=True)
-        assert [e.doc_id for e in strict.ranking("1")] == ["a", "b"]
-        assert [e.doc_id for e in strict.ranking("2")] == ["x", "y"]
+        assert _docs(strict, "1") == ["a", "b"]
+        assert _docs(strict, "2") == ["x", "y"]
         for options in ({}, {"strict_ranks": True}):
             expected = trec_reference.parse_run(io.StringIO(text), truncate=2, **options)
-            assert parse_run(io.StringIO(text), truncate=2, **options) == expected
+            assert decoded(parse_run(io.StringIO(text), truncate=2, **options)) == expected
 
     @pytest.mark.parametrize("truncate", [1, 2, 100])
     @pytest.mark.parametrize("strict_ranks", [False, True])
@@ -265,7 +263,7 @@ class TestParseRun:
         ])
         options = {"truncate": truncate, "strict_ranks": strict_ranks}
         expected = trec_reference.parse_run(io.StringIO(text), **options)
-        assert parse_run(io.StringIO(text), **options) == expected
+        assert decoded(parse_run(io.StringIO(text), **options)) == expected
 
     @pytest.mark.parametrize("truncate", [1, 2, 100])
     def test_ranks_past_int64_on_interleaved_topics_order_as_the_reference(self, truncate):
@@ -277,7 +275,7 @@ class TestParseRun:
         ])
         options = {"truncate": truncate, "strict_ranks": True}
         expected = trec_reference.parse_run(io.StringIO(text), **options)
-        assert parse_run(io.StringIO(text), **options) == expected
+        assert decoded(parse_run(io.StringIO(text), **options)) == expected
 
     def test_problem_in_a_later_chunk_precedes_a_field_count_error(self):
         text = "".join(f"1 Q0 d{i} {i} 1.0 s\n" for i in range(6))
@@ -300,13 +298,14 @@ class Spy:
 
 
 def _outcome(parse, text):
-    """What parse makes of text: its result, or the message of the TrecParseError it raises."""
+    """What parse makes of text, as trec_reference gives it, or its TrecParseError's message."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
-            return parse(io.StringIO(text))
+            parsed = parse(io.StringIO(text))
         except TrecParseError as error:
             return str(error)
+    return parsed if isinstance(parsed, (tuple, dict)) else decoded(parsed)
 
 
 #: Over 64 KiB of six-byte ids, which the C reader sizes its doc id field by: 16 bytes.
@@ -359,18 +358,18 @@ class TestTwoReaders:
     def test_plain_ascii_skips_the_token_reader(self, monkeypatch):
         monkeypatch.setattr(trecio, "_lines", spy := Spy(trecio._lines))
         text = RUN_A.replace("d1 1", "d#1 1") + "3 Q0 " + "x" * 9 + " 1 1.0 sysA\r\n"
-        assert parse_run(io.StringIO(text)) == trec_reference.parse_run(io.StringIO(text))
+        assert _matches(parse_run, text)
         text = SAMPLED_RUN + "1 Q0 " + "x" * 15 + " 2 4.0 s\n"  # longer than the sample's ids
-        assert parse_run(io.StringIO(text)) == trec_reference.parse_run(io.StringIO(text))
-        assert parse_qrels(io.StringIO(QRELS)) == trec_reference.parse_qrels(io.StringIO(QRELS))
+        assert _matches(parse_run, text)
+        assert _matches(parse_qrels, QRELS)
         assert spy.calls == 0
 
     def test_utf8_stays_on_the_c_reader(self, monkeypatch):
         monkeypatch.setattr(trecio, "_lines", spy := Spy(trecio._lines))
         run = "1 Q0 é 1 5.0 s€\n1 Q0 €uro 2 4.0 s€\n日本 Q0 日本語 1 3.0 s€\n1 Q0 naïve 3 4.0 s€\n"
         qrels = "1 0 é 1\n1 0 €uro 0\n日本 0 日本語 2\n1 0 naïve 1\n"
-        assert parse_run(io.StringIO(run)) == trec_reference.parse_run(io.StringIO(run))
-        assert parse_qrels(io.StringIO(qrels)) == trec_reference.parse_qrels(io.StringIO(qrels))
+        assert _matches(parse_run, run)
+        assert _matches(parse_qrels, qrels)
         assert spy.calls == 0
 
     @pytest.mark.parametrize("char", ["à", "Å"], ids=["C3-A0", "C3-85"])
@@ -380,8 +379,8 @@ class TestTwoReaders:
         monkeypatch.setattr(trecio, "_lines", spy := Spy(trecio._lines))
         run = f"1 Q0 déj{char} 3 0.5 s\n1 Q0 d{char} 2 4.0 s\n2 Q0 d{char} 1 3.0 s\n"
         qrels = f"1 0 déj{char} 1\n1 0 d{char} 0\n2 0 d{char} 2\n"
-        assert parse_run(io.StringIO(run)) == trec_reference.parse_run(io.StringIO(run))
-        assert parse_qrels(io.StringIO(qrels)) == trec_reference.parse_qrels(io.StringIO(qrels))
+        assert _matches(parse_run, run)
+        assert _matches(parse_qrels, qrels)
         assert spy.calls == 2
 
     def test_numbers_past_int64_stay_exact_ints(self):
@@ -389,33 +388,32 @@ class TestTwoReaders:
         text = "1 Q0 d1 1 5.0 s\n1 Q0 d2 9223372036854775808 4.0 s\n"
         for options in ({}, {"strict_ranks": True}):
             run = parse_run(io.StringIO(text), **options)
-            assert run == trec_reference.parse_run(io.StringIO(text), **options)
-            assert [type(e.rank) for e in run.ranking("1")] == [int, int]
+            assert decoded(run) == trec_reference.parse_run(io.StringIO(text), **options)
+            assert [type(rank) for _, rank, _ in decoded(run)[2]["1"]] == [int, int]
         judgments = {("1", "d1"): 1, ("1", "d2"): 2 ** 63}
         text = "".join(f"{t} 0 {d} {g}\n" for (t, d), g in judgments.items())
-        for qrels in (parse_qrels(io.StringIO(text)), Qrels(judgments)):
-            assert qrels.judgments == judgments
-            assert [type(g) for g in qrels.judgments.values()] == [int, int]
+        assert decoded(parse_qrels(io.StringIO(text))) == judgments
+        assert [type(g) for g in decoded(parse_qrels(io.StringIO(text))).values()] == [int, int]
 
-    @pytest.mark.parametrize("parse, reference, text", [
-        (parse_run, trec_reference.parse_run, RUN_CASES["id as wide as its field"]),
-        (parse_run, trec_reference.parse_run, SAMPLED_RUN + "".join(
+    @pytest.mark.parametrize("parse, text", [
+        (parse_run, RUN_CASES["id as wide as its field"]),
+        (parse_run, SAMPLED_RUN + "".join(
             f"{topic} Q0 {doc} 2 4.0 s\n" for topic, doc in [("1", "x" * 100), ("2" * 60, "y")])),
-        (parse_qrels, trec_reference.parse_qrels, SAMPLED_QRELS + "1 0 " + "x" * 100 + " 1\n"),
+        (parse_qrels, SAMPLED_QRELS + "1 0 " + "x" * 100 + " 1\n"),
     ], ids=["id as wide as its field", "id and topic past their fields", "qrels id past its field"])
-    def test_tokens_past_the_sampled_width_are_read_again(self, monkeypatch, parse, reference, text):
+    def test_tokens_past_the_sampled_width_are_read_again(self, monkeypatch, parse, text):
         # a field a token fills is read once more, as wide as the longest line
         monkeypatch.setattr(trecio, "_lines", lines := Spy(trecio._lines))
         monkeypatch.setattr(np, "loadtxt", loadtxt := Spy(np.loadtxt))
-        assert parse(io.StringIO(text)) == reference(io.StringIO(text))
+        assert _matches(parse, text)
         assert (lines.calls, loadtxt.calls) == (0, 2)
 
     @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "lone cr"])
     def test_cr_line_endings_stay_on_the_c_reader(self, monkeypatch, ending):
         monkeypatch.setattr(trecio, "_lines", spy := Spy(trecio._lines))
         run, qrels = RUN_A.replace("\n", ending), QRELS.replace("\n", ending + ending)
-        assert parse_run(io.StringIO(run)) == trec_reference.parse_run(io.StringIO(run))
-        assert parse_qrels(io.StringIO(qrels)) == trec_reference.parse_qrels(io.StringIO(qrels))
+        assert _matches(parse_run, run)
+        assert _matches(parse_qrels, qrels)
         assert spy.calls == 0
         # the line loop names a bad line, counting lines as the reference does
         bad = run + ending + "1 Q0 d9 x 1.0 sysA" + ending
@@ -433,7 +431,7 @@ class TestTwoReaders:
 
         monkeypatch.setattr(np, "loadtxt", warns)
         monkeypatch.setattr(trecio, "_lines", spy := Spy(trecio._lines))
-        assert parse_run(io.StringIO(RUN_A)) == trec_reference.parse_run(io.StringIO(RUN_A))
+        assert _matches(parse_run, RUN_A)
         assert spy.calls == 1
 
 
@@ -452,8 +450,10 @@ class TestFeed:
         given = {run_path: RUN_A.replace("sysA", "sysB"), qrels_path: QRELS.replace(" 1\n", " 3\n")}
         monkeypatch.setattr(trecio, "_read", lambda source: given[source].encode())
         monkeypatch.setattr(trecio, "_lines", spy := Spy(trecio._lines))
-        assert parse_run(run_path) == trec_reference.parse_run(io.StringIO(given[run_path]))
-        assert parse_qrels(qrels_path) == trec_reference.parse_qrels(io.StringIO(given[qrels_path]))
+        assert decoded(parse_run(run_path)) == trec_reference.parse_run(
+            io.StringIO(given[run_path]))
+        assert decoded(parse_qrels(qrels_path)) == trec_reference.parse_qrels(
+            io.StringIO(given[qrels_path]))
         assert spy.calls == 0
 
     @pytest.mark.parametrize("bad_line", [None, 2, 99_999], ids=["good", "bad near the start",
@@ -464,7 +464,7 @@ class TestFeed:
             lines[bad_line - 1] = lines[bad_line - 1].replace(" 1.0 ", " x ")
         before = threading.active_count(), os.listdir(trecio._FDS)
         if bad_line is None:
-            assert len(parse_run(io.StringIO("".join(lines))).ranking("1")) == 100
+            assert len(_docs(parse_run(io.StringIO("".join(lines))), "1")) == 100
         else:
             with pytest.raises(TrecParseError, match=f"line {bad_line}: score 'x'"):
                 parse_run(io.StringIO("".join(lines)))
@@ -499,28 +499,13 @@ except TrecParseError as error:
 class TestQrels:
     def test_parse_and_grades(self):
         qrels = parse_qrels(io.StringIO(QRELS))
-        assert qrels.judgments == {("1", "d1"): 1, ("1", "d2"): 0, ("1", "d3"): 2,
+        assert decoded(qrels) == {("1", "d1"): 1, ("1", "d2"): 0, ("1", "d3"): 2,
                                    ("2", "d1"): 1, ("3", "d9"): 1}
         assert qrels.topics() == ["1", "2", "3"]
 
     def test_relevant_counts_use_binary_threshold(self):
         qrels = parse_qrels(io.StringIO(QRELS))
         assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}  # d2 has grade 0
-
-    def test_judgments_scanned_once(self):
-        class CountingDict(dict):
-            scans = 0
-
-            def items(self):
-                CountingDict.scans += 1
-                return super().items()
-
-        qrels = Qrels(judgments=CountingDict(parse_qrels(io.StringIO(QRELS)).judgments))
-        for _ in range(3):
-            assert qrels.topics() == ["1", "2", "3"]
-            assert qrels.relevant_counts() == {"1": 2, "2": 1, "3": 1}
-            build_serps(parse_run(io.StringIO(RUN_A)), qrels, 3)
-        assert CountingDict.scans == 1
 
     def test_index_cannot_be_mutated_by_callers(self):
         qrels = parse_qrels(io.StringIO(QRELS))
@@ -531,7 +516,7 @@ class TestQrels:
 
     def test_negative_grades_kept_raw(self):
         qrels = parse_qrels(io.StringIO("1 0 d1 -2\n"))
-        assert qrels.judgments == {("1", "d1"): -2}
+        assert decoded(qrels) == {("1", "d1"): -2}
         assert qrels.relevant_counts() == {"1": 0}
 
     def test_field_count_error(self):
@@ -557,10 +542,12 @@ class TestQrels:
 class TestHashCollisions:
     """Equal hashes of different (topic, doc id) keys never merge or judge documents."""
 
-    def test_qrels_hash_again_under_the_next_seed(self, colliding_hashes):
+    def test_qrels_hash_again_under_the_next_seed(self, colliding_hashes, monkeypatch):
         expected = {("1", "d1"): 1, ("1", "d2"): 0, ("1", "d3"): 2, ("2", "d1"): 1, ("3", "d9"): 1}
-        for qrels in (parse_qrels(io.StringIO(QRELS)), Qrels(expected)):
-            assert qrels.columns.seed == 1 and qrels.judgments == expected
+        by_c_reader = parse_qrels(io.StringIO(QRELS))
+        monkeypatch.setattr(trecio, "_loaded", lambda *_: None)  # the line loop reads the rest
+        for qrels in (by_c_reader, parse_qrels(io.StringIO(QRELS))):
+            assert qrels.columns.seed == 1 and decoded(qrels) == expected
             assert build_serps(parse_run(io.StringIO(RUN_A)), qrels, 4).serps == {
                 ("sysA", "1"): Serp([1, 0, 0, 1]), ("sysA", "2"): Serp([0, 1, 0, 0])}
 
@@ -583,14 +570,14 @@ class TestHashCollisions:
 
     def test_hashes_that_never_part_are_an_error(self, monkeypatch):
         monkeypatch.setattr(trecio, "_id_hashes", lambda codes, *_: codes.astype(np.uint64))
-        assert Qrels({("1", "d1"): 1, ("2", "d1"): 1}).columns.seed == 0
+        assert parse_qrels(io.StringIO("1 0 d1 1\n2 0 d1 1\n")).columns.seed == 0
         with pytest.raises(ValueError, match="under each of 16 seeds"):
-            Qrels({("1", "d1"): 1, ("1", "d2"): 1})
+            parse_qrels(io.StringIO("1 0 d1 1\n1 0 d2 1\n"))
 
     def test_empty_qrels_and_unjudged_topics_judge_nothing(self):
         run = parse_run(io.StringIO(RUN_A))
         # the same doc ids judged for topics the run does not rank
-        for qrels in (Qrels({}), parse_qrels(io.StringIO("")),
+        for qrels in (parse_qrels(io.StringIO("")),
                       parse_qrels(io.StringIO("3 0 d1 1\n9 0 dY 2\n2x 0 d1 1\n"))):
             bits, present, coverage = trecio.grade_runs([run], qrels, ["1", "2"], 4)
             assert not bits.any() and present.all()
@@ -607,7 +594,7 @@ class TestTopicSortKey:
         topics = ["²", "10", "٣", "2"]
         assert sorted(topics, key=topic_sort_key) == ["2", "٣", "10", "²"]
         run = parse_run(io.StringIO("² Q0 d1 1 1.0 s\n2 Q0 d1 1 1.0 s\n"))
-        assert run.topics() == ["2", "²"]
+        assert sorted(run.columns.topics, key=topic_sort_key) == ["2", "²"]
 
 
 class TestBuildSerps:
@@ -667,10 +654,31 @@ class TestBuildSerps:
             build_serps(run, parse_qrels(io.StringIO(QRELS)), 0)
 
     def test_topics_sorted_numerically(self):
-        entries = {t: (RunEntry("d1", 1, 1.0),) for t in ("10", "9", "2")}
-        run = RunFile(system_tag="s", entries=entries)
-        serp_set = build_serps(run, Qrels(judgments={}), 1)
+        run = parse_run(io.StringIO("".join(f"{t} Q0 d1 1 1.0 s\n" for t in ("10", "9", "2"))))
+        serp_set = build_serps(run, parse_qrels(io.StringIO("")), 1)
         assert serp_set.topics() == ["2", "9", "10"]
+
+
+class TestRunIdentity:
+    """Two runs are one input exactly when tag, truncation, topics and every column agree."""
+
+    def test_both_readers_give_one_run(self, monkeypatch):
+        by_c_reader = parse_run(io.StringIO(RUN_A))
+        monkeypatch.setattr(trecio, "_run_loaded", lambda data: None)
+        by_line_loop = parse_run(io.StringIO(RUN_A))
+        assert by_line_loop == by_c_reader
+        assert distinct_runs([by_c_reader, by_line_loop]) == [by_c_reader]
+
+    @pytest.mark.parametrize("text, truncate", [  # truncation 4 cuts no topic of RUN_A
+        (RUN_A.replace(" 7.0 ", " 7.5 "), 100), (RUN_A.replace(" d3 ", " d3\0 "), 100), (RUN_A, 4),
+    ], ids=["one score", "a trailing NUL", "truncation"])
+    def test_runs_that_differ_in_one_field_do_not_share_a_tag(self, text, truncate):
+        run, other = parse_run(io.StringIO(RUN_A)), parse_run(io.StringIO(text), truncate)
+        assert other != run
+        with pytest.raises(ValueError, match="system tag 'sysA'"):
+            distinct_runs([run, other])
+        with pytest.raises(ValueError, match="system tag 'sysA'"):
+            compare_systems(run, other, parse_qrels(io.StringIO(QRELS)), 3)
 
 
 class TestCoverageReport:

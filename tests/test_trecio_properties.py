@@ -12,6 +12,7 @@ malformed file, go to the line loop.
 import io
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +21,8 @@ import trec_reference
 from ipso import trecio
 from ipso.serp import Serp
 from ipso.trecio import (
-    Qrels, RunFile, TrecParseError, build_serps, judgment_coverage, parse_qrels, parse_run,
-    write_run)
+    TrecParseError, build_serps, judgment_coverage, parse_qrels, parse_run, topic_sort_key)
+from trec_reference import decoded
 
 # PLAIN_* draw what numpy's C reader reads; the rest also what only the line loop reads
 PLAIN_IDS = st.text(alphabet="abAB09-#\"", min_size=1, max_size=3)
@@ -104,10 +105,6 @@ def _text(bodies, endings) -> str:
     return "".join(body + ending for body, ending in zip(bodies, endings))
 
 
-def _summary(run):
-    return run.system_tag, run.truncation, list(run.entries.items())
-
-
 def _dtypes(columns) -> list:
     return [getattr(column, "dtype", None) for column in columns]
 
@@ -145,10 +142,9 @@ def _run_parser_matches_reference(rows, data, truncate, strict_ranks):
     options = {"truncate": truncate, "strict_ranks": strict_ranks}
     expected = trec_reference.parse_run(io.StringIO(text), **options)
     actual = parse_run(io.StringIO(text), **options)
-    assert _summary(actual) == _summary(expected)
-    for ranking in actual.entries.values():
-        for entry in ranking:
-            assert type(entry.rank) is int and type(entry.score) is float
+    assert decoded(actual) == expected and list(decoded(actual)[2]) == list(expected[2])
+    # ranks past int64 are kept as Python ints
+    assert actual.columns.ranks.dtype in (np.int64, object) and actual.columns.scores.dtype == float
 
 
 @settings(max_examples=100, deadline=None)
@@ -157,20 +153,7 @@ def test_qrels_parser_matches_reference(rows, data):
     text = _text(*data.draw(lines_of(rows)))
     expected = trec_reference.parse_qrels(io.StringIO(text))
     actual = parse_qrels(io.StringIO(text))
-    assert list(actual.judgments.items()) == list(expected.judgments.items())
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=records(_run_record), data=st.data(), truncate=st.integers(1, 10))
-def test_run_round_trips_through_writer(rows, data, truncate):
-    """A run made from a parsed run's entries equals it and has parse_run's column dtypes."""
-    run = parse_run(io.StringIO(_text(*data.draw(lines_of(rows)))), truncate=truncate)
-    built = RunFile(run.system_tag, run.entries, truncate)
-    buf = io.StringIO()
-    write_run(built, buf)
-    again = parse_run(io.StringIO(buf.getvalue()), truncate=truncate)
-    assert again == run == built
-    assert _dtypes(built.columns) == _dtypes(again.columns)
+    assert list(decoded(actual).items()) == list(expected.items())
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,10 +162,14 @@ def test_run_round_trips_through_writer(rows, data, truncate):
                                            st.tuples(TOPIC_IDS, IDS)), st.integers(-5, 5),
                                  min_size=1))
 def test_qrels_round_trip(judgments):
+    """Both qrels readers give the judgments back, in columns of one dtype each."""
     text = "".join(f"{topic} 0 {doc} {grade}\n" for (topic, doc), grade in judgments.items())
     parsed = parse_qrels(io.StringIO(text))
-    assert parsed.judgments == judgments
-    assert _dtypes(Qrels(judgments).columns) == _dtypes(parsed.columns)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(trecio, "_loaded", lambda *_: None)
+        by_lines = parse_qrels(io.StringIO(text))
+    assert decoded(parsed) == decoded(by_lines) == judgments
+    assert _dtypes(parsed.columns) == _dtypes(by_lines.columns)
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,9 +184,9 @@ def test_serps_match_a_lookup_per_document(rows, data, k):
     qrels = parse_qrels(io.StringIO(text))
     serps = build_serps(run, qrels, k)
     coverage = {row.topic: row[2:] for row in judgment_coverage(run, qrels).rows}
-    assert list(coverage) == run.topics()
-    for topic, ranking in run.entries.items():
-        grades = [judgments.get((topic, entry.doc_id)) for entry in ranking]
+    assert list(coverage) == sorted(run.columns.topics, key=topic_sort_key)
+    for topic, ranking in decoded(run)[2].items():
+        grades = [judgments.get((topic, doc)) for doc, _, _ in ranking]
         bits = [int(grade is not None and grade >= 1) for grade in grades[:k]]
         assert serps.get(run.system_tag, topic) == Serp(bits + [0] * (k - len(bits)))
         unjudged = [rank for rank, grade in enumerate(grades, start=1) if grade is None]

@@ -6,6 +6,10 @@ be UTF-8; lines end at \\n, \\r\\n or a lone \\r; fields are separated by
 ASCII whitespace; numbers are parsed by Python's int and float; scores
 must be finite; a run carries one system tag.  On one line the checks
 run in the order field count, rank, score, duplicate, system tag.
+
+They return plain data, which `decoded` makes of a RunFile or Qrels: a
+run as (system tag, truncation, {topic id: [(doc id, rank, score)]}),
+topics first seen first, and qrels as {(topic id, doc id): grade}.
 """
 
 from __future__ import annotations
@@ -14,7 +18,18 @@ import io
 import math
 from pathlib import Path
 
-from ipso.trecio import DEFAULT_TRUNCATION, Qrels, RunEntry, RunFile, TrecParseError
+from ipso.trecio import DEFAULT_TRUNCATION, RunFile, TrecParseError
+
+
+def decoded(parsed):
+    """A RunFile or Qrels as this module's parsers return theirs; ids regain trailing NULs."""
+    c = parsed.columns
+    ids = [doc.ljust(n, b"\0").decode() for doc, n in zip(c.docs.tolist(), c.lengths.tolist())]
+    if not isinstance(parsed, RunFile):
+        return dict(zip(zip([c.topics[i] for i in c.codes.tolist()], ids), c.grades.tolist()))
+    rows, at = list(zip(ids, c.ranks.tolist(), c.scores.tolist())), c.offsets.tolist()
+    return parsed.system_tag, parsed.truncation, {
+        topic: rows[at[i]:at[i + 1]] for i, topic in enumerate(c.topics)}
 
 
 def _lines(source):
@@ -32,7 +47,7 @@ def _lines(source):
         yield lineno, [field.decode() for field in line.encode().split()]
 
 
-def parse_run(source, truncate: int = DEFAULT_TRUNCATION, strict_ranks: bool = False) -> RunFile:
+def parse_run(source, truncate: int = DEFAULT_TRUNCATION, strict_ranks: bool = False) -> tuple:
     if truncate < 1:
         raise ValueError(f"truncate must be >= 1, got {truncate}")
     system_tag = None
@@ -66,20 +81,20 @@ def parse_run(source, truncate: int = DEFAULT_TRUNCATION, strict_ranks: bool = F
             system_tag = tag
         elif tag != system_tag:
             raise TrecParseError(f"line {lineno}: system tag {tag!r} differs from {system_tag!r}")
-        raw.setdefault(topic_id, []).append(RunEntry(doc_id, rank, score))
+        raw.setdefault(topic_id, []).append((doc_id, rank, score))
     if system_tag is None:
         raise TrecParseError("run contains no entries")
-    entries = {}
+    rankings = {}
     for topic_id, docs in raw.items():
         if strict_ranks:
-            docs = sorted(docs, key=lambda e: (e.rank, e.doc_id))
+            docs = sorted(docs, key=lambda e: (e[1], e[0]))
         else:
-            docs = sorted(docs, key=lambda e: (e.score, e.doc_id), reverse=True)
-        entries[topic_id] = tuple(docs[:truncate])
-    return RunFile(system_tag=system_tag, entries=entries, truncation=truncate)
+            docs = sorted(docs, key=lambda e: (e[2], e[0]), reverse=True)
+        rankings[topic_id] = docs[:truncate]
+    return system_tag, truncate, rankings
 
 
-def parse_qrels(source) -> Qrels:
+def parse_qrels(source) -> dict:
     judgments: dict = {}
     for lineno, fields in _lines(source):
         if not fields:
@@ -96,4 +111,4 @@ def parse_qrels(source) -> Qrels:
         if (topic_id, doc_id) in judgments:
             raise TrecParseError(f"line {lineno}: duplicate judgment for ({topic_id}, {doc_id})")
         judgments[(topic_id, doc_id)] = grade
-    return Qrels(judgments=judgments)
+    return judgments
