@@ -132,7 +132,7 @@ def group_codes(rows_a: np.ndarray, rows_b: np.ndarray, k: int | None = None) ->
     return group_code(classify_pair_rows(rows_a, rows_b, k), first)
 
 
-@lru_cache(maxsize=2)  # the k = 12 matrix alone is 16 MB
+@lru_cache(maxsize=2)  # the k = 12 matrix alone is 16 MB; build_grid and dominance_pairs read it
 def category_matrix(k: int) -> np.ndarray:
     """(2^k, 2^k) read-only uint8 matrix of category codes for every ordered pair.
 
@@ -154,6 +154,24 @@ def category_matrix(k: int) -> np.ndarray:
 def dominance_pairs(k: int) -> np.ndarray:
     """Read-only (2, n) uint16 (row, col) codes of category_matrix(k)'s NI entries, row-major."""
     pairs = np.array(np.nonzero(category_matrix(k) == NI), dtype=np.uint16)
+    pairs.setflags(write=False)
+    return pairs
+
+
+@lru_cache(maxsize=2)
+def cover_pairs(k: int) -> np.ndarray:
+    """Read-only (2, n) uint16 (sup, inf) codes of the covers of strict dominance, sorted.
+
+    A cover moves a relevant document a rank later (bit j + 1 set, bit j
+    clear: c - 2^j) or drops the one at rank k (bit 0 set: c - 1).
+    """
+    if not 1 <= k <= 16:
+        raise ValueError(f"cover_pairs supports 1 <= k <= 16, got {k}")
+    codes, shifts = np.arange(1 << k), np.arange(k - 1, -1, -1)  # columns j = k - 1 … 0
+    covers = codes[:, None] >> shifts & 3 == 2
+    covers[:, -1] |= codes & 1 == 1
+    sup, column = np.nonzero(covers)  # row-major: by sup, then by inf
+    pairs = np.array([sup, sup - (1 << shifts[column])], dtype=np.uint16)
     pairs.setflags(write=False)
     return pairs
 

@@ -292,7 +292,7 @@ def build_grid(
         raise ValueError(f"build_grid supports 1 <= k <= 12, got {k}")
     rows = _metric_order(row_metric, k, ctx)
     cols = _metric_order(col_metric, k, ctx)
-    cells = _bits.category_matrix(k)[np.ix_(rows, cols)]
+    cells = _bits.category_matrix(k).take(rows, 0).take(cols, 1)
     cells.setflags(write=False)
     return RelationshipGrid(
         k=k,
@@ -328,14 +328,11 @@ def hasse_cover(k: int) -> HasseEdges:
     """Transitive reduction of the strict dominance relation at depth k.
 
     An edge (a, b) survives exactly when a strictly dominates b and no
-    third SERP sits between them.
+    third SERP sits between them: the covers, _bits.cover_pairs.
     """
     if not 1 <= k <= 8:
         raise ValueError(f"hasse_cover supports 1 <= k <= 8, got {k}")
-    dominates = _bits.category_matrix(k) == _bits.NI
-    # path counts are at most 2^k <= 256, exact in float32, where BLAS does the product
-    d = dominates.astype(np.float32)
-    return HasseEdges(k=k, edges=tuple(map(tuple, np.argwhere(dominates & ~(d @ d > 0)).tolist())))
+    return HasseEdges(k=k, edges=tuple(zip(*_bits.cover_pairs(k).tolist())))
 
 
 def kendall_tau(

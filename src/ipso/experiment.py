@@ -495,11 +495,12 @@ def sweep_all_pairs(
     collection = _collection(runs, qrels, [*k_values, *label_depths])
     pairs = list(itertools.combinations(range(len(runs)), 2))
     blocks = _pair_blocks(collection, pairs)
+    full = {m: _score_matrix(collection, m) for m in plan if isinstance(m, MetricSpec)}  # any k
     rows = []
     for k in k_values:
         specs = list(dict.fromkeys(parse_metric(f"{m}@{k}") if isinstance(m, str) else m
                                    for m in plan))
-        scores = {spec: _score_matrix(collection, spec) for spec in specs}
+        scores = {s: full[s] if s in full else _score_matrix(collection, s) for s in specs}
         ipso_p = [None] * len(pairs)
         metric_p = {cell: [None] * len(pairs) for cell in itertools.product(specs, tests)}
         for members, codes, outcomes in _evaluate(collection, blocks, k, scores, tests):

@@ -197,12 +197,13 @@ def certify_compliance(
 ) -> list:
     """Exhaustively check a metric against the innate ordering at depth k.
 
-    For every ordered pair of length-k SERPs where the first is
-    non-inferior (_bits.dominance_pairs), the first's score must not fall
-    below the second's (within tolerance).  Equal pairs need no check: a
-    SERP equals only itself, a gap of 0 (NaN for a NaN or infinite score).
-    Returns the offending (serp, serp) pairs, sorted by encoding — empty
-    means the metric complies.  Accepts a MetricSpec or a Serp -> score callable.
+    For every ordered pair of length-k SERPs where the first is non-inferior, the
+    first's score must not fall below the second's (within tolerance).  Each such pair
+    is a chain of covers (_bits.cover_pairs) and float >= is transitive, so if no cover
+    scores lower the metric complies; else (a NaN too) _bits.dominance_pairs is scanned.
+    Equal pairs need no check: a SERP equals only itself, a gap of 0 (NaN for a NaN or
+    infinite score).  Returns the offending (serp, serp) pairs, sorted by encoding —
+    empty means the metric complies.  Accepts a MetricSpec or a Serp -> score callable.
     """
     if not 1 <= k <= 12:
         raise ValueError(f"certify_compliance supports 1 <= k <= 12, got {k}")
@@ -212,6 +213,8 @@ def certify_compliance(
         scores = score_all(metric, k, ctx)
     else:
         scores = np.array([float(metric(Serp.from_int(c, k))) for c in range(1 << k)])
+    if np.greater_equal(*scores[_bits.cover_pairs(k)]).all():  # no cover scores lower
+        return []
     rows, cols = _bits.dominance_pairs(k)
     bad = scores[rows] - scores[cols] < -tolerance
     return [(Serp.from_int(a, k), Serp.from_int(b, k))

@@ -314,10 +314,11 @@ def _inversions(ranks: np.ndarray) -> int:
     ranks agree above b, kept in order by a stable sort, each 1 at b that
     precedes a 0 at b is one inversion.
     """
-    total = 0
-    for b in reversed(range(int(ranks.max(initial=0)).bit_length())):
+    total, top = 0, int(ranks.max(initial=0))
+    ranks = ranks.astype(np.uint16 if top < 1 << 16 else np.intp)  # 16 bits sort by radix
+    for b in reversed(range(top.bit_length())):
         key = ranks[np.argsort(ranks >> (b + 1), kind="stable")] >> b
-        high, bit = key >> 1, key & 1
+        high, bit = key >> 1, (key & 1).astype(np.intp)  # a uint16 cumsum less int64 is float
         ones = np.bincount(high[bit == 1], minlength=int(high[-1]) + 1)
         ones_before_run = (np.cumsum(ones) - ones)[high]
         total += int(((np.cumsum(bit) - ones_before_run) * (1 - bit)).sum())

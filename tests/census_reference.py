@@ -1,13 +1,16 @@
 """Reference forms of the census's renderers, compliance check and sampler.
 
 The grid and Hasse renderers build every line from Serp.from_int and
-write it through csv.writer or one f-string a line.  The compliance check
-scores the whole 2^k x 2^k gap matrix and checks the equal pairs as well
-as the dominance pairs.  The block walk is stepped one position at a
-time.  The sampler draws each chunk's stream whole through Philox, from
-the chunk's own counter, and unpacks each sampled pair to one byte per
-position and packs it again before the block walk.  The array forms in
-ipso must match them byte for byte, pair for pair and tally for tally.
+write it through csv.writer or one f-string a line.  The Hasse cover is
+the dominance matrix's transitive reduction by one matrix product, and the
+elementary weakenings are listed one SERP and one rank at a time.  The
+compliance check scores the whole 2^k x 2^k gap matrix and checks the
+equal pairs as well as the dominance pairs.  The block walk is stepped
+one position at a time.  The sampler draws each chunk's stream whole
+through Philox, from the chunk's own counter, and unpacks each sampled
+pair to one byte per position and packs it again before the block walk.
+The array forms in ipso must match them byte for byte, pair for pair and
+tally for tally.
 """
 
 from __future__ import annotations
@@ -62,6 +65,29 @@ def hasse_csv(hasse: HasseEdges) -> str:
 
 def hasse_dict(hasse: HasseEdges) -> dict:
     return {"k": hasse.k, "edges": [list(pair) for pair in hasse_pairs(hasse)]}
+
+
+def hasse_reduction(k: int) -> np.ndarray:
+    """(2, n) (sup, inf) codes of the dominance pairs that no third SERP joins, row-major."""
+    dominates = _bits.category_matrix(k) == _bits.NI
+    # path counts are at most 2^k <= 256, exact in float32, where BLAS does the product
+    d = dominates.astype(np.float32)
+    return np.argwhere(dominates & ~(d @ d > 0)).T
+
+
+def elementary_weakenings(k: int) -> list:
+    """Sorted [sup, inf] codes: each relevant document moved one rank later, or dropped at rank k."""
+    pairs = []
+    for code in range(1 << k):
+        serp = list(Serp.from_int(code, k))
+        for rank, hit in enumerate(serp):
+            if hit and (rank == k - 1 or not serp[rank + 1]):
+                weaker = serp.copy()
+                weaker[rank] = 0
+                if rank < k - 1:
+                    weaker[rank + 1] = 1
+                pairs.append([code, Serp(weaker).to_int()])
+    return sorted(pairs)
 
 
 def certify_compliance_dense(metric, k: int, ctx=None, tolerance: float = SCORE_TOLERANCE) -> list:

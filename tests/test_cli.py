@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import random
@@ -16,7 +17,9 @@ import pytest
 import ipso
 from ipso import cli
 from ipso.cli import main
+from ipso.enumeration import kendall_tau
 from ipso.experiment import AgreementCategory, SweepResult, SweepRow
+from ipso.metrics import certify_compliance, metric_suite
 from ipso.trecio import DEFAULT_TRUNCATION
 
 DATA = Path(__file__).parent / "data"
@@ -668,3 +671,46 @@ def golden_outputs() -> dict:
 
 def test_fixture_outputs_match_golden_digests():
     assert golden_outputs() == GOLDEN
+
+
+#: SHA-256 of the census outputs that the cover table serves, and the
+#: compliance counts and Kendall reprs behind the benchmark's census digests,
+#: as the dominance-pair scan and the float32 matrix-product reduction printed them.
+CENSUS_GOLDEN = {
+    "hasse_k1_csv": "e34c25fc2aecfd275f72c70684c4b4e61346cd238beb01b2446abf1149b95957",
+    "hasse_k2_csv": "ccfdc3f33b3bc658d3e7a5085e2c44b701671581f1973bdeebde694b159d7546",
+    "hasse_k3_csv": "8a5b2e4a7b695518dab111519058104ce3aebd209d6197376211bcacda36558b",
+    "hasse_k4_csv": "74595b62ecd4f86a222f21ec948aa27b330fd27e3b0679255d3189af898f27a0",
+    "hasse_k5_csv": "564cfc7cccd0bb9e8b4fe7798e5ddac078331f64e7ec7bdd1be8359065177387",
+    "hasse_k6_csv": "1f14caf3daaac67921eac8b6680ebec80eb3986f33fb0445cbbf194b71bf2a75",
+    "hasse_k7_csv": "f6195a33d4628724d231f1a485c27d37cd76e8eba8e1576f0c0c5d06f2c710b2",
+    "hasse_k8_csv": "8dd54030319a30d359d1236f80c4b37228263948867626239dbba74099960378",
+    "hasse_k4_json": "fb7a39d0e4ec4d7f799b15a443a7e8f6ebc8bc09db60d47a6bba02b5f3956575",
+    "grid_k8_csv": "9e5ac9f02e5dca7bb384267a46e1b3d3d56d3c5d3c64750d5afed3103feface3",
+    "kendall_suite12": "14aa77c5125bea29a74c3bbf2a2971babdfb4ff7ce8f41e71326e30713516ec7",
+    "certify_suite10": {"P@10": 0, "RR@10": 0, "S@10": 0, "RBP0.5@10": 0, "RBP0.8@10": 0,
+                        "AP@10": 0, "NDCG@10": 0},
+}
+
+
+def census_outputs() -> dict:
+    """Hasse csv at k = 1…8 and json at k = 4, grid csv at k = 8, certify counts and Kendall reprs."""
+    def cli(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main([str(a) for a in argv]) == 0, argv
+        return out.getvalue()
+
+    texts = {f"hasse_k{k}_csv": cli("hasse", "--k", k) for k in range(1, 9)}
+    texts["hasse_k4_json"] = cli("hasse", "--k", 4, "--format", "json")
+    texts["grid_k8_csv"] = cli("grid", "--k", 8, "--rows", "RBP0.5@8", "--cols", "NDCG@8")
+    suite = metric_suite(12)
+    texts["kendall_suite12"] = "\n".join(repr(kendall_tau(a, b, 12))
+                                         for a, b in itertools.product(suite, repeat=2))
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    digests["certify_suite10"] = {m.label: len(certify_compliance(m, 10)) for m in metric_suite(10)}
+    return digests
+
+
+def test_census_outputs_match_golden_digests():
+    assert census_outputs() == CENSUS_GOLDEN

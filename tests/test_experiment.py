@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from ipso import experiment
 from ipso.experiment import (
     AgreementCategory,
     ComparisonReport,
@@ -379,6 +380,22 @@ def test_full_label_deeper_than_k_keeps_its_depth(fixture):
     p = {(r.system_a, r.system_b, r.k): r.metric_p for r in rows}
     assert p["alpha", "charlie", 3] == pytest.approx(0.0993, abs=1e-4)
     assert all(p[a, b, 3] == p[a, b, 10] for a, b, _ in p)
+
+
+@pytest.mark.filterwarnings("ignore:system charlie")
+def test_sweep_scores_each_metric_matrix_once(fixture, monkeypatch):
+    """A full label scores the same at every k: the sweep scores it once, bare families once per k."""
+    runs, qrels = fixture
+    scored, score_matrix = Counter(), experiment._score_matrix
+
+    def spy(collection, metric):
+        scored[metric.label] += 1
+        return score_matrix(collection, metric)
+
+    monkeypatch.setattr(experiment, "_score_matrix", spy)
+    sweep_all_pairs(list(runs.values()), qrels, [3, 5, 10, 20], ["P@10", "P", "AP"], ["t"])
+    assert scored == {"P@10": 1, **{f"{family}@{k}": 1 for family in ("P", "AP")
+                                    for k in (3, 5, 10, 20)}}
 
 
 class TestAgreementCategory:

@@ -3,11 +3,12 @@
 Every row's group from _bits.group_codes must equal classify_group and an
 independent prefix-walk oracle.  The four-way category from the block-walk
 classify_pair_rows and from category_matrix must equal the same walk's.
-The packed walk table must decode to a scalar walk of every block.  Each
-sampled piece's own Philox draw must equal its slice of the chunk's whole
-stream; the sampler's walk-table index, cut straight from those bytes,
-must equal the index packed from unpacked bits, and its tallies the
-unpacking sampler's.
+The cover table must equal the dominance matrix's transitive reduction
+and the elementary weakenings, each an NI cell.  The packed walk table
+must decode to a scalar walk of every block.  Each sampled piece's own
+Philox draw must equal its slice of the chunk's whole stream; the
+sampler's walk-table index, cut straight from those bytes, must equal the
+index packed from unpacked bits, and its tallies the unpacking sampler's.
 """
 
 import census_reference
@@ -243,6 +244,26 @@ def test_category_matrix_tallies_the_dp_and_matches_walk_cells(k):
     cells = np.random.default_rng(k).integers(0, len(rows), size=(2000, 2))
     assert [matrix[i, j] for i, j in cells.tolist()] == [
         walk_category(rows[i].tolist(), rows[j].tolist()) for i, j in cells.tolist()]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_cover_pairs_are_the_transitive_reduction(k):
+    assert np.array_equal(_bits.cover_pairs(k), census_reference.hasse_reduction(k))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cover_pairs_are_the_elementary_weakenings(k):
+    covers = _bits.cover_pairs(k)
+    assert covers.dtype == np.uint16 and not covers.flags.writeable
+    assert covers.T.tolist() == census_reference.elementary_weakenings(k)
+    if k <= 10:
+        assert (_bits.category_matrix(k)[tuple(covers)] == _bits.NI).all()
+
+
+@pytest.mark.parametrize("k", [0, 17])
+def test_cover_pairs_refuse_depths_past_uint16_codes(k):
+    with pytest.raises(ValueError, match="1 <= k <= 16"):
+        _bits.cover_pairs(k)
 
 
 def test_long_one_sided_walks_do_not_wrap():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -264,6 +265,11 @@ def _scores_with_holes(serp):
     return holes.get(code % 5, late_bonus_precision(serp))
 
 
+def _precision_with(holes: dict):
+    """P at the SERP's depth, but the score holes[code] for the codes in holes."""
+    return lambda serp: holes.get(serp.to_int(), score(f"P@{len(serp)}", serp))
+
+
 class TestComplianceOracle:
     """certify_compliance over the dominance pairs against the full gap matrix."""
 
@@ -289,6 +295,38 @@ class TestComplianceOracle:
         got = certify_compliance(scorer, k, tolerance=tolerance)
         assert got
         assert got == certify_compliance_dense(scorer, k, tolerance=tolerance)
+
+    # the covers alone certify a compliant scorer; any failed cover, a NaN
+    # included, falls through to the dominance scan, which still tolerates
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("scorer, k, scanned, complies", [
+        (noisy_precision, 3, True, True),  # fails moves by < 1e-12: within tolerance
+        (_precision_with({15: math.inf, 0: -math.inf}), 4, False, True),
+        (lambda serp: math.inf if serp[0] else score("P@4", serp), 4, False, True),  # inf - inf
+        (_precision_with({15: -math.inf}), 4, True, False),
+        (_precision_with({5: math.nan}), 4, True, True),
+        (_precision_with({0: math.nan}), 4, True, True),
+    ], ids=["within-tolerance", "infinite-ends", "inf-minus-inf", "minus-inf-top", "nan-inside",
+            "nan-bottom"])
+    def test_covers_decide_when_to_scan(self, monkeypatch, scorer, k, scanned, complies):
+        scans, dominance_pairs = [], _bits.dominance_pairs
+        monkeypatch.setattr(_bits, "dominance_pairs", lambda k: scans.append(k) or dominance_pairs(k))
+        got = certify_compliance(scorer, k)
+        assert got == certify_compliance_dense(scorer, k)
+        assert scans == ([k] if scanned else [])
+        assert (got == []) == complies
+
+    # violators at k = 10 as the dominance scan alone found them
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in subtract:RuntimeWarning")
+    @pytest.mark.parametrize("scorer, count, digest", [
+        (late_bonus_precision, 57762, "5aa55f1413c5871afcb41ea6c0f9a3673f9660ff2c42004274038f0c51e77ecd"),
+        (deeper_is_better, 92906, "371c99ecd454e0a56052a8b03ae690cf506037ae262307935f66a526b59de2ed"),
+        (_scores_with_holes, 79634, "090ea067a21a3c79d800f22ca3a1533f39a09f5b695907bc3f4016bb268d625d"),
+    ])
+    def test_violators_at_depth_ten(self, scorer, count, digest):
+        got = [(a.bitstring, b.bitstring) for a, b in certify_compliance(scorer, 10)]
+        assert len(got) == count
+        assert hashlib.sha256(repr(got).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("k", range(1, 11))
     def test_equal_pairs_are_the_diagonal(self, k):

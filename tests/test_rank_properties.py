@@ -75,10 +75,12 @@ def test_tau_equals_scipy_on_tied_samples(sample):
     assert same(kendall_tau_b(x, y), float(scipy.stats.kendalltau(x, y).statistic))
 
 
+# offsets put the ranks below 2^16 (16-bit keys), across it, and above it (intp keys)
 @settings(max_examples=200, deadline=None)
-@given(values=st.lists(st.integers(0, 40), max_size=80))
-def test_inversions_equal_pair_count(values):
-    y = np.array(values, dtype=np.intp)
+@given(values=st.lists(st.integers(0, 40), max_size=80),
+       offset=st.sampled_from([0, (1 << 16) - 41, (1 << 16) - 20, 1 << 16]))
+def test_inversions_equal_pair_count(values, offset):
+    y = np.array(values, dtype=np.intp) + offset
     want = sum(int(a > b) for a, b in itertools.combinations(values, 2))
     assert _inversions(y) == want
 
