@@ -1,33 +1,24 @@
 """Command-line interface.
 
 Subcommands: enumerate, grid, hasse, compare, topics, sweep, coverage.
-Results go to stdout as CSV (default) or JSON; compare also offers an
-aligned text report.  Exit codes: 0 success, 1 input parse failure,
+Each handler returns its result object and `_emit` prints it in the
+chosen `--format`: CSV (the default) through the result's `write_csv`,
+JSON through its `to_dict`, and, for compare only, an aligned text report
+through `to_text`.  Exit codes: 0 success, 1 input parse failure,
 2 invalid arguments.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
 from pathlib import Path
 
-from .enumeration import (
-    build_grid,
-    enumerate_pairs,
-    hasse_cover,
-    sample_pairs,
-    write_counts_csv,
-)
-from .experiment import (
-    ComparisonReport,
-    compare_systems,
-    sweep_all_pairs,
-    topic_table,
-    write_topic_csv,
-)
+from .enumeration import build_grid, enumerate_pairs, hasse_cover, sample_pairs
+from .experiment import compare_systems, sweep_all_pairs, topic_table
 from .metrics import parse_metric
 # build_serps is not called here; bench/tracer.py hooks it in this module
 from .trecio import (
@@ -39,7 +30,10 @@ from .trecio import (
     parse_run,
 )
 
-import csv as _csv
+
+def _tokens(text: str) -> list:
+    """An option's non-empty comma-separated fields, stripped."""
+    return [token.strip() for token in text.split(",") if token.strip()]
 
 
 def _metric_arg(text: str, k: int) -> str:
@@ -49,10 +43,9 @@ def _metric_arg(text: str, k: int) -> str:
 
 def _depth(k_values, metrics=()) -> int:
     """Parse depth for a job that reads max(k) documents, and each full metric label's (one
-    with an @) own depth; the default caps it.  Every row tied at a cut is kept until the
-    doc-id sort, so a run parsed to this depth ranks those documents as a full parse does."""
-    depths = [parse_metric(m).depth for m in metrics if "@" in m]
-    return min(max([*k_values, *depths, 1]), DEFAULT_TRUNCATION)
+    with an @) own depth.  Every row tied at a cut is kept until the doc-id sort, so a run
+    parsed to this depth ranks those documents as a full parse does."""
+    return max([*k_values, *(parse_metric(m).depth for m in metrics if "@" in m), 1])
 
 
 def _load_runs_dir(directory: str, truncate: int = DEFAULT_TRUNCATION) -> list:
@@ -78,110 +71,60 @@ def _emit_json(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _cmd_enumerate(args) -> int:
-    if args.samples is not None:
-        counts = sample_pairs(args.k, args.samples, seed=args.seed, workers=args.workers)
-    else:
-        counts = enumerate_pairs(args.k)
-    if args.format == "json":
-        _emit_json(counts.to_dict())
-    else:
-        write_counts_csv([counts], sys.stdout)
-    return 0
-
-
-def _cmd_grid(args) -> int:
-    grid = build_grid(args.k, parse_metric(args.rows), parse_metric(args.cols))
-    if args.format == "json":
-        _emit_json(grid.to_dict())
-    else:
-        grid.write_csv(sys.stdout)
-    return 0
-
-
-def _cmd_hasse(args) -> int:
-    edges = hasse_cover(args.k)
-    if args.format == "json":
-        _emit_json(edges.to_dict())
-    else:
-        edges.write_csv(sys.stdout)
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    metric = _metric_arg(args.metric, args.k)
-    report = compare_systems(
-        parse_run(args.run_a, truncate=_depth([args.k], [metric])),
-        parse_run(args.run_b, truncate=_depth([args.k], [metric])),
-        parse_qrels(args.qrels),
-        args.k,
-        metric=metric,
-        alpha=args.alpha,
-        test=args.test,
-    )
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    elif args.format == "text":
-        print(report.to_text(ascii_symbols=args.ascii))
-    else:
-        writer = _csv.writer(sys.stdout)
-        writer.writerow(ComparisonReport.CSV_HEADER)
-        writer.writerow(report.csv_row())
-    return 0
-
-
-def _cmd_topics(args) -> int:
-    metrics = [
-        _metric_arg(token.strip(), args.k)
-        for token in args.metrics.split(",") if token.strip()
-    ]
-    rows = topic_table(
-        parse_run(args.run_a, truncate=_depth([args.k], metrics)),
-        parse_run(args.run_b, truncate=_depth([args.k], metrics)),
-        parse_qrels(args.qrels),
-        args.k,
-        metrics=metrics,
-    )
-    if args.format == "json":
-        _emit_json([
-            {
-                "topic": row.topic_id,
-                "group": row.group.label,
-                "serp_a": row.serp_a,
-                "serp_b": row.serp_b,
-                "trajectory": list(row.trajectory.codes()),
-                "score_diffs": row.score_diffs,
-            }
-            for row in rows
-        ])
-    else:
-        write_topic_csv(rows, sys.stdout)
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    k_values = [int(token) for token in args.k.split(",") if token.strip()]
-    # bare family names are handed through so each sweep depth scores at
-    # its own k; explicit labels like P@5 stay fixed
-    metrics = [token.strip() for token in args.metrics.split(",") if token.strip()]
-    runs = _load_runs_dir(args.runs, truncate=_depth(k_values, metrics))
-    qrels = parse_qrels(args.qrels)
-    tests = [token.strip() for token in args.tests.split(",") if token.strip()]
-    result = sweep_all_pairs(runs, qrels, k_values, metrics, tests, alpha=args.alpha)
+def _emit(args, result) -> None:
+    """Print a handler's result in --format: the one place the CLI writes a result."""
     if args.format == "json":
         _emit_json(result.to_dict())
+    elif args.format == "text":
+        print(result.to_text(ascii_symbols=args.ascii))
     else:
         result.write_csv(sys.stdout)
-    return 0
 
 
-def _cmd_coverage(args) -> int:
-    report = judgment_coverage(_load_runs_dir(args.runs), parse_qrels(args.qrels))
-    if args.format == "json":
-        _emit_json(report.to_dict())
-    else:
-        report.write_csv(sys.stdout)
-    return 0
+def _cmd_enumerate(args):
+    if args.samples is not None:
+        return sample_pairs(args.k, args.samples, seed=args.seed, workers=args.workers)
+    return enumerate_pairs(args.k)
+
+
+def _cmd_grid(args):
+    return build_grid(args.k, parse_metric(args.rows), parse_metric(args.cols))
+
+
+def _cmd_hasse(args):
+    return hasse_cover(args.k)
+
+
+def _pair_inputs(args, metrics) -> tuple:
+    """run_a, run_b and the qrels, the runs parsed only as deep as k and the metrics read."""
+    depth = _depth([args.k], metrics)
+    return (parse_run(args.run_a, truncate=depth), parse_run(args.run_b, truncate=depth),
+            parse_qrels(args.qrels))
+
+
+def _cmd_compare(args):
+    metric = _metric_arg(args.metric, args.k)
+    return compare_systems(*_pair_inputs(args, [metric]), args.k, metric=metric,
+                           alpha=args.alpha, test=args.test)
+
+
+def _cmd_topics(args):
+    metrics = [_metric_arg(token, args.k) for token in _tokens(args.metrics)]
+    return topic_table(*_pair_inputs(args, metrics), args.k, metrics=metrics)
+
+
+def _cmd_sweep(args):
+    k_values = [int(token) for token in _tokens(args.k)]
+    # bare family names are handed through so each sweep depth scores at
+    # its own k; explicit labels like P@5 stay fixed
+    metrics = _tokens(args.metrics)
+    runs = _load_runs_dir(args.runs, truncate=_depth(k_values, metrics))
+    return sweep_all_pairs(runs, parse_qrels(args.qrels), k_values, metrics,
+                           _tokens(args.tests), alpha=args.alpha)
+
+
+def _cmd_coverage(args):
+    return judgment_coverage(_load_runs_dir(args.runs), parse_qrels(args.qrels))
 
 
 def _add_format(parser, extra=()) -> None:
@@ -189,7 +132,9 @@ def _add_format(parser, extra=()) -> None:
                         default="csv", help="output format (default csv)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ipso",
         description="Innate pairwise SERP ordering: enumeration, ingestion, "
@@ -263,15 +208,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _emit(args, args.handler(args))
     except TrecParseError as exc:
         print(f"ipso: parse error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"ipso: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -77,9 +77,11 @@ class CategoryCounts:
         }
 
     def csv_row(self) -> tuple:
-        seed = "" if self.sample_seed is None else self.sample_seed
         return (self.k, self.equal, self.separable, self.non_separable,
-                self.total, self.mode, seed)
+                self.total, self.mode, self.sample_seed)
+
+    def write_csv(self, stream: IO[str]) -> None:
+        write_counts_csv([self], stream)
 
     def to_dict(self) -> dict:
         return {
@@ -98,8 +100,7 @@ def write_counts_csv(rows, stream: IO[str]) -> None:
     """Write CategoryCounts rows as CSV, one line per depth."""
     writer = csv.writer(stream)
     writer.writerow(COUNTS_CSV_HEADER)
-    for counts in rows:
-        writer.writerow(counts.csv_row())
+    writer.writerows(counts.csv_row() for counts in rows)
 
 
 def relationship_counts(k: int) -> dict:

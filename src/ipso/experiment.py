@@ -213,26 +213,20 @@ class ComparisonReport:
             "zero_relevant_topics": list(self.zero_relevant_topics),
         }
 
+    #: The ipso_counts columns, in GROUP_TABLE_ORDER.
+    GROUP_COLUMNS = ("group_ns_midpoint", "group_ns", "group_equal", "group_ni",
+                     "group_ni_midpoint")
     CSV_HEADER = (
         "system_a", "system_b", "k", "metric", "test", "alpha",
         "n_topics", "n_scored_topics", "mean_a", "mean_b", "effect_size",
-        "metric_p", "metric_significant",
-        "group_ns_midpoint", "group_ns", "group_equal", "group_ni", "group_ni_midpoint",
-        "ipso_p", "ipso_corroborated",
+        "metric_p", "metric_significant", *GROUP_COLUMNS, "ipso_p", "ipso_corroborated",
     )
 
-    def csv_row(self) -> tuple:
-        def num(x):
-            return "" if x is None else repr(x)
-
-        return (
-            self.system_a, self.system_b, self.k, self.metric.label, self.test,
-            self.alpha, self.n_topics, self.n_scored_topics,
-            num(self.mean_a), num(self.mean_b), num(self.effect_size),
-            num(self.metric_p), self.metric_significant,
-            *(self.group_count(g) for g in GROUP_TABLE_ORDER),
-            num(self.ipso_p), self.ipso_corroborated,
-        )
+    def write_csv(self, stream: IO[str]) -> None:
+        """CSV_HEADER and one row of to_dict's values, the group counts spread out."""
+        fields = self.to_dict()
+        fields.update(zip(self.GROUP_COLUMNS, fields["ipso_counts"].values()))
+        csv.writer(stream).writerows([self.CSV_HEADER, [fields[name] for name in self.CSV_HEADER]])
 
     def to_text(self, ascii_symbols: bool = False) -> str:
         """Aligned human-readable report."""
@@ -320,13 +314,25 @@ class TopicRow:
     score_diffs: dict  # metric label -> score(A) - score(B)
 
 
+class TopicTable(list):
+    """topic_table's rows, with their JSON and CSV forms."""
+
+    def to_dict(self) -> list:
+        return [{"topic": row.topic_id, "group": row.group.label, "serp_a": row.serp_a,
+                 "serp_b": row.serp_b, "trajectory": list(row.trajectory.codes()),
+                 "score_diffs": row.score_diffs} for row in self]
+
+    def write_csv(self, stream: IO[str]) -> None:
+        write_topic_csv(self, stream)
+
+
 def topic_table(
     run_a: RunFile,
     run_b: RunFile,
     qrels: Qrels,
     k: int,
     metrics: Sequence[Union[MetricSpec, str]] = (),
-) -> list:
+) -> TopicTable:
     """Per-topic rows, sectioned and ordered for tabular presentation.
 
     Rows appear in five sections — non-separable with a non-superior
@@ -344,7 +350,7 @@ def topic_table(
     diffs = {spec.label: np.subtract(*_score_matrix(collection, spec)[[0, -1]]).tolist()
              for spec in specs}
     rel_a, rel_b = collection.bits[[0, -1], :, :k].tolist()
-    rows = []
+    rows = TopicTable()
     for i, code in zip(at.tolist(), codes[0].tolist()):
         serp_a, serp_b = Serp(rel_a[i]), Serp(rel_b[i])
         rows.append(TopicRow(
@@ -364,12 +370,9 @@ def write_topic_csv(rows: Sequence[TopicRow], stream: IO[str]) -> None:
     writer = csv.writer(stream)
     writer.writerow(["topic", "group", "serp_a", "serp_b", "trajectory"]
                     + [f"diff_{label}" for label in labels])
-    for row in rows:
-        writer.writerow([
-            row.topic_id, row.group.label, row.serp_a, row.serp_b,
-            " ".join(row.trajectory.codes()),
-            *(repr(row.score_diffs[label]) for label in labels),
-        ])
+    writer.writerows([row.topic_id, row.group.label, row.serp_a, row.serp_b,
+                      " ".join(row.trajectory.codes()),
+                      *(row.score_diffs[label] for label in labels)] for row in rows)
 
 
 class AgreementCategory(enum.Enum):
@@ -436,12 +439,8 @@ class SweepResult:
 
     def write_csv(self, stream: IO[str]) -> None:
         # csv.writer writes each row alone, a system call apiece when stream is unbuffered
-        lines = itertools.chain([SweepRow._fields], ((
-            row.system_a, row.system_b, row.k, row.metric, row.test,
-            "" if row.metric_p is None else repr(row.metric_p),
-            "" if row.ipso_p is None else repr(row.ipso_p),
-            row.category.label,
-        ) for row in self.rows))
+        lines = itertools.chain([SweepRow._fields],
+                                ((*row[:-1], row.category.label) for row in self.rows))
         while block := list(itertools.islice(lines, 1 << 12)):
             buffer = io.StringIO()
             csv.writer(buffer).writerows(block)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -18,9 +19,10 @@ import ipso
 from ipso import cli
 from ipso.cli import main
 from ipso.enumeration import kendall_tau
-from ipso.experiment import AgreementCategory, SweepResult, SweepRow
+from ipso.experiment import (
+    AgreementCategory, SweepResult, SweepRow, compare_systems, sweep_all_pairs, topic_table)
 from ipso.metrics import certify_compliance, metric_suite
-from ipso.trecio import DEFAULT_TRUNCATION
+from ipso.trecio import DEFAULT_TRUNCATION, parse_qrels
 
 DATA = Path(__file__).parent / "data"
 RUNS = DATA / "runs"
@@ -477,9 +479,14 @@ def _tied_runs(directory: Path) -> None:
         (directory / "runs" / f"{tag}.run").write_text("".join(lines))
 
 
+#: A parse depth past every line of the test inputs.
+EVERY_LINE = 1 << 30
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestParseDepthPushdown:
-    """sweep, compare and topics parse runs to min(max(k), 100) and print what a full parse does."""
+    """sweep, compare and topics parse runs to the deepest of max(k) and every full label's
+    depth, with no cap, and print what a parse of every line does."""
 
     @pytest.fixture(scope="class")
     def inputs(self, tmp_path_factory):
@@ -492,7 +499,7 @@ class TestParseDepthPushdown:
 
     @staticmethod
     def outputs(capsys, monkeypatch, argv):
-        """(output with the pushdown, output parsing every run to the default, depths asked)."""
+        """(output with the pushdown, output parsing every line of every run, depths asked)."""
         parse_run, depths = cli.parse_run, []
 
         def recorded(source, truncate=DEFAULT_TRUNCATION, **options):
@@ -500,7 +507,7 @@ class TestParseDepthPushdown:
             return parse_run(source, truncate=truncate, **options)
 
         def full_depth(source, truncate=DEFAULT_TRUNCATION, **options):
-            return parse_run(source, **options)
+            return parse_run(source, truncate=EVERY_LINE, **options)
 
         results = []
         for stand_in in (recorded, full_depth):
@@ -525,10 +532,10 @@ class TestParseDepthPushdown:
             ["topics", *pair, "--metrics", "P,AP,NDCG,RR"],
         ):
             pushed, full, depths = self.outputs(capsys, monkeypatch, argv)
-            assert depths == {min(k, DEFAULT_TRUNCATION)}
+            assert depths == {k}
             assert pushed == full, argv[0]
 
-    @pytest.mark.parametrize("label, depth", [("P@10", 10), ("NDCG@150", DEFAULT_TRUNCATION)])
+    @pytest.mark.parametrize("label, depth", [("P@10", 10), ("NDCG@150", 150)])
     def test_full_labels_deeper_than_k_set_the_depth(self, capsys, monkeypatch, inputs, label,
                                                      depth):
         runs, qrels = (str(path) for path in inputs["tied"])
@@ -537,6 +544,24 @@ class TestParseDepthPushdown:
                      ["compare", *pair, "--metric", label], ["topics", *pair, "--metrics", label]):
             pushed, full, depths = self.outputs(capsys, monkeypatch, [*argv, "--k", "3"])
             assert (pushed, depths) == (full, {depth}), argv[0]
+
+    def test_k_deeper_than_the_default_grades_every_rank(self, capsys, inputs):
+        """At k = 150 the outputs are the library's on runs parsed to 150: ranks 101-150 count."""
+        runs, qrels = inputs["tied"]
+        run_a, run_b = runs / "tiesA.run", runs / "tiesB.run"
+        pair = ["--run-a", run_a, "--run-b", run_b, "--qrels", qrels, "--k", 150]
+        parsed = [cli.parse_run(path, truncate=150) for path in (run_a, run_b)]
+        judged = parse_qrels(qrels)
+        for argv, result in (
+            (["compare", *pair, "--metric", "AP"], compare_systems(*parsed, judged, 150, "AP@150")),
+            (["topics", *pair, "--metrics", "P,NDCG"],
+             topic_table(*parsed, judged, 150, ["P@150", "NDCG@150"])),
+            (["sweep", "--runs", runs, "--qrels", qrels, "--k", "5,150", "--metrics", "P,AP"],
+             sweep_all_pairs(parsed, judged, [5, 150], ["P", "AP"], ["t"])),
+        ):
+            code, out, err = run_cli(capsys, *map(str, argv), "--format", "json")
+            assert code == 0, err
+            assert out == json.dumps(result.to_dict(), indent=2) + "\n", argv[0]
 
 
 class TestParser:
@@ -554,6 +579,76 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--k", "3", "--format", "xml"])
         assert exc.value.code == 2
+
+    def test_main_calls_share_one_parser(self, capsys, monkeypatch):
+        parsers, parse_args = [], argparse.ArgumentParser.parse_args
+
+        def recorded(self, *args, **kwargs):
+            parsers.append(self)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recorded)
+        assert run_cli(capsys, "hasse", "--k", "2") == run_cli(capsys, "hasse", "--k", "2")
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+_PAIR = ["--run-a", RUNS / "alpha.run", "--run-b", RUNS / "charlie.run", "--qrels", QRELS,
+         "--k", "5", "--alpha", "0.1"]
+_SWEEP = ["--runs", RUNS, "--qrels", QRELS, "--k", "3,5", "--metrics", "P,AP",
+          "--tests", "t,sign,wilcoxon", "--alpha", "0.1"]
+_GRID = ["--k", "4", "--rows", "RBP0.5@4", "--cols", "NDCG@4"]
+
+#: Every subcommand in every format it takes, on the bundled fixture.
+FORMAT_CASES = {
+    "enumerate_exact_csv": ["enumerate", "--k", "6"],
+    "enumerate_exact_json": ["enumerate", "--k", "6", "--format", "json"],
+    "enumerate_sampled_csv": ["enumerate", "--k", "6", "--samples", "1000", "--seed", "3"],
+    "grid_csv": ["grid", *_GRID],
+    "grid_json": ["grid", *_GRID, "--format", "json"],
+    "hasse_csv": ["hasse", "--k", "4"],
+    "hasse_json": ["hasse", "--k", "4", "--format", "json"],
+    "compare_csv": ["compare", *_PAIR],
+    "compare_json": ["compare", *_PAIR, "--format", "json"],
+    "compare_text": ["compare", *_PAIR, "--format", "text"],
+    "compare_text_ascii": ["compare", *_PAIR, "--format", "text", "--ascii"],
+    "topics_csv": ["topics", *_PAIR[:-2], "--metrics", "P,AP,NDCG,RR"],
+    "topics_json": ["topics", *_PAIR[:-2], "--metrics", "P,AP,NDCG,RR", "--format", "json"],
+    "sweep_csv": ["sweep", *_SWEEP],
+    "sweep_json": ["sweep", *_SWEEP, "--format", "json"],
+    "coverage_csv": ["coverage", "--runs", RUNS, "--qrels", QRELS],
+    "coverage_json": ["coverage", "--runs", RUNS, "--qrels", QRELS, "--format", "json"],
+}
+
+#: SHA-256 of each FORMAT_CASES output, as each handler printed its own format.
+FORMAT_GOLDEN = {
+    "enumerate_exact_csv": "450d6dd690d396ff3bcdebc25c5998f0867fdbf8b6864dccfe4ab95c249d2696",
+    "enumerate_exact_json": "5069e1812af018faf6d69de61974fa38213cb3b55c5fef9d6a2b456d8ec2a309",
+    "enumerate_sampled_csv": "d760b9f651c8387eada3de57130bdf89a0abe3df0ab7ec62a9160600164cdca4",
+    "grid_csv": "d0477f3c4b113a97abf45a3652127a5cf50c2506b931ae9273feb9a82a69a985",
+    "grid_json": "aacea4e127de96a13d2803121983b0718cfd6199cd0f90bb20f0e2dad3f87648",
+    "hasse_csv": "74595b62ecd4f86a222f21ec948aa27b330fd27e3b0679255d3189af898f27a0",
+    "hasse_json": "fb7a39d0e4ec4d7f799b15a443a7e8f6ebc8bc09db60d47a6bba02b5f3956575",
+    "compare_csv": "b061d3060ae666b684616d5ec420027618ab3a27231f66a6e27c513585cda27b",
+    "compare_json": "4d77c28c704d2ee7962a0e0fbc2db425e731a98cf44a244333ca336cef6b9ee3",
+    "compare_text": "a53c93dd7eafb5715cbb7b17d7c632ddedfc5b8bd61b071ec5114af20192d469",
+    "compare_text_ascii": "ddaf72d7f548e28cdc598a8fefebbab7c9f8d97c291275bbfeb2c2a653ada2ce",
+    "topics_csv": "38f7af348989409802434bf23a7c44c138309901be8acbf6f138b69fc264eba4",
+    "topics_json": "f16f1ca9959240c0807299d324813a0d7d3b92e5c3c3682ba4efd71a18fd3a3d",
+    "sweep_csv": "e1ac555846687cef655f0464cd4166a06b93876811c705a41ee336ec77a63440",
+    "sweep_json": "07f9e54351c20ae2fd9c49cc512dde3cb4510953b403a8d294bd7dea88867296",
+    "coverage_csv": "a652542e54d376b93f3f3308e10188d84d273fd273a44514331c041d2ed38b0c",
+    "coverage_json": "39421139a6a4ad0ac1a8d3f6ed9b47d17722a86f6666e074e497ceb2d8927fe8",
+}
+
+
+@pytest.mark.filterwarnings("ignore:system charlie")
+@pytest.mark.parametrize("name", FORMAT_CASES)
+def test_every_format_prints_its_golden_bytes_twice(capsys, name):
+    """Each output matches its digest, and a second run in the same process prints it again."""
+    first, second = (run_cli(capsys, *map(str, FORMAT_CASES[name])) for _ in range(2))
+    assert first[0] == 0, first[2]
+    assert first == second
+    assert hashlib.sha256(first[1].encode()).hexdigest() == FORMAT_GOLDEN[name]
 
 
 

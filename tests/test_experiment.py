@@ -177,13 +177,17 @@ class TestCompareSystems:
             compare_systems(runs["alpha"], renamed, qrels, 5)
 
     def test_csv_row_matches_header(self, fixture):
+        """write_csv prints CSV_HEADER and the report's row; an undefined p (None) is empty."""
         runs, qrels = fixture
-        r = compare_systems(runs["alpha"], runs["bravo"], qrels, 5)
-        assert len(r.csv_row()) == len(ComparisonReport.CSV_HEADER)
-        row = dict(zip(ComparisonReport.CSV_HEADER, r.csv_row()))
-        assert row["group_equal"] == 2
-        assert row["mean_a"] == "0.4"
-        assert row["ipso_corroborated"] is False
+        header = ",".join(ComparisonReport.CSV_HEADER) + "\r\n"
+        for b, row in (
+            ("bravo", "alpha,bravo,5,P@5,t,0.05,6,5,0.4,0.4,0.0,0.9999999999999999,False,"
+                      "1,1,2,1,1,1.0,False\r\n"),
+            ("alpha", "alpha,alpha,5,P@5,t,0.05,6,5,0.4,0.4,0.0,1.0,False,0,0,6,0,0,,False\r\n"),
+        ):
+            buf = io.StringIO()
+            compare_systems(runs["alpha"], runs[b], qrels, 5).write_csv(buf)
+            assert buf.getvalue() == header + row
 
     def test_to_dict_is_json_ready(self, fixture):
         runs, qrels = fixture
