@@ -176,7 +176,10 @@ def cover_pairs(k: int) -> np.ndarray:
     return pairs
 
 
-def relationship_counts_exact(k: int, block: int = 1024) -> tuple[int, int, int, int]:
+_EXACT_ROWS = 1024  #: SERP rows relationship_counts_exact takes at a time
+
+
+def relationship_counts_exact(k: int) -> tuple[int, int, int, int]:
     """Exact (equal, ni, ns, non_separable) counts over all 2^{2k} ordered pairs.
 
     The bit-parallel cross-check that tests hold the dynamic program
@@ -199,8 +202,8 @@ def relationship_counts_exact(k: int, block: int = 1024) -> tuple[int, int, int,
     flags[0, ..., :n], flags[1, ..., :n] = counts < v, counts > v
     mask_lt, mask_gt = np.packbits(flags, axis=-1, bitorder="little").view(np.uint64)
     eq = ni = ns = xx = 0
-    for start in range(0, n, block):
-        pcb = pc[start:start + block].astype(np.intp)
+    for start in range(0, n, _EXACT_ROWS):
+        pcb = pc[start:start + _EXACT_ROWS].astype(np.intp)
         rows = pcb.shape[0]
         been_pos, been_neg = (np.zeros((rows, words), dtype=np.uint64) for _ in range(2))
         for i, v in enumerate(pcb.T):

@@ -4,8 +4,10 @@ Subcommands: enumerate, grid, hasse, compare, topics, sweep, coverage.
 Each handler returns its result object and `_emit` prints it in the
 chosen `--format`: CSV (the default) through the result's `write_csv`,
 JSON through its `to_dict`, and, for compare only, an aligned text report
-through `to_text`.  Exit codes: 0 success, 1 input parse failure,
-2 invalid arguments.
+through `to_text`.  Metric labels go to the library as typed, where a
+bare family (`AP`) takes `--k` and a full label (`AP@10`) keeps its
+depth; `metrics.read_depth` sets how deep the runs are parsed.  Exit
+codes: 0 success, 1 input parse failure, 2 invalid arguments.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from itertools import islice
 from pathlib import Path
 
 from .enumeration import build_grid, enumerate_pairs, hasse_cover, sample_pairs
-from .experiment import compare_systems, sweep_all_pairs, topic_table
-from .metrics import parse_metric
+from .experiment import (
+    DEFAULT_ALPHA, METRIC_TESTS, compare_systems, sweep_all_pairs, topic_table)
+from .metrics import parse_metric, read_depth
 # build_serps is not called here; bench/tracer.py hooks it in this module
 from .trecio import (
     DEFAULT_TRUNCATION,
@@ -34,18 +37,6 @@ from .trecio import (
 def _tokens(text: str) -> list:
     """An option's non-empty comma-separated fields, stripped."""
     return [token.strip() for token in text.split(",") if token.strip()]
-
-
-def _metric_arg(text: str, k: int) -> str:
-    """Allow a bare family name by attaching the evaluation depth."""
-    return text if "@" in text else f"{text}@{k}"
-
-
-def _depth(k_values, metrics=()) -> int:
-    """Parse depth for a job that reads max(k) documents, and each full metric label's (one
-    with an @) own depth.  Every row tied at a cut is kept until the doc-id sort, so a run
-    parsed to this depth ranks those documents as a full parse does."""
-    return max([*k_values, *(parse_metric(m).depth for m in metrics if "@" in m), 1])
 
 
 def _load_runs_dir(directory: str, truncate: int = DEFAULT_TRUNCATION) -> list:
@@ -96,29 +87,27 @@ def _cmd_hasse(args):
 
 
 def _pair_inputs(args, metrics) -> tuple:
-    """run_a, run_b and the qrels, the runs parsed only as deep as k and the metrics read."""
-    depth = _depth([args.k], metrics)
+    """run_a, run_b and the qrels, the runs parsed only to the job's read_depth.  Every row
+    tied at that cut is kept until the doc-id sort, so the runs rank as a full parse does."""
+    depth = read_depth([args.k], metrics)
     return (parse_run(args.run_a, truncate=depth), parse_run(args.run_b, truncate=depth),
             parse_qrels(args.qrels))
 
 
 def _cmd_compare(args):
-    metric = _metric_arg(args.metric, args.k)
-    return compare_systems(*_pair_inputs(args, [metric]), args.k, metric=metric,
+    return compare_systems(*_pair_inputs(args, [args.metric]), args.k, metric=args.metric,
                            alpha=args.alpha, test=args.test)
 
 
 def _cmd_topics(args):
-    metrics = [_metric_arg(token, args.k) for token in _tokens(args.metrics)]
+    metrics = _tokens(args.metrics)
     return topic_table(*_pair_inputs(args, metrics), args.k, metrics=metrics)
 
 
 def _cmd_sweep(args):
     k_values = [int(token) for token in _tokens(args.k)]
-    # bare family names are handed through so each sweep depth scores at
-    # its own k; explicit labels like P@5 stay fixed
     metrics = _tokens(args.metrics)
-    runs = _load_runs_dir(args.runs, truncate=_depth(k_values, metrics))
+    runs = _load_runs_dir(args.runs, truncate=read_depth(k_values, metrics))
     return sweep_all_pairs(runs, parse_qrels(args.qrels), k_values, metrics,
                            _tokens(args.tests), alpha=args.alpha)
 
@@ -171,8 +160,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--qrels", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--metric", default="P", help="metric label, e.g. P@10 (default P@k)")
-    p.add_argument("--test", choices=("t", "wilcoxon", "sign"), default="t")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--test", choices=tuple(METRIC_TESTS), default="t")
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     p.add_argument("--ascii", action="store_true",
                    help="render significance marks as + / ++ in text output")
     _add_format(p, extra=("text",))
@@ -194,7 +183,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="comma-separated depths")
     p.add_argument("--metrics", default="P")
     p.add_argument("--tests", default="t")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
     _add_format(p)
     p.set_defaults(handler=_cmd_sweep)
 

@@ -17,7 +17,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import IO, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import _bits
 from .enumeration import CategoryCounts
 # evaluate, build_serps and classify_group are not called here; bench/tracer.py hooks
 # all three names in this module
-from .metrics import MetricSpec, evaluate, evaluate_rows, parse_metric  # noqa: F401
+from .metrics import MetricSpec, evaluate, evaluate_rows, read_depth, resolve_metric  # noqa: F401
 from .serp import (
     GROUP_TABLE_ORDER,
     Serp,
@@ -51,18 +51,12 @@ DAGGER, DOUBLE_DAGGER = "†", "‡"
 _BLOCK_PAIRS = 1024
 
 
-def _as_metric(metric: Union[MetricSpec, str]) -> MetricSpec:
-    return metric if isinstance(metric, MetricSpec) else parse_metric(metric)
-
-
-def _check_alpha(alpha: float) -> None:
+def _check_options(alpha: float, tests: Sequence[str]) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-
-
-def _check_test(test: str) -> None:
-    if test not in METRIC_TESTS:
-        raise ValueError(f"unknown test {test!r}; choose from {sorted(METRIC_TESTS)}")
+    for test in tests:
+        if test not in METRIC_TESTS:
+            raise ValueError(f"unknown test {test!r}; choose from {sorted(METRIC_TESTS)}")
 
 
 class _Collection(NamedTuple):
@@ -75,16 +69,15 @@ class _Collection(NamedTuple):
     relevant: np.ndarray  # R per topic: the count of documents judged relevant
 
 
-def _collection(runs: Sequence[RunFile], qrels: Qrels, depths: Sequence[int]) -> _Collection:
-    """One grading pass over each run's first max(depths) documents: depths holds every k
-    and the depth of every metric scored."""
-    if min(depths) < 1:
-        raise ValueError(f"k must be >= 1, got {min(depths)}")
+def _collection(runs: Sequence[RunFile], qrels: Qrels, k_values: Sequence[int],
+                metrics: Sequence[Union[MetricSpec, str]] = ()) -> _Collection:
+    """One grading pass over each run to the job's read_depth: every k and every metric scored."""
+    depth = read_depth(k_values, metrics)
     runs = distinct_runs(runs)
     # the evaluation topics: judged topics that at least one run retrieved
     topics = sorted(set().union(*(run.columns.topics for run in runs)) & set(qrels.topics()),
                     key=topic_sort_key)
-    bits, present, _ = grade_runs(runs, qrels, topics, max(depths))
+    bits, present, _ = grade_runs(runs, qrels, topics, depth)
     counts = qrels.relevant_counts()
     relevant = np.array([counts[t] for t in topics], dtype=np.int64)
     return _Collection(topics, [run.system_tag for run in runs], bits, present, relevant)
@@ -98,7 +91,7 @@ def _score_matrix(collection: _Collection, metric: MetricSpec) -> np.ndarray:
     return flat.reshape(bits.shape[:2])
 
 
-def _pair_blocks(collection: _Collection, pairs: Sequence[tuple]) -> list:
+def _pair_blocks(collection: _Collection, pairs: Sequence[tuple], stacklevel: int = 3) -> list:
     """The one topic rule: blocks of (pair indices, (pairs x 2) collection rows, topics).
 
     A pair is evaluated on the topics either system ranks, warning for each
@@ -115,7 +108,7 @@ def _pair_blocks(collection: _Collection, pairs: Sequence[tuple]) -> list:
         for row, missing in zip(pair, at.size - has[:, at].sum(axis=1)):
             if missing:
                 warnings.warn(f"system {collection.tags[row]}: {missing} evaluated topic(s) "
-                              "absent from the run; scored as all-0 SERPs", stacklevel=3)
+                              "absent from the run; scored as all-0 SERPs", stacklevel=stacklevel)
         by_topics.setdefault(at.tobytes(), (at, []))[1].append(i)
     return [(chunk, pairs[chunk], at) for at, members in by_topics.values()
             for chunk in np.split(members, range(_BLOCK_PAIRS, len(members), _BLOCK_PAIRS))]
@@ -191,27 +184,11 @@ class ComparisonReport:
                 self.group_count(TopicGroup.SEPARABLE_NS))
 
     def to_dict(self) -> dict:
-        return {
-            "system_a": self.system_a,
-            "system_b": self.system_b,
-            "k": self.k,
-            "metric": self.metric.label,
-            "test": self.test,
-            "alpha": self.alpha,
-            "n_topics": self.n_topics,
-            "n_scored_topics": self.n_scored_topics,
-            "mean_a": self.mean_a,
-            "mean_b": self.mean_b,
-            "effect_size": self.effect_size,
-            "metric_p": self.metric_p,
-            "metric_statistic": self.metric_statistic,
-            "metric_degenerate": self.metric_degenerate,
-            "ipso_counts": {g.label: self.group_count(g) for g in GROUP_TABLE_ORDER},
-            "ipso_p": self.ipso_p,
-            "metric_significant": self.metric_significant,
-            "ipso_corroborated": self.ipso_corroborated,
-            "zero_relevant_topics": list(self.zero_relevant_topics),
-        }
+        """Every field in field order; the metric as its label, the groups by label."""
+        return {**{field.name: getattr(self, field.name) for field in fields(self)},
+                "metric": self.metric.label,
+                "ipso_counts": {g.label: self.group_count(g) for g in GROUP_TABLE_ORDER},
+                "zero_relevant_topics": list(self.zero_relevant_topics)}
 
     #: The ipso_counts columns, in GROUP_TABLE_ORDER.
     GROUP_COLUMNS = ("group_ns_midpoint", "group_ns", "group_equal", "group_ni",
@@ -255,12 +232,24 @@ class ComparisonReport:
         return "\n".join(lines)
 
 
+def _one_pair(run_a: RunFile, run_b: RunFile, qrels: Qrels, k: int,
+              specs: Sequence[MetricSpec], tests: Sequence[str] = ()) -> tuple:
+    """(collection, topics, (1 x topics) group codes, outcomes, score matrices) at depth k.
+    Row 0 is run_a's and row -1 run_b's: one row when the two are the same run."""
+    collection = _collection([run_a, run_b], qrels, [k], specs)
+    # the warnings name the caller of compare_systems or topic_table
+    [(_, _, at)] = blocks = _pair_blocks(collection, [(0, len(collection.tags) - 1)], 4)
+    scores = {spec: _score_matrix(collection, spec) for spec in specs}
+    [(_, codes, outcomes)] = _evaluate(collection, blocks, k, scores, tests)
+    return collection, at, codes, outcomes, scores
+
+
 def compare_systems(
     run_a: RunFile,
     run_b: RunFile,
     qrels: Qrels,
     k: int,
-    metric: Union[MetricSpec, str, None] = None,
+    metric: Union[MetricSpec, str] = "P",
     alpha: float = DEFAULT_ALPHA,
     test: str = "t",
 ) -> ComparisonReport:
@@ -269,17 +258,13 @@ def compare_systems(
     Reports per-topic means and effect size for the metric (topics with
     no relevant documents are excluded from scoring), the metric test's
     p-value, the five-group tally of the innate per-topic orderings, and
-    the Sign test on the two separable group counts.  metric defaults to
-    precision at k.
+    the Sign test on the two separable group counts.  metric is a
+    MetricSpec or a label: a bare family (the default, precision) takes
+    depth k, and a full label such as ``AP@10`` keeps its own depth.
     """
-    _check_alpha(alpha)
-    _check_test(test)
-    spec = MetricSpec("P", k) if metric is None else _as_metric(metric)
-    collection = _collection([run_a, run_b], qrels, [k, spec.depth])
-    # rows are run_a's and run_b's, or one row when the two are the same run
-    [(_, _, at)] = blocks = _pair_blocks(collection, [(0, len(collection.tags) - 1)])
-    scores = {spec: _score_matrix(collection, spec)}
-    [(_, codes, outcomes)] = _evaluate(collection, blocks, k, scores, [test])
+    _check_options(alpha, [test])
+    spec = resolve_metric(metric, k)
+    collection, at, codes, outcomes, scores = _one_pair(run_a, run_b, qrels, k, [spec], [test])
     scored = collection.relevant >= 1
     a, b = scores[spec][[0, -1]][:, scored]
     mean_a, mean_b = (float(np.cumsum(x)[-1] / x.size) if x.size else None for x in (a, b))
@@ -342,13 +327,9 @@ def topic_table(
     the leading equal zone.  Signed per-metric score differences
     (A minus B) are attached to every row.
     """
-    specs = [_as_metric(m) for m in metrics]
-    collection = _collection([run_a, run_b], qrels, [k, *(spec.depth for spec in specs)])
-    # rows are run_a's and run_b's, or one row when the two are the same run
-    [(_, _, at)] = blocks = _pair_blocks(collection, [(0, len(collection.tags) - 1)])
-    [(_, codes, _)] = _evaluate(collection, blocks, k, {}, ())
-    diffs = {spec.label: np.subtract(*_score_matrix(collection, spec)[[0, -1]]).tolist()
-             for spec in specs}
+    specs = [resolve_metric(m, k) for m in metrics]
+    collection, at, codes, _, scores = _one_pair(run_a, run_b, qrels, k, specs)
+    diffs = {spec.label: np.subtract(*scores[spec][[0, -1]]).tolist() for spec in specs}
     rel_a, rel_b = collection.bits[[0, -1], :, :k].tolist()
     rows = TopicTable()
     for i, code in zip(at.tolist(), codes[0].tolist()):
@@ -474,32 +455,21 @@ def sweep_all_pairs(
     runs = distinct_runs(runs)
     if len(runs) < 2:
         raise ValueError("sweep needs at least two distinct runs")
-    _check_alpha(alpha)
     # a depth, metric or test given twice is one condition
     k_values, tests = list(dict.fromkeys(k_values)), list(dict.fromkeys(tests))
-    for test in tests:
-        _check_test(test)
-    # a bare family name ("P", "RBP0.8") tracks the sweep depth; a full
-    # label ("P@5") keeps its own depth at every k
-    plan = []
-    for m in metrics:
-        if isinstance(m, str) and "@" not in m:
-            parse_metric(f"{m}@1")  # validate the family up front
-            plan.append(m)
-        else:
-            plan.append(_as_metric(m))
-    if not plan or not tests or not k_values:
+    _check_options(alpha, tests)
+    if not metrics or not tests or not k_values:
         raise ValueError("k_values, metrics, and tests must all be non-empty")
-    label_depths = [m.depth for m in plan if isinstance(m, MetricSpec)]
-    collection = _collection(runs, qrels, [*k_values, *label_depths])
+    # each k's specs: labels that resolve alike ("P", "P@5" at k = 5) are one condition
+    plan = {k: list(dict.fromkeys(resolve_metric(m, k) for m in metrics)) for k in k_values}
+    every_spec = list(dict.fromkeys(itertools.chain(*plan.values())))
+    collection = _collection(runs, qrels, k_values, every_spec)
     pairs = list(itertools.combinations(range(len(runs)), 2))
     blocks = _pair_blocks(collection, pairs)
-    full = {m: _score_matrix(collection, m) for m in plan if isinstance(m, MetricSpec)}  # any k
+    matrices = {spec: _score_matrix(collection, spec) for spec in every_spec}
     rows = []
-    for k in k_values:
-        specs = list(dict.fromkeys(parse_metric(f"{m}@{k}") if isinstance(m, str) else m
-                                   for m in plan))
-        scores = {s: full[s] if s in full else _score_matrix(collection, s) for s in specs}
+    for k, specs in plan.items():
+        scores = {spec: matrices[spec] for spec in specs}
         ipso_p = [None] * len(pairs)
         metric_p = {cell: [None] * len(pairs) for cell in itertools.product(specs, tests)}
         for members, codes, outcomes in _evaluate(collection, blocks, k, scores, tests):
@@ -551,7 +521,7 @@ def mean_metric_by_system(
     one relevant document), with all-0 SERPs standing in for topics a
     run did not retrieve.
     """
-    spec = _as_metric(metric)
+    spec = resolve_metric(metric)
     collection = _collection(runs, qrels, [spec.depth])
     scored = collection.relevant >= 1
     if not scored.any():

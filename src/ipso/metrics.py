@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -27,6 +27,9 @@ PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: Absolute tolerance for treating two metric scores as tied.
 SCORE_TOLERANCE = 1e-12
+
+#: The RBP persistences in metric_suite's palette.
+SUITE_PERSISTENCES = (0.5, 0.8)
 
 _FAMILIES = ("P", "RR", "S", "RBP", "AP", "NDCG")
 
@@ -62,22 +65,35 @@ class MetricSpec:
         return self.label
 
 
-_METRIC_RE = re.compile(r"^(P|PREC|RR|S|SUCC|AP|NDCG)@(\d+)$", re.IGNORECASE)
-_RBP_RE = re.compile(r"^RBP(\d*\.?\d+)@(\d+)$", re.IGNORECASE)
+_LABEL_RE = re.compile(r"^(?:(P|PREC|RR|S|SUCC|AP|NDCG)|RBP(\d*\.?\d+))(?:@(\d+))?$",
+                       re.IGNORECASE)
 
 
-def parse_metric(text: str) -> MetricSpec:
-    """Parse a metric label such as ``P@10``, ``RBP0.5@3``, or ``NDCG@20``."""
-    token = text.strip()
-    m = _RBP_RE.match(token)
-    if m:
-        return MetricSpec("RBP", int(m.group(2)), float(m.group(1)))
-    m = _METRIC_RE.match(token)
-    if m:
-        family = m.group(1).upper()
-        family = {"PREC": "P", "SUCC": "S"}.get(family, family)
-        return MetricSpec(family, int(m.group(2)))
-    raise ValueError(f"unrecognised metric {text!r}")
+def parse_metric(text: str, k: int | None = None) -> MetricSpec:
+    """Parse a metric label such as ``P@10``, ``RBP0.5@3``, or ``NDCG@20``: the one metric
+    grammar.  A full label keeps its own depth; a bare family (``P``, ``RBP0.8``) takes k."""
+    m = _LABEL_RE.match(text.strip())
+    if not m:
+        raise ValueError(f"unrecognised metric {text!r}")
+    name, persistence, depth = m.groups()
+    if depth is None and k is None:
+        raise ValueError(f"metric {text!r} has no depth: give k or a full label such as P@10")
+    family = {"PREC": "P", "SUCC": "S"}.get(name.upper(), name.upper()) if name else "RBP"
+    return MetricSpec(family, int(depth or k), persistence and float(persistence))
+
+
+def resolve_metric(metric: Union[MetricSpec, str], k: int | None = None) -> MetricSpec:
+    """A MetricSpec as given, or a label parsed at depth k."""
+    return metric if isinstance(metric, MetricSpec) else parse_metric(metric, k)
+
+
+def read_depth(k_values: Sequence[int], metrics: Iterable[Union[MetricSpec, str]] = ()) -> int:
+    """How deep a job reads every run: the largest k, or a deeper metric's depth.  metrics
+    holds MetricSpecs or labels; a bare family resolves at max(k_values)."""
+    if not k_values or min(k_values) < 1:
+        raise ValueError(f"every k must be >= 1, got {list(k_values)}")
+    top = max(k_values)
+    return max([top, *(resolve_metric(m, top).depth for m in metrics)])
 
 
 @dataclass(frozen=True)
@@ -221,9 +237,9 @@ def certify_compliance(
             for a, b in zip(rows[bad].tolist(), cols[bad].tolist())]
 
 
-def metric_suite(k: int, persistences: tuple = (0.5, 0.8)) -> list:
+def metric_suite(k: int) -> list:
     """The standard palette of MetricSpecs at depth k, one per family."""
     specs = [MetricSpec("P", k), MetricSpec("RR", k), MetricSpec("S", k)]
-    specs += [MetricSpec("RBP", k, p) for p in persistences]
+    specs += [MetricSpec("RBP", k, p) for p in SUITE_PERSISTENCES]
     specs += [MetricSpec("AP", k), MetricSpec("NDCG", k)]
     return specs

@@ -20,7 +20,8 @@ from ipso import cli
 from ipso.cli import main
 from ipso.enumeration import kendall_tau
 from ipso.experiment import (
-    AgreementCategory, SweepResult, SweepRow, compare_systems, sweep_all_pairs, topic_table)
+    DEFAULT_ALPHA, METRIC_TESTS, AgreementCategory, SweepResult, SweepRow, compare_systems,
+    sweep_all_pairs, topic_table)
 from ipso.metrics import certify_compliance, metric_suite
 from ipso.trecio import DEFAULT_TRUNCATION, parse_qrels
 
@@ -579,6 +580,13 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--k", "3", "--format", "xml"])
         assert exc.value.code == 2
+
+    def test_defaults_are_the_library_values(self):
+        pair = ["--run-a", "a", "--run-b", "b", "--qrels", "q", "--k", "5"]
+        for argv in (["compare", *pair], ["sweep", "--runs", "r", "--qrels", "q", "--k", "5"]):
+            assert cli._parser().parse_args(argv).alpha == DEFAULT_ALPHA
+        compare = cli._parser()._subparsers._group_actions[0].choices["compare"]
+        assert compare._option_string_actions["--test"].choices == tuple(METRIC_TESTS)
 
     def test_main_calls_share_one_parser(self, capsys, monkeypatch):
         parsers, parse_args = [], argparse.ArgumentParser.parse_args

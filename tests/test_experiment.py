@@ -109,6 +109,13 @@ class TestCompareSystems:
         r = compare_systems(runs["alpha"], runs["bravo"], qrels, 5, metric="RR@5")
         assert r.metric == MetricSpec("RR", 5)
 
+    @pytest.mark.parametrize("family", ["P", "AP", "RBP0.8"])
+    def test_bare_family_takes_depth_k(self, fixture, family):
+        runs, qrels = fixture
+        bare = compare_systems(runs["alpha"], runs["bravo"], qrels, 5, metric=family)
+        assert bare == compare_systems(runs["alpha"], runs["bravo"], qrels, 5,
+                                       metric=f"{family}@5")
+
     def test_run_against_itself(self, fixture):
         runs, qrels = fixture
         r = compare_systems(runs["alpha"], runs["alpha"], qrels, 5)
@@ -384,6 +391,13 @@ def test_full_label_deeper_than_k_keeps_its_depth(fixture):
     p = {(r.system_a, r.system_b, r.k): r.metric_p for r in rows}
     assert p["alpha", "charlie", 3] == pytest.approx(0.0993, abs=1e-4)
     assert all(p[a, b, 3] == p[a, b, 10] for a, b, _ in p)
+
+
+def test_topic_table_bare_families_take_depth_k(fixture):
+    runs, qrels = fixture
+    bare = topic_table(runs["alpha"], runs["bravo"], qrels, 5, metrics=["AP", "P"])
+    assert bare == topic_table(runs["alpha"], runs["bravo"], qrels, 5, metrics=["AP@5", "P@5"])
+    assert list(bare[0].score_diffs) == ["AP@5", "P@5"]
 
 
 @pytest.mark.filterwarnings("ignore:system charlie")

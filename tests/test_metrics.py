@@ -20,6 +20,7 @@ from ipso.metrics import (
     metric_suite,
     ordering_check,
     parse_metric,
+    read_depth,
     score_all,
 )
 from ipso.serp import Relationship, Serp, compare
@@ -75,6 +76,26 @@ class TestMetricSpec:
         assert parse_metric("prec@3") == MetricSpec("P", 3)
         assert parse_metric("succ@5") == MetricSpec("S", 5)
         assert parse_metric("rbp0.85@5") == MetricSpec("RBP", 5, 0.85)
+
+    def test_bare_family_takes_k(self):
+        assert parse_metric("AP", 7) == MetricSpec("AP", 7)
+        assert parse_metric("rbp0.8", 4) == MetricSpec("RBP", 4, 0.8)
+        assert parse_metric("P@3", 7).depth == 3
+
+    def test_bare_family_without_k_names_the_missing_depth(self):
+        for text in ("AP", "RBP0.5"):
+            with pytest.raises(ValueError, match="has no depth"):
+                parse_metric(text)
+
+    def test_read_depth(self):
+        assert read_depth([5]) == 5
+        assert read_depth([3, 5], ["P", "AP@4", MetricSpec("NDCG", 2)]) == 5
+        assert read_depth([3], ["P", "NDCG@150"]) == 150
+        for k_values in ([], [0], [5, -1]):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                read_depth(k_values)
+        with pytest.raises(ValueError, match="unrecognised"):
+            read_depth([5], ["XYZ"])
 
     def test_parse_rejects_garbage(self):
         for text in ("P3", "P@", "@3", "RBP@3", "RBP1.5@3", "XYZ@3", "P@0"):
