@@ -16,7 +16,6 @@ import io
 import itertools
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass, fields
 from typing import IO, Iterable, NamedTuple, Sequence, Union
 
@@ -145,9 +144,10 @@ def _group_counts(codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=5 * len(codes)).reshape(-1, 5)
 
 
-def _ipso_p(ni: int, ns: int) -> float | None:
-    """The innate Sign test's p on the separable directions; None with no separable topic."""
-    return sign_test(ni, ns).p_value if ni + ns else None
+def _ipso_p(counts: np.ndarray) -> list:
+    """The innate Sign test's p per row of (pairs, 5) group counts; NaN with no separable topic."""
+    return [sign_test(ni, ns).p_value if ni + ns else math.nan
+            for ni, ns in counts[:, [_NI, _NS]].tolist()]
 
 
 @dataclass(frozen=True)
@@ -270,8 +270,8 @@ def compare_systems(
     mean_a, mean_b = (float(np.cumsum(x)[-1] / x.size) if x.size else None for x in (a, b))
     effect = None if mean_a is None else mean_b - mean_a
     result = outcomes[spec, test].result(0) if outcomes[spec, test] else None
-    counts = _group_counts(codes)[0]
-    ipso_p = _ipso_p(int(counts[_NI]), int(counts[_NS]))
+    counts = _group_counts(codes)
+    [ipso_p] = _ipso_p(counts)
     metric_p = result.p_value if result else None
     significant = metric_p is not None and metric_p < alpha
     return ComparisonReport(
@@ -280,9 +280,9 @@ def compare_systems(
         mean_a=mean_a, mean_b=mean_b, effect_size=effect, metric_p=metric_p,
         metric_statistic=result.statistic if result else None,
         metric_degenerate=result.degenerate if result else False,
-        ipso_counts={g: int(n) for g, n in zip(GROUP_TABLE_ORDER, counts)}, ipso_p=ipso_p,
-        metric_significant=significant,
-        ipso_corroborated=significant and ipso_p is not None and ipso_p < alpha,
+        ipso_counts={g: int(n) for g, n in zip(GROUP_TABLE_ORDER, counts[0])},
+        ipso_p=None if math.isnan(ipso_p) else ipso_p, metric_significant=significant,
+        ipso_corroborated=significant and ipso_p < alpha,
         zero_relevant_topics=tuple(collection.topics[i] for i in at if not scored[i]),
     )
 
@@ -370,72 +370,78 @@ class AgreementCategory(enum.Enum):
 
     @classmethod
     def from_flags(cls, metric_significant: bool, ipso_significant: bool):
-        if metric_significant and ipso_significant:
-            return cls.BOTH_YES
-        if metric_significant:
-            return cls.METRIC_YES
-        if ipso_significant:
-            return cls.METRIC_NO
-        return cls.BOTH_NO
+        return _CATEGORIES[2 * bool(metric_significant) + bool(ipso_significant)]
 
     def __str__(self) -> str:
         return self.value
 
 
-class SweepRow(NamedTuple):
-    system_a: str
-    system_b: str
-    k: int
-    metric: str
-    test: str
-    metric_p: float | None
-    ipso_p: float | None
-    category: AgreementCategory
+#: Each agreement code, 2 * (metric test significant) + (Sign test significant), -> category.
+_CATEGORIES = tuple(map(AgreementCategory, ("Both:No", "Metric:No", "Metric:Yes", "Both:Yes")))
+
+#: Most sweep rows a writer turns into Python objects at once.
+_ROW_BLOCK = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Agreement categories for every system pair and condition."""
+    """Agreement categories for every system pair and condition, as columns in row order.
 
-    rows: tuple
+    Rows run k by k, then pair by pair, then over that k's cells.  A p of NaN
+    marks an undefined test; it is never below alpha, so never significant.
+    """
+
+    tags: tuple
+    cells: tuple  # (k, metric label, test) per condition
+    pairs: np.ndarray  # (rows, 2) indices into tags
+    cell: np.ndarray  # (rows,) indices into cells
+    metric_p: np.ndarray  # (rows,) float
+    ipso_p: np.ndarray  # (rows,) float
     alpha: float
+    FIELDS = ("system_a", "system_b", "k", "metric", "test", "metric_p", "ipso_p", "category")
+
+    def codes(self) -> np.ndarray:
+        """Each row's agreement code: its category is _CATEGORIES[code]."""
+        return 2 * (self.metric_p < self.alpha) + (self.ipso_p < self.alpha)
 
     def fractions(self) -> dict:
-        """Per (k, metric, test): category fractions plus the two totals.
+        """Per (k, metric, test), in cell order: category fractions plus the two totals.
 
         metric_total is the fraction of pairs the metric test finds
         significant, ipso_total the fraction the Sign test does; both
         include the pairs where the two agree.
         """
-        sizes = Counter((row.k, row.metric, row.test) for row in self.rows)
-        tally = Counter((row.k, row.metric, row.test, row.category) for row in self.rows)
+        tally = np.bincount(4 * self.cell + self.codes(), minlength=4 * len(self.cells))
         out = {}
-        for key, n in sizes.items():
-            fracs = {cat.label: tally[(*key, cat)] / n for cat in AgreementCategory}
-            fracs["metric_total"] = fracs["Both:Yes"] + fracs["Metric:Yes"]
-            fracs["ipso_total"] = fracs["Both:Yes"] + fracs["Metric:No"]
-            fracs["n_pairs"] = n
-            out[key] = fracs
+        for key, counts in zip(self.cells, tally.reshape(-1, 4).tolist()):
+            if n := sum(counts):
+                fracs = {cat.label: counts[_CATEGORIES.index(cat)] / n for cat in AgreementCategory}
+                out[key] = {**fracs, "metric_total": fracs["Both:Yes"] + fracs["Metric:Yes"],
+                            "ipso_total": fracs["Both:Yes"] + fracs["Metric:No"], "n_pairs": n}
         return out
+
+    def _blocks(self) -> Iterable[list]:
+        """The rows as lists of Python values in FIELDS order, _ROW_BLOCK a block; None for NaN."""
+        tags, cells = np.array(self.tags, dtype=object), np.array(self.cells, dtype=object)
+        labels = np.array([cat.label for cat in _CATEGORIES], dtype=object)[self.codes()]
+        for rows in (slice(at, at + _ROW_BLOCK) for at in range(0, len(self.cell), _ROW_BLOCK)):
+            p = [np.where(np.isnan(x[rows]), None, x[rows]) for x in (self.metric_p, self.ipso_p)]
+            yield np.column_stack([tags[self.pairs[rows]], cells[self.cell[rows]],
+                                   *p, labels[rows]]).tolist()
 
     def write_csv(self, stream: IO[str]) -> None:
         # csv.writer writes each row alone, a system call apiece when stream is unbuffered
-        lines = itertools.chain([SweepRow._fields],
-                                ((*row[:-1], row.category.label) for row in self.rows))
-        while block := list(itertools.islice(lines, 1 << 12)):
+        lines = itertools.chain([self.FIELDS], itertools.chain.from_iterable(self._blocks()))
+        while block := list(itertools.islice(lines, _ROW_BLOCK)):
             buffer = io.StringIO()
             csv.writer(buffer).writerows(block)
             stream.write(buffer.getvalue())
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "rows": [{**row._asdict(), "category": row.category.label} for row in self.rows],
-            "fractions": [
-                {"k": k, "metric": metric, "test": test, **fracs}
-                for (k, metric, test), fracs in sorted(self.fractions().items())
-            ],
-        }
+        rows = [dict(zip(self.FIELDS, row)) for block in self._blocks() for row in block]
+        fractions = [{"k": k, "metric": metric, "test": test, **fracs}
+                     for (k, metric, test), fracs in sorted(self.fractions().items())]
+        return {"alpha": self.alpha, "rows": rows, "fractions": fractions}
 
 
 def sweep_all_pairs(
@@ -464,28 +470,22 @@ def sweep_all_pairs(
     plan = {k: list(dict.fromkeys(resolve_metric(m, k) for m in metrics)) for k in k_values}
     every_spec = list(dict.fromkeys(itertools.chain(*plan.values())))
     collection = _collection(runs, qrels, k_values, every_spec)
-    pairs = list(itertools.combinations(range(len(runs)), 2))
+    pairs = np.array(list(itertools.combinations(range(len(runs)), 2)))
     blocks = _pair_blocks(collection, pairs)
     matrices = {spec: _score_matrix(collection, spec) for spec in every_spec}
-    rows = []
+    cells, columns = (), []
     for k, specs in plan.items():
+        n = len(specs) * len(tests)
+        ipso_p, metric_p = np.empty(len(pairs)), np.empty((len(pairs), n))
         scores = {spec: matrices[spec] for spec in specs}
-        ipso_p = [None] * len(pairs)
-        metric_p = {cell: [None] * len(pairs) for cell in itertools.product(specs, tests)}
         for members, codes, outcomes in _evaluate(collection, blocks, k, scores, tests):
-            for i, ni, ns in zip(members, *_group_counts(codes)[:, [_NI, _NS]].T.tolist()):
-                ipso_p[i] = _ipso_p(ni, ns)
-            for cell, outcome in outcomes.items():
-                for i, p in zip(members, outcome.p_value.tolist() if outcome else ()):
-                    metric_p[cell][i] = p
-        cells = [(spec.label, test) for spec, test in metric_p]
-        for (x, y), innate, *cell_p in zip(pairs, ipso_p, *metric_p.values()):
-            innate_significant = innate is not None and innate < alpha
-            for (label, test), p in zip(cells, cell_p):
-                rows.append(SweepRow(collection.tags[x], collection.tags[y], k, label, test, p,
-                                     innate, AgreementCategory.from_flags(
-                                         p is not None and p < alpha, innate_significant)))
-    return SweepResult(rows=tuple(rows), alpha=alpha)
+            ipso_p[members] = _ipso_p(_group_counts(codes))
+            for j, outcome in enumerate(outcomes.values()):
+                metric_p[members, j] = outcome.p_value if outcome else math.nan
+        columns.append((np.repeat(pairs, n, axis=0), np.tile(len(cells) + np.arange(n), len(pairs)),
+                        metric_p.ravel(), np.repeat(ipso_p, n)))
+        cells += tuple((k, spec.label, test) for spec, test in itertools.product(specs, tests))
+    return SweepResult(tuple(collection.tags), cells, *map(np.concatenate, zip(*columns)), alpha)
 
 
 def category_fractions(runs: Sequence[RunFile], qrels: Qrels, k: int) -> CategoryCounts:

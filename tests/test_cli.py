@@ -6,13 +6,16 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ipso
@@ -20,7 +23,7 @@ from ipso import cli
 from ipso.cli import main
 from ipso.enumeration import kendall_tau
 from ipso.experiment import (
-    DEFAULT_ALPHA, METRIC_TESTS, AgreementCategory, SweepResult, SweepRow, compare_systems,
+    DEFAULT_ALPHA, METRIC_TESTS, AgreementCategory, SweepResult, compare_systems,
     sweep_all_pairs, topic_table)
 from ipso.metrics import certify_compliance, metric_suite
 from ipso.trecio import DEFAULT_TRUNCATION, parse_qrels
@@ -402,16 +405,63 @@ class TestJsonBlocks:
         assert done.stdout == (json.dumps(payload, indent=2) + "\n").encode()
 
 
+SWEEP_FIELDS = ("system_a", "system_b", "k", "metric", "test", "metric_p", "ipso_p", "category")
+
+
+def _rowwise_sweep_rows(result) -> list:
+    """A sweep's rows read from its columns one at a time: None for NaN, the category by flags."""
+    rows = []
+    for r in range(len(result.cell)):
+        (a, b), cell = result.pairs[r].tolist(), result.cells[int(result.cell[r])]
+        p, q = (None if math.isnan(x) else float(x) for x in (result.metric_p[r], result.ipso_p[r]))
+        category = AgreementCategory.from_flags(p is not None and p < result.alpha,
+                                                q is not None and q < result.alpha)
+        rows.append((result.tags[a], result.tags[b], *cell, p, q, category.label))
+    return rows
+
+
 def _rowwise_sweep_csv(result) -> bytes:
     """SweepResult.write_csv's text, one csv.writer row at a time."""
     stream = io.StringIO()
     writer = csv.writer(stream)
-    writer.writerow(SweepRow._fields)
-    for row in result.rows:
-        writer.writerow((row.system_a, row.system_b, row.k, row.metric, row.test,
-                         "" if row.metric_p is None else repr(row.metric_p),
-                         "" if row.ipso_p is None else repr(row.ipso_p), row.category.label))
+    writer.writerow(SWEEP_FIELDS)
+    for *row, p, q, category in _rowwise_sweep_rows(result):
+        p, q = ("" if x is None else repr(x) for x in (p, q))
+        writer.writerow((*row, p, q, category))
     return stream.getvalue().encode()
+
+
+def _rowwise_sweep_json(result) -> str:
+    """json.dumps(SweepResult.to_dict(), indent=2) from rows and fractions tallied one at a time."""
+    rows = _rowwise_sweep_rows(result)
+    sizes, tally = Counter(row[2:5] for row in rows), Counter((*row[2:5], row[-1]) for row in rows)
+    fractions = []
+    for key, n in sorted(sizes.items()):
+        fracs = {c.label: tally[(*key, c.label)] / n for c in AgreementCategory}
+        fractions.append({**dict(zip(("k", "metric", "test"), key)), **fracs,
+                          "metric_total": fracs["Both:Yes"] + fracs["Metric:Yes"],
+                          "ipso_total": fracs["Both:Yes"] + fracs["Metric:No"], "n_pairs": n})
+    rows = [dict(zip(SWEEP_FIELDS, row)) for row in rows]
+    return json.dumps({"alpha": result.alpha, "rows": rows, "fractions": fractions}, indent=2)
+
+
+def _assert_same_lines(got, want) -> None:
+    """got == want, line by line: pytest's own diff of two 6,000-line texts takes minutes."""
+    for number, (a, b) in enumerate(itertools.zip_longest(got.splitlines(True),
+                                                          want.splitlines(True)), 1):
+        assert a == b, f"line {number}"
+
+
+def _columns_sweep(n_rows: int) -> SweepResult:
+    """n_rows of a result with tags that need CSV quoting, NaN in either p and every category."""
+    values = [math.nan, 0.0, 0.01, 0.05, 0.1 + 0.2]  # 0.05 is alpha: not significant
+    rows = range(n_rows)
+    return SweepResult(
+        tags=("a,1", 'b"2', "c"), cells=((5, "P@5", "t"), (10, "AP@10", "sign")),
+        pairs=np.array([(r % 3, (r + 1) % 3) for r in rows], dtype=np.int64).reshape(-1, 2),
+        cell=np.array([r % 2 for r in rows], dtype=np.int64),
+        metric_p=np.array([values[r % 5] for r in rows]),
+        ipso_p=np.array([values[r // 5 % 5] for r in rows]), alpha=0.05)
 
 
 class TestCsvBlocks:
@@ -425,15 +475,21 @@ class TestCsvBlocks:
                 writes.append(text)
                 return super().write(text)
 
-        rows = [SweepRow("a,1", 'b"2', k, "P@5", "t", p, q, category)
-                for k in range(1, 3001)
-                for p, q, category in [(None, 0.5, AgreementCategory.METRIC_NO),
-                                       (0.1 + 0.2, None, AgreementCategory.BOTH_YES)]]
-        for result in (SweepResult(tuple(rows), 0.05), SweepResult((), 0.05)):
+        rows = _rowwise_sweep_rows(_columns_sweep(6000))
+        assert {row[-1] for row in rows} == {c.label for c in AgreementCategory}
+        assert {row[5] for row in rows} == {row[6] for row in rows} == {
+            None, 0.0, 0.01, 0.05, 0.1 + 0.2}
+        for n_rows in (6000, 4096, 4095, 0):
             writes.clear()
+            result = _columns_sweep(n_rows)
             result.write_csv(Counting())
-            assert "".join(writes).encode() == _rowwise_sweep_csv(result)
-            assert len(writes) == -(-(len(result.rows) + 1) // 4096)
+            _assert_same_lines("".join(writes).encode(), _rowwise_sweep_csv(result))
+            assert len(writes) == -(-(n_rows + 1) // 4096)
+
+    def test_blocks_join_to_rowwise_json(self):
+        for n_rows in (6000, 4096, 0):
+            result = _columns_sweep(n_rows)
+            _assert_same_lines(json.dumps(result.to_dict(), indent=2), _rowwise_sweep_json(result))
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_unbuffered_sweep_prints_rowwise_csv(self):

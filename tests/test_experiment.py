@@ -6,6 +6,7 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,18 +273,18 @@ class TestSweep:
             warnings.simplefilter("ignore")
             sweep = sweep_all_pairs(ordered, qrels, [5], ["P@5", "RBP0.5@5"],
                                     ["t", "sign"], alpha=0.05)
-            for row in sweep.rows:
+            for row in sweep.to_dict()["rows"]:
                 direct = compare_systems(
-                    runs[row.system_a], runs[row.system_b], qrels, row.k,
-                    metric=row.metric, test=row.test, alpha=0.05,
+                    runs[row["system_a"]], runs[row["system_b"]], qrels, row["k"],
+                    metric=row["metric"], test=row["test"], alpha=0.05,
                 )
-                assert row.metric_p == direct.metric_p
-                assert row.ipso_p == direct.ipso_p
+                assert row["metric_p"] == direct.metric_p
+                assert row["ipso_p"] == direct.ipso_p
                 expected = AgreementCategory.from_flags(
                     direct.metric_significant,
                     direct.ipso_p is not None and direct.ipso_p < 0.05,
                 )
-                assert row.category is expected
+                assert row["category"] == expected.label
 
     def test_cell_count(self, fixture):
         runs, qrels = fixture
@@ -291,7 +292,7 @@ class TestSweep:
             warnings.simplefilter("ignore")
             sweep = sweep_all_pairs(list(runs.values()), qrels, [3, 5],
                                     ["P"], ["t", "wilcoxon"])
-        assert len(sweep.rows) == 3 * 2 * 1 * 2  # pairs x k x metrics x tests
+        assert len(sweep.to_dict()["rows"]) == 3 * 2 * 1 * 2  # pairs x k x metrics x tests
 
     def test_bare_metric_tracks_depth(self, fixture):
         runs, qrels = fixture
@@ -299,7 +300,7 @@ class TestSweep:
             warnings.simplefilter("ignore")
             sweep = sweep_all_pairs(list(runs.values()), qrels, [3, 5],
                                     ["P", "NDCG@5"], ["t"])
-        seen = {(row.k, row.metric) for row in sweep.rows}
+        seen = {(row["k"], row["metric"]) for row in sweep.to_dict()["rows"]}
         assert seen == {(3, "P@3"), (3, "NDCG@5"), (5, "P@5"), (5, "NDCG@5")}
 
     def test_category_fractions_sum_to_one(self, fixture):
@@ -341,7 +342,7 @@ class TestSweep:
             warnings.simplefilter("ignore")
             once = sweep_all_pairs([alpha, bravo], qrels, [5], ["P"], ["t", "sign"])
             twice = sweep_all_pairs([alpha, alpha, bravo, alpha], qrels, [5], ["P"], ["t", "sign"])
-            assert twice.rows == once.rows
+            assert twice.to_dict() == once.to_dict()
             assert all(cell["n_pairs"] == 1 for cell in twice.fractions().values())
             with pytest.raises(ValueError, match="two distinct runs"):
                 sweep_all_pairs([alpha, alpha], qrels, [5], ["P"], ["t"])
@@ -358,7 +359,7 @@ class TestSweep:
             warnings.simplefilter("ignore")
             once = sweep_all_pairs(list(runs.values()), qrels, [5], ["P"], ["t"])
             repeated = sweep_all_pairs(list(runs.values()), qrels, k_values, metrics, tests)
-        assert repeated.rows == once.rows
+        assert repeated.to_dict() == once.to_dict()
         assert [cell["n_pairs"] for cell in repeated.fractions().values()] == [3]
 
     def test_reads_judged_topics_once(self, fixture, monkeypatch):
@@ -387,8 +388,9 @@ def test_full_label_deeper_than_k_keeps_its_depth(fixture):
     tables = [topic_table(alpha, charlie, qrels, k, ["P@10"]) for k in (3, 10)]
     diffs3, diffs10 = ({r.topic_id: r.score_diffs for r in table} for table in tables)
     assert diffs3 == diffs10 and {len(r.serp_a) for r in tables[0]} == {3}
-    rows = sweep_all_pairs(list(runs.values()), qrels, [3, 10], ["P@10"], ["t"]).rows
-    p = {(r.system_a, r.system_b, r.k): r.metric_p for r in rows}
+    sweep = sweep_all_pairs(list(runs.values()), qrels, [3, 10], ["P@10"], ["t"])
+    rows = sweep.to_dict()["rows"]
+    p = {(r["system_a"], r["system_b"], r["k"]): r["metric_p"] for r in rows}
     assert p["alpha", "charlie", 3] == pytest.approx(0.0993, abs=1e-4)
     assert all(p[a, b, 3] == p[a, b, 10] for a, b, _ in p)
 
@@ -514,13 +516,15 @@ class TestCollection:
             # NDCG@3 keeps its label at k=2, where it scores the depth-2 SERPs
             sweep = sweep_all_pairs(runs, qrels, [2, 3], ["P", "AP", "NDCG@3"], ["t", "sign"])
             by_tag = {run.system_tag: run for run in runs}
-            assert len(sweep.rows) == 3 * 2 * 3 * 2
-            for row in sweep.rows:
-                direct = compare_systems(by_tag[row.system_a], by_tag[row.system_b], qrels,
-                                         row.k, metric=row.metric, test=row.test)
-                assert (row.metric_p, row.ipso_p) == (direct.metric_p, direct.ipso_p)
-                assert row.category is AgreementCategory.from_flags(
-                    direct.metric_significant, direct.ipso_p is not None and direct.ipso_p < 0.05)
+            rows = sweep.to_dict()["rows"]
+            assert len(rows) == 3 * 2 * 3 * 2
+            for row in rows:
+                direct = compare_systems(by_tag[row["system_a"]], by_tag[row["system_b"]], qrels,
+                                         row["k"], metric=row["metric"], test=row["test"])
+                assert (row["metric_p"], row["ipso_p"]) == (direct.metric_p, direct.ipso_p)
+                assert row["category"] == AgreementCategory.from_flags(
+                    direct.metric_significant,
+                    direct.ipso_p is not None and direct.ipso_p < 0.05).label
             # topic 3 is scored for a as an all-0 SERP against c's 110
             report = compare_systems(by_tag["a"], by_tag["c"], qrels, 3, test="sign")
             rows = {r.topic_id: r for r in topic_table(by_tag["a"], by_tag["c"], qrels, 3)}
@@ -553,7 +557,8 @@ def assert_pair_reports_agree(runs, qrels, k):
         census = category_fractions(runs, qrels, k)
         sweep = sweep_all_pairs(runs, qrels, [k], ["P"], ["t"])
         folded = Counter()
-        for (a, b), row in zip(itertools.combinations(runs, 2), sweep.rows, strict=True):
+        rows = sweep.to_dict()["rows"]
+        for (a, b), row in zip(itertools.combinations(runs, 2), rows, strict=True):
             report = compare_systems(a, b, qrels, k)
             table = topic_table(a, b, qrels, k)
             for group, n in report.ipso_counts.items():
@@ -561,8 +566,8 @@ def assert_pair_reports_agree(runs, qrels, k):
             for r in table:
                 assert r.group is classify_group(r.serp_a, r.serp_b, k), r.topic_id
             assert +Counter(r.group for r in table) == +Counter(report.ipso_counts)
-            assert (row.system_a, row.system_b) == (a.system_tag, b.system_tag)
-            assert row.ipso_p == report.ipso_p
+            assert (row["system_a"], row["system_b"]) == (a.system_tag, b.system_tag)
+            assert row["ipso_p"] == report.ipso_p
     assert (census.equal, census.separable, census.non_separable, census.total) == (
         folded["equal"], folded["separable"], folded["non_separable"], sum(folded.values()))
     return census
@@ -625,18 +630,22 @@ class TestTies:
 
 
 def test_sweep_builds_no_per_row_objects(fixture, monkeypatch):
-    """The sweep path reads the run and qrels columns: it makes no Serp."""
+    """The sweep path reads the run and qrels columns: it makes no Serp, and it holds its
+    decisions as numeric columns, with no category object per cell."""
     runs, qrels = fixture
 
     def refuse(*args, **kwargs):
         raise AssertionError("a per-row object was built")
 
     monkeypatch.setattr(Serp, "__new__", refuse)
+    monkeypatch.setattr(AgreementCategory, "from_flags", refuse)
     with pytest.raises(AssertionError):
         Serp([1])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # charlie lacks a topic
         sweep = sweep_all_pairs(list(runs.values()), qrels, [3, 5], ["P", "AP"], ["t", "sign"])
         counts = category_fractions(list(runs.values()), qrels, 5)
-    assert len(sweep.rows) == 3 * 2 * 2 * 2
+    columns = [sweep.pairs, sweep.cell, sweep.metric_p, sweep.ipso_p]
+    assert all(isinstance(c, np.ndarray) and c.dtype.kind in "iuf" for c in columns)
+    assert {len(c) for c in columns} == {3 * 2 * 2 * 2}
     assert counts.total > 0
