@@ -777,6 +777,37 @@ sys.exit(f"scipy modules loaded: {{loaded}}" if loaded else 0)
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(
+    __import__("ctypes").CDLL(None), "mallinfo2"), reason="glibc 2.33 or later (mallinfo2)")
+def test_main_fixes_the_malloc_thresholds():
+    """After main, a fresh process puts a 16 MiB block on the heap, not in a mapping of its own.
+
+    glibc maps such a block alone until it has freed a bigger mapped one;
+    main fixes the mmap threshold at 32 MiB from its first call.
+    """
+    script = """
+import contextlib, ctypes, io
+import numpy as np
+import ipso.cli
+class Info(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split())]
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.argtypes, mallinfo2.restype = (), Info
+with contextlib.redirect_stdout(io.StringIO()):
+    assert ipso.cli.main(["enumerate", "--k", "2"]) == 0
+before = mallinfo2().hblks
+block = np.ones(1 << 21)
+print(mallinfo2().hblks - before)
+"""
+    src = str(Path(ipso.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "0\n"
+
+
 def test_forty_topic_pair_takes_the_normal_tail(tmp_path):
     runs, qrels = write_forty_topic_pair(tmp_path)
     out = io.StringIO()
