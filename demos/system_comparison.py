@@ -12,12 +12,7 @@ ordering.
 import sys
 from pathlib import Path
 
-from ipso.experiment import (
-    compare_systems,
-    sweep_all_pairs,
-    topic_table,
-    write_topic_csv,
-)
+from ipso.experiment import compare_systems, sweep_all_pairs, topic_table
 from ipso.trecio import judgment_coverage, parse_qrels, parse_run
 
 FIXTURE = Path(__file__).resolve().parents[1] / "tests" / "data"
@@ -43,8 +38,7 @@ def main(data_dir=FIXTURE):
 
     # the per-topic table behind that verdict, sectioned by group
     print()
-    write_topic_csv(topic_table(alpha, bravo, qrels, 5, metrics=["P@5"]),
-                    sys.stdout)
+    topic_table(alpha, bravo, qrels, 5, metrics=["P@5"]).write_csv(sys.stdout)
 
     # every pair, every depth: the sweep tabulates how often the metric
     # test and the innate-ordering evidence reach the same answer

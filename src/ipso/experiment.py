@@ -23,8 +23,8 @@ import numpy as np
 
 from . import _bits
 from .enumeration import CategoryCounts
-# evaluate, build_serps and classify_group are not called here; bench/tracer.py hooks
-# all three names in this module
+# evaluate, build_serps, classify_group and sign_test are not called here; bench/tracer.py
+# hooks all four names in this module
 from .metrics import MetricSpec, evaluate, evaluate_rows, read_depth, resolve_metric  # noqa: F401
 from .serp import (
     GROUP_TABLE_ORDER,
@@ -35,7 +35,8 @@ from .serp import (
     group_sort_key,
     trajectory,
 )
-from .stats import UndefinedTestError, sign_test, sign_test_rows, t_test_rows, wilcoxon_rows
+from .stats import (  # noqa: F401
+    UndefinedTestError, sign_test, sign_test_counts, sign_test_rows, t_test_rows, wilcoxon_rows)
 from .trecio import (  # noqa: F401
     Qrels, RunFile, build_serps, distinct_runs, grade_runs, topic_sort_key)
 
@@ -144,10 +145,10 @@ def _group_counts(codes: np.ndarray) -> np.ndarray:
     return np.bincount(codes.ravel(), minlength=5 * len(codes)).reshape(-1, 5)
 
 
-def _ipso_p(counts: np.ndarray) -> list:
+def _ipso_p(counts: np.ndarray) -> np.ndarray:
     """The innate Sign test's p per row of (pairs, 5) group counts; NaN with no separable topic."""
-    return [sign_test(ni, ns).p_value if ni + ns else math.nan
-            for ni, ns in counts[:, [_NI, _NS]].tolist()]
+    outcomes = sign_test_counts(counts[:, _NI], counts[:, _NS])
+    return np.where(outcomes.degenerate, math.nan, outcomes.p_value)
 
 
 @dataclass(frozen=True)
@@ -271,7 +272,7 @@ def compare_systems(
     effect = None if mean_a is None else mean_b - mean_a
     result = outcomes[spec, test].result(0) if outcomes[spec, test] else None
     counts = _group_counts(codes)
-    [ipso_p] = _ipso_p(counts)
+    [ipso_p] = _ipso_p(counts).tolist()
     metric_p = result.p_value if result else None
     significant = metric_p is not None and metric_p < alpha
     return ComparisonReport(
@@ -308,7 +309,14 @@ class TopicTable(list):
                  "score_diffs": row.score_diffs} for row in self]
 
     def write_csv(self, stream: IO[str]) -> None:
-        write_topic_csv(self, stream)
+        """CSV export, one diff column per metric."""
+        labels = list(self[0].score_diffs) if self else []
+        writer = csv.writer(stream)
+        writer.writerow(["topic", "group", "serp_a", "serp_b", "trajectory"]
+                        + [f"diff_{label}" for label in labels])
+        writer.writerows([row.topic_id, row.group.label, row.serp_a, row.serp_b,
+                          " ".join(row.trajectory.codes()),
+                          *(row.score_diffs[label] for label in labels)] for row in self)
 
 
 def topic_table(
@@ -343,17 +351,6 @@ def topic_table(
         r.group.table_order, group_sort_key(r.trajectory), topic_sort_key(r.topic_id),
     ))
     return rows
-
-
-def write_topic_csv(rows: Sequence[TopicRow], stream: IO[str]) -> None:
-    """CSV export of a topic table, one diff column per metric."""
-    labels = list(rows[0].score_diffs) if rows else []
-    writer = csv.writer(stream)
-    writer.writerow(["topic", "group", "serp_a", "serp_b", "trajectory"]
-                    + [f"diff_{label}" for label in labels])
-    writer.writerows([row.topic_id, row.group.label, row.serp_a, row.serp_b,
-                      " ".join(row.trajectory.codes()),
-                      *(row.score_diffs[label] for label in labels)] for row in rows)
 
 
 class AgreementCategory(enum.Enum):

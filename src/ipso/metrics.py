@@ -172,11 +172,10 @@ def ordering_check(
     s1: SerpLike,
     s2: SerpLike,
     ctx: TopicContext | None = None,
-    tolerance: float = SCORE_TOLERANCE,
 ) -> str:
     """Return '<', '=', or '>' for the two SERPs' scores under one metric."""
     delta = evaluate(metric, s1, ctx) - evaluate(metric, s2, ctx)
-    if abs(delta) <= tolerance:
+    if abs(delta) <= SCORE_TOLERANCE:
         return "="
     return ">" if delta > 0 else "<"
 
@@ -205,16 +204,11 @@ def score_ranks(metric: MetricSpec, k: int, ctx: TopicContext | None = None) -> 
 MetricLike = Union[MetricSpec, Callable[[Serp], float]]
 
 
-def certify_compliance(
-    metric: MetricLike,
-    k: int,
-    ctx: TopicContext | None = None,
-    tolerance: float = SCORE_TOLERANCE,
-) -> list:
+def certify_compliance(metric: MetricLike, k: int, ctx: TopicContext | None = None) -> list:
     """Exhaustively check a metric against the innate ordering at depth k.
 
     For every ordered pair of length-k SERPs where the first is non-inferior, the
-    first's score must not fall below the second's (within tolerance).  Each such pair
+    first's score must not fall below the second's (within SCORE_TOLERANCE).  Each such pair
     is a chain of covers (_bits.cover_pairs) and float >= is transitive, so if no cover
     scores lower the metric complies; else (a NaN too) _bits.dominance_pairs is scanned.
     Equal pairs need no check: a SERP equals only itself, a gap of 0 (NaN for a NaN or
@@ -223,8 +217,6 @@ def certify_compliance(
     """
     if not 1 <= k <= 12:
         raise ValueError(f"certify_compliance supports 1 <= k <= 12, got {k}")
-    if not tolerance >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     if isinstance(metric, MetricSpec):
         scores = score_all(metric, k, ctx)
     else:
@@ -232,7 +224,7 @@ def certify_compliance(
     if np.greater_equal(*scores[_bits.cover_pairs(k)]).all():  # no cover scores lower
         return []
     rows, cols = _bits.dominance_pairs(k)
-    bad = scores[rows] - scores[cols] < -tolerance
+    bad = scores[rows] - scores[cols] < -SCORE_TOLERANCE
     return [(Serp.from_int(a, k), Serp.from_int(b, k))
             for a, b in zip(rows[bad].tolist(), cols[bad].tolist())]
 

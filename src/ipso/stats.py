@@ -58,27 +58,48 @@ class RowOutcomes(NamedTuple):
                           bool(self.degenerate[row]))
 
 
-@lru_cache(maxsize=1 << 16)
-def sign_test(n_pos: int, n_neg: int) -> TestResult:
-    """Exact two-tailed Sign test on counts of positive vs negative outcomes.
+@lru_cache(maxsize=1024)
+def _sign_tails(n: int) -> np.ndarray:
+    """The Sign test's exact two-tailed p at n untied observations, for lo = 0 ... n // 2.
 
     Under the null both directions are equally likely, so the p-value is
     the doubled smaller binomial tail at probability 1/2, capped at 1.
-    Computed with exact integer tail sums, stable for any count size.
+    Computed with exact integer tail sums, stable for any n; read-only.
     """
-    if n_pos < 0 or n_neg < 0:
-        raise ValueError("counts must be non-negative")
-    n = n_pos + n_neg
-    if n == 0:
-        raise UndefinedTestError("sign test needs at least one untied observation")
-    lo = min(n_pos, n_neg)
-    # sum C(n, 0..lo) with a running exact term, C(n, j) = C(n, j-1) (n-j+1) / j
-    term = tail = 1
-    for j in range(1, lo + 1):
+    # partial sums of C(n, j) with a running exact term, C(n, j) = C(n, j-1) (n-j+1) / j
+    term, tails = 1, [1]
+    for j in range(1, n // 2 + 1):
         term = term * (n - j + 1) // j
-        tail += term
-    p = min(1.0, (2 * tail) / (1 << n))
-    return TestResult(p_value=p, statistic=float(lo), n_effective=n, method="exact")
+        tails.append(tails[-1] + term)
+    row = np.array([min(1.0, (2 * tail) / (1 << n)) for tail in tails])
+    row.setflags(write=False)
+    return row
+
+
+def sign_test_counts(n_pos, n_neg) -> RowOutcomes:
+    """Exact two-tailed Sign test on each row's counts of positive vs negative outcomes.
+
+    One gather from the _sign_tails tables of the distinct count totals,
+    laid end to end.  A row with no untied observation has nothing to
+    test: its result is a degenerate p = 1.
+    """
+    n_pos, n_neg = np.asarray(n_pos, dtype=np.int64), np.asarray(n_neg, dtype=np.int64)
+    n, lo = n_pos + n_neg, np.minimum(n_pos, n_neg)
+    if (lo < 0).any():
+        raise ValueError("counts must be non-negative")
+    sizes, which = np.unique(n, return_inverse=True)
+    tables = [_sign_tails(size) for size in sizes.tolist()]
+    offsets = np.cumsum([0] + [len(table) for table in tables[:-1]])
+    p = np.concatenate([np.empty(0), *tables])[offsets[which] + lo]
+    return RowOutcomes(p, lo * 1.0, n, np.ones(n.size, dtype=bool), n == 0)
+
+
+def sign_test(n_pos: int, n_neg: int) -> TestResult:
+    """sign_test_counts on one pair of counts; 0 + 0 raises UndefinedTestError."""
+    result = sign_test_counts([n_pos], [n_neg]).result(0)
+    if result.degenerate:
+        raise UndefinedTestError("sign test needs at least one untied observation")
+    return result
 
 
 def _untied(diffs) -> np.ndarray:
@@ -88,17 +109,9 @@ def _untied(diffs) -> np.ndarray:
 
 
 def sign_test_rows(diffs) -> RowOutcomes:
-    """Sign test on each row of paired differences; zeros are dropped as ties.
-
-    A row whose differences are all zero has nothing to test: its result
-    is a degenerate p = 1.
-    """
+    """sign_test_counts on each row of paired differences; zeros are dropped as ties."""
     d = _untied(diffs)
-    n_pos, n_neg = (d > 0).sum(axis=1).tolist(), (d < 0).sum(axis=1).tolist()
-    p = [sign_test(a, b).p_value if a + b else 1.0 for a, b in zip(n_pos, n_neg)]
-    n = np.add(n_pos, n_neg, dtype=np.int64)
-    return RowOutcomes(np.array(p), np.minimum(n_pos, n_neg) * 1.0, n,
-                       np.ones(n.size, dtype=bool), n == 0)
+    return sign_test_counts((d > 0).sum(axis=1), (d < 0).sum(axis=1))
 
 
 def sign_test_diffs(diffs: Sequence[float]) -> TestResult:
@@ -227,13 +240,6 @@ def t_test_paired(diffs: Sequence[float]) -> TestResult:
     return t_test_rows([diffs]).result(0)
 
 
-def _midranks(values: np.ndarray) -> tuple:
-    """Average 1-based ranks of values, and the size of each tie group in sorted order."""
-    order, ranks, _ = _tie_ranks(np.asarray(values, dtype=np.float64))
-    ranks = ranks[np.argsort(order)]  # back in the order of values
-    return ranks, np.unique(ranks, return_counts=True)[1]
-
-
 def _tie_ranks(values: np.ndarray) -> tuple:
     """Sort along the last axis: the order, and each sorted value's midrank and tie-group size.
 
@@ -269,11 +275,15 @@ def _exact_signed_rank_p(ranks: np.ndarray, t_lo: float) -> float:
     return min(1.0, (2 * tail) / (1 << len(ranks)))
 
 
-def wilcoxon_rows(diffs, exact_cutover: int = 25) -> RowOutcomes:
+#: Most untied observations for which the Wilcoxon null distribution is exact.
+WILCOXON_EXACT_MAX = 25
+
+
+def wilcoxon_rows(diffs) -> RowOutcomes:
     """Two-tailed Wilcoxon signed-rank test on each row of paired differences.
 
     Zero differences are dropped; tied magnitudes receive midranks.  The
-    null distribution is exact up to exact_cutover untied observations, one
+    null distribution is exact up to WILCOXON_EXACT_MAX untied observations, one
     row at a time, and normal-approximated (continuity and tie corrections)
     beyond.  Sorted by magnitude, a row's zeros come first, in a tie group
     of their own, so its n nonzero differences are the last n and their
@@ -287,7 +297,7 @@ def wilcoxon_rows(diffs, exact_cutover: int = 25) -> RowOutcomes:
     ranks -= zeros[:, None]
     t_plus = np.where(signs > 0, ranks, 0.0).sum(axis=1)
     statistic = np.minimum(t_plus, np.where(signs < 0, ranks, 0.0).sum(axis=1))
-    exact = (n <= exact_cutover) | (n == 0)
+    exact = (n <= WILCOXON_EXACT_MAX) | (n == 0)
     p = np.ones(n.size)
     for i in np.flatnonzero(exact & (n > 0)):
         p[i] = _exact_signed_rank_p(ranks[i, zeros[i]:], statistic[i])
@@ -302,9 +312,9 @@ def wilcoxon_rows(diffs, exact_cutover: int = 25) -> RowOutcomes:
     return RowOutcomes(p, statistic, n, exact, n == 0)
 
 
-def wilcoxon_signed_rank(diffs: Sequence[float], exact_cutover: int = 25) -> TestResult:
+def wilcoxon_signed_rank(diffs: Sequence[float]) -> TestResult:
     """The signed-rank test of wilcoxon_rows on one sample of paired differences."""
-    return wilcoxon_rows([diffs], exact_cutover).result(0)
+    return wilcoxon_rows([diffs]).result(0)
 
 
 def _inversions(ranks: np.ndarray) -> int:
@@ -325,20 +335,13 @@ def _inversions(ranks: np.ndarray) -> int:
     return total
 
 
-def kendall_tau_b(x: Sequence[float], y: Sequence[float]) -> float:
-    """Kendall's tau-b of two equal-length finite samples; NaN when either is constant.
+def _kendall_tau_b_ranks(x: np.ndarray, y: np.ndarray) -> float:
+    """Kendall's tau-b of two samples' dense ranks (np.unique's inverse); NaN for a constant one.
 
     Discordant pairs are the inversions of y's dense ranks once the pairs
     are sorted by (x, y) (Knight 1966).  The integer counts and float steps
     are scipy.stats.kendalltau's, so the results are equal.
     """
-    if len(x) != len(y):
-        raise ValueError(f"samples differ in length: {len(x)} vs {len(y)}")
-    return _kendall_tau_b_ranks(*(np.unique(np.asarray(s), return_inverse=True)[1] for s in (x, y)))
-
-
-def _kendall_tau_b_ranks(x: np.ndarray, y: np.ndarray) -> float:
-    """kendall_tau_b of two samples given as their dense ranks, np.unique's inverse."""
     pairs = np.sort(x * x.size + y)  # by x, then y
     ntie, xtie, ytie = (int((c * (c - 1) // 2).sum()) for c in (
         np.unique(pairs, return_counts=True)[1], np.bincount(x), np.bincount(y)))

@@ -3,8 +3,8 @@
 Run lines carry six whitespace-separated fields (topic, literal Q0,
 document, rank, score, system tag); qrels lines carry four (topic,
 iteration, document, grade).  Rankings are rebuilt from the score field
--- descending, ties broken by document id descending -- because rank
-columns in the wild are unreliable; a strict mode honours them instead.
+-- descending, ties broken by document id descending, trec_eval's rule --
+because rank columns in the wild are unreliable.
 
 A file is read once, as bytes, and no reader sees anything else.
 numpy's C text reader reads valid UTF-8 as latin-1: a thread writes the
@@ -305,26 +305,20 @@ def _run_lines(data: bytes) -> tuple:
             np.array(scores), lambda rows: (docs[rows], lengths[rows]))
 
 
-def parse_run(
-    source: Source,
-    truncate: int = DEFAULT_TRUNCATION,
-    strict_ranks: bool = False,
-) -> RunFile:
+def parse_run(source: Source, truncate: int = DEFAULT_TRUNCATION) -> RunFile:
     """Parse a TREC run; blank lines are ignored.
 
     Entries are grouped per topic and ordered by score descending with
-    document id descending on ties (or by the rank column when
-    strict_ranks is set), then truncated to the first `truncate` >= 1.
-    Every line must carry the same system tag, and scores must be finite.
+    document id descending on ties, then truncated to the first
+    `truncate` >= 1.  Every line must carry the same system tag, and
+    scores must be finite.
     """
     if truncate < 1:
         raise ValueError(f"truncate must be >= 1, got {truncate}")
     data = _read(source)
     tag, topics, topic_code, ranks, scores, docs_of = _run_loaded(data) or _run_lines(data)
     del data  # the C reader's columns are copies: free the file's bytes before ordering
-    key = ranks if strict_ranks else -scores
-    if key.dtype == object:  # ranks beyond 64 bits: their order, as int64
-        key = np.unique(key, return_inverse=True)[1]
+    key = -scores
     # Per topic, keep the first `truncate` rows of the numeric order plus
     # every row tied with the last of them; doc ids then break the ties.
     order, size = np.argsort(topic_code, kind="stable"), np.bincount(topic_code)
@@ -339,11 +333,10 @@ def parse_run(
     rows = np.argsort(topic * len(key) + rank)
     tied = (topic[rows[1:]] == topic[rows[:-1]]) & (key[rows[1:]] == key[rows[:-1]])
     docs, lengths = docs_of(kept)
-    if tied.any():  # sort each tie by doc id, then length: descending, or ascending when strict
+    if tied.any():  # sort each tie by doc id, then length, both descending
         at = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
         group, ties = np.cumsum(np.insert(~tied, 0, True))[at], rows[at]
-        by_id = np.lexsort((lengths[ties], docs[ties], group if strict_ranks else -group))
-        rows[at] = ties[by_id if strict_ranks else by_id[::-1]]
+        rows[at] = ties[np.lexsort((lengths[ties], docs[ties], -group))[::-1]]
     size = np.bincount(topic, minlength=len(size))
     rows = rows[np.arange(len(rows)) - np.repeat(np.cumsum(size) - size, size) < truncate]
     columns = RunColumns(topics, np.concatenate(([0], np.cumsum(np.minimum(size, truncate)))),

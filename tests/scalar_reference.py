@@ -18,8 +18,7 @@ import numpy as np
 
 from ipso.metrics import SCORE_TOLERANCE, MetricSpec
 from ipso.serp import CATEGORY_TO_RELATIONSHIP, Relationship, as_serp
-from ipso.stats import (TestResult, UndefinedTestError, _exact_signed_rank_p, _normal_tail, _t_tail,
-                        sign_test)
+from ipso.stats import TestResult, UndefinedTestError, _exact_signed_rank_p, _normal_tail, _t_tail
 
 
 def prefix_dominance_oracle(s1, s2, k: int) -> Relationship:
@@ -135,6 +134,14 @@ def evaluate(metric: MetricSpec, serp, total_relevant: int | None = None) -> flo
 def _untied(diffs) -> np.ndarray:
     d = np.asarray(diffs, dtype=np.float64)
     return np.where(np.abs(d) <= SCORE_TOLERANCE, 0.0, d)
+
+
+def sign_test(n_pos: int, n_neg: int) -> TestResult:
+    """The exact two-tailed Sign test: the doubled smaller binomial tail at 1/2, capped at 1."""
+    n, lo = n_pos + n_neg, min(n_pos, n_neg)
+    tail = sum(math.comb(n, j) for j in range(lo + 1))
+    return TestResult(p_value=min(1.0, (2 * tail) / (1 << n)), statistic=float(lo),
+                      n_effective=n, method="exact")
 
 
 def sign_test_diffs(diffs) -> TestResult:

@@ -35,6 +35,7 @@ from ipso.experiment import (
 )
 from ipso.metrics import (
     PHI,
+    SCORE_TOLERANCE,
     MetricSpec,
     TopicContext,
     certify_compliance,
@@ -159,10 +160,9 @@ TIE_TOLERANCE = 1e-12
 def test_criterion_04_depth3_metric_disagreement():
     for metric in PREFER_B:
         assert ordering_check(metric, ROW_A, ROW_B, ROW_CTX) == "<", metric.label
+    assert TIE_TOLERANCE == SCORE_TOLERANCE  # the tolerance ordering_check compares with
     for metric in EXACT_TIES:
-        verdict = ordering_check(metric, ROW_A, ROW_B, ROW_CTX,
-                                 tolerance=TIE_TOLERANCE)
-        assert verdict == "=", metric.label
+        assert ordering_check(metric, ROW_A, ROW_B, ROW_CTX) == "=", metric.label
     for metric in PREFER_A:
         assert ordering_check(metric, ROW_A, ROW_B, ROW_CTX) == ">", metric.label
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from ipso import _bits
+from ipso import _bits, stats
 from ipso.metrics import (
     PHI,
     SCORE_TOLERANCE,
@@ -190,10 +190,10 @@ def test_t_rows_need_two_columns():
         t_test_rows(np.zeros((3, 1)))
 
 
-def test_wilcoxon_rows_exact_cutover():
+def test_wilcoxon_rows_exact_cutover(monkeypatch):
     d = np.random.default_rng(3).normal(0.3, 1.0, size=(4, 30))
     assert not wilcoxon_rows(d).exact.any()
-    assert wilcoxon_rows(d, exact_cutover=30).exact.all()
+    monkeypatch.setattr(stats, "WILCOXON_EXACT_MAX", 30)
+    assert wilcoxon_rows(d).exact.all()
     for i in range(4):
-        assert wilcoxon_rows(d, exact_cutover=30).result(i) == ref.wilcoxon_signed_rank(
-            d[i], exact_cutover=30)
+        assert wilcoxon_rows(d).result(i) == ref.wilcoxon_signed_rank(d[i], exact_cutover=30)

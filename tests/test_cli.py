@@ -402,7 +402,9 @@ class TestJsonBlocks:
         done = subprocess.run([sys.executable, "-m", "ipso.cli", *argv], env=env,
                               capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == (json.dumps(payload, indent=2) + "\n").encode()
+        expected = (json.dumps(payload, indent=2) + "\n").encode()
+        _assert_same_lines(done.stdout, expected)
+        assert done.stdout == expected
 
 
 SWEEP_FIELDS = ("system_a", "system_b", "k", "metric", "test", "metric_p", "ipso_p", "category")
@@ -505,6 +507,7 @@ class TestCsvBlocks:
         done = subprocess.run([sys.executable, "-m", "ipso.cli", *argv], env=env,
                               capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr
+        _assert_same_lines(done.stdout, expected)
         assert done.stdout == expected
 
 

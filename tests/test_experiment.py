@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ipso import experiment
+from ipso import experiment, stats
 from ipso.experiment import (
     AgreementCategory,
     ComparisonReport,
@@ -23,7 +23,6 @@ from ipso.experiment import (
     percentile_run,
     sweep_all_pairs,
     topic_table,
-    write_topic_csv,
 )
 from ipso.metrics import PHI, MetricSpec
 from ipso.serp import Serp, TopicGroup, classify_group
@@ -254,7 +253,7 @@ class TestTopicTable:
         rows = topic_table(runs["alpha"], runs["bravo"], qrels, 5,
                            metrics=(MetricSpec("P", 5),))
         buf = io.StringIO()
-        write_topic_csv(rows, buf)
+        rows.write_csv(buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "topic,group,serp_a,serp_b,trajectory,diff_P@5"
         assert lines[1] == "605,**/ns,01100,10001,ns ns ** ** **,0.0"
@@ -416,6 +415,24 @@ def test_sweep_scores_each_metric_matrix_once(fixture, monkeypatch):
     sweep_all_pairs(list(runs.values()), qrels, [3, 5, 10, 20], ["P@10", "P", "AP"], ["t"])
     assert scored == {"P@10": 1, **{f"{family}@{k}": 1 for family in ("P", "AP")
                                     for k in (3, 5, 10, 20)}}
+
+
+@pytest.mark.filterwarnings("ignore:system charlie")
+def test_innate_p_does_not_call_the_scalar_sign_test(fixture, monkeypatch):
+    """compare and the sweep read the innate p from the Sign test's row kernel."""
+    runs, qrels = fixture
+
+    def outcomes():
+        sweep = sweep_all_pairs(list(runs.values()), qrels, [3, 5], ["P", "AP"], ["t", "sign"])
+        return compare_systems(runs["alpha"], runs["bravo"], qrels, 5), sweep.to_dict()
+
+    def scalar(n_pos, n_neg):
+        raise AssertionError("the scalar sign_test was called")
+
+    want = outcomes()
+    for module in (stats, experiment):
+        monkeypatch.setattr(module, "sign_test", scalar)
+    assert outcomes() == want
 
 
 class TestAgreementCategory:

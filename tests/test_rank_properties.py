@@ -17,11 +17,16 @@ from hypothesis import strategies as st
 
 from ipso.enumeration import kendall_tau
 from ipso.metrics import metric_suite, score_all
-from ipso.stats import _inversions, _midranks, kendall_tau_b, wilcoxon_signed_rank
+from ipso.stats import _inversions, _kendall_tau_b_ranks, _tie_ranks, wilcoxon_signed_rank
 
 
 def same(a: float, b: float) -> bool:
     return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def kendall_tau_b(x, y) -> float:
+    """_kendall_tau_b_ranks of two samples' dense ranks, as score_ranks gives them."""
+    return _kendall_tau_b_ranks(*(np.unique(np.asarray(s), return_inverse=True)[1] for s in (x, y)))
 
 
 @pytest.mark.parametrize("k", range(1, 13))
@@ -41,11 +46,6 @@ def test_tau_is_nan_for_a_constant_side():
         assert math.isnan(kendall_tau_b(x, y))
         assert math.isnan(scipy.stats.kendalltau(x, y).statistic)
     assert math.isnan(kendall_tau_b([1.0], [2.0]))
-
-
-def test_tau_rejects_samples_of_different_length():
-    with pytest.raises(ValueError, match="differ in length"):
-        kendall_tau_b([1.0], [1.0, 2.0, 3.0])
 
 
 @st.composite
@@ -89,9 +89,10 @@ def test_inversions_equal_pair_count(values, offset):
 @given(sample=tied_samples(n_min=1))
 def test_midranks_equal_rankdata(sample):
     for values in sample:
-        ranks, sizes = _midranks(values)
-        assert np.array_equal(ranks, scipy.stats.rankdata(values))
-        assert sizes.tolist() == np.unique(values, return_counts=True)[1].tolist()
+        order, ranks, sizes = _tie_ranks(values.astype(np.float64))
+        assert np.array_equal(ranks[np.argsort(order)], scipy.stats.rankdata(values))
+        counts = np.unique(values, return_counts=True)[1]
+        assert sizes.tolist() == np.repeat(counts, counts).tolist()
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -6,12 +6,15 @@ import pytest
 import scipy.stats
 from numpy.testing import assert_allclose
 
+from ipso import stats
 from ipso.metrics import SCORE_TOLERANCE
 from ipso.stats import (
     TestResult,
     UndefinedTestError,
-    _midranks,
+    _sign_tails,
+    _tie_ranks,
     sign_test,
+    sign_test_counts,
     sign_test_diffs,
     t_test_paired,
     wilcoxon_signed_rank,
@@ -54,14 +57,30 @@ class TestSignTest:
         assert p == pytest.approx(expected, rel=1e-10)
 
     def test_tail_equals_comb_sum(self):
-        # the running-term tail must give the very float the math.comb sum gives
-        for n in range(1, 301):
-            tail = 0
-            for lo in range(n // 2 + 1):
-                tail += math.comb(n, lo)
-                expected = min(1.0, (2 * tail) / (1 << n))
-                assert sign_test(lo, n - lo).p_value == expected, (n, lo)
-                assert sign_test(n - lo, lo).p_value == expected, (n, lo)
+        # the tail table must give the very float the math.comb sum gives, in both orders
+        for sizes in (range(301), [2000]):
+            lo = np.concatenate([np.arange(n // 2 + 1) for n in sizes])
+            hi = np.concatenate([n - np.arange(n // 2 + 1) for n in sizes])
+            want = [min(1.0, (2 * tail) / (1 << n)) for n in sizes
+                    for tail in itertools.accumulate(math.comb(n, j) for j in range(n // 2 + 1))]
+            for n_pos, n_neg in ((lo, hi), (hi, lo)):
+                rows = sign_test_counts(n_pos, n_neg)
+                assert rows.p_value.tolist() == want
+                assert rows.statistic.tolist() == lo.tolist()
+                assert rows.n_effective.tolist() == (lo + hi).tolist()
+
+    def test_counts_without_an_untied_observation_are_degenerate(self):
+        rows = sign_test_counts([0, 3, 0, 1], [0, 1, 0, 0])
+        assert rows.p_value.tolist() == [1.0, 0.625, 1.0, 1.0]
+        assert rows.degenerate.tolist() == [True, False, True, False]
+        assert rows.n_effective.tolist() == [0, 4, 0, 1]
+
+    def test_tail_tables_are_read_only(self):
+        for n in (0, 1, 10, 249):
+            row = _sign_tails(n)
+            assert row.shape == (n // 2 + 1,) and not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0.5
 
     def test_more_imbalance_smaller_p(self):
         ps = [sign_test(20 - j, j).p_value for j in range(10, -1, -1)]
@@ -163,20 +182,24 @@ class TestWilcoxon:
         ref = scipy.stats.wilcoxon(d, correction=True, method="approx")
         assert mine.p_value == pytest.approx(float(ref.pvalue), abs=1e-9)
 
-    def test_cutover_boundary(self):
+    def test_cutover_boundary(self, monkeypatch):
+        assert stats.WILCOXON_EXACT_MAX == 25
         d = list(range(1, 26))  # n=25 stays exact
         assert wilcoxon_signed_rank(d).method == "exact"
         d = list(range(1, 27))  # n=26 switches
         assert wilcoxon_signed_rank(d).method == "approximate"
-        # a caller can push the exact path further
-        assert wilcoxon_signed_rank(d, exact_cutover=30).method == "exact"
+        # the cutover is read at call time
+        monkeypatch.setattr(stats, "WILCOXON_EXACT_MAX", 30)
+        assert wilcoxon_signed_rank(d).method == "exact"
 
-    def test_exact_and_approx_agree_reasonably(self):
+    def test_exact_and_approx_agree_reasonably(self, monkeypatch):
         rng = np.random.default_rng(77)
         d = rng.normal(0.5, 1.0, size=20)
-        exact = wilcoxon_signed_rank(d, exact_cutover=25).p_value
-        approx = wilcoxon_signed_rank(d, exact_cutover=5).p_value
-        assert approx == pytest.approx(exact, abs=0.02)
+        exact = wilcoxon_signed_rank(d)
+        monkeypatch.setattr(stats, "WILCOXON_EXACT_MAX", 5)
+        approx = wilcoxon_signed_rank(d)
+        assert (exact.method, approx.method) == ("exact", "approximate")
+        assert approx.p_value == pytest.approx(exact.p_value, abs=0.02)
 
 
 class TestPairedT:
@@ -251,9 +274,9 @@ class TestTieTolerance:
         assert wilcoxon_signed_rank(noisy) == wilcoxon_signed_rank(clean)
 
     def test_midrank_ties_chain_within_tolerance(self):
-        ranks, sizes = _midranks(np.array([0.1, 0.1 + 5e-13, 0.1 + 1e-12, 0.3, 0.3 + 3e-12]))
-        assert ranks.tolist() == [2.0, 2.0, 2.0, 4.0, 5.0]
-        assert sizes.tolist() == [3, 1, 1]
+        _, ranks, sizes = _tie_ranks(np.array([0.1, 0.1 + 5e-13, 0.1 + 1e-12, 0.3, 0.3 + 3e-12]))
+        assert ranks.tolist() == [2.0, 2.0, 2.0, 4.0, 5.0]  # the values are in sorted order
+        assert sizes.tolist() == [3, 3, 3, 1, 1]
 
     def test_noisy_constant_gap_is_degenerate(self):
         r = t_test_paired([0.09999999999999998, 0.10000000000000003, 0.1] * 3)

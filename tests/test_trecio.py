@@ -73,12 +73,6 @@ class TestParseRun:
         run = parse_run(io.StringIO(text))
         assert _docs(run, "1") == ["ccc", "bbb", "aaa"]
 
-    def test_strict_ranks_uses_rank_column(self):
-        text = ("1 Q0 low 1 1.0 s\n"
-                "1 Q0 high 2 9.0 s\n")
-        run = parse_run(io.StringIO(text), strict_ranks=True)
-        assert _docs(run, "1") == ["low", "high"]
-
     def test_truncates_after_sorting(self):
         run = parse_run(io.StringIO(RUN_A), truncate=2)
         assert _docs(run, "1") == ["d1", "dX"]
@@ -204,8 +198,6 @@ class TestParseRun:
         text = "\n".join(lines) + "\n"
         run = parse_run(io.StringIO(text))
         assert _docs(run, "1") == ["d\x00", "d", "d\x00\x00"]
-        strict = parse_run(io.StringIO(text), strict_ranks=True)
-        assert _docs(strict, "1") == ["d", "d\x00", "d\x00\x00"]
         qrels = parse_qrels(io.StringIO("1 0 d\x00 1\n1 0 d 0\n1 0 d\x00\x00\x00 1\n"))
         assert decoded(qrels) == {("1", "d\x00"): 1, ("1", "d"): 0, ("1", "d\x00\x00\x00"): 1}
         assert build_serps(run, qrels, 3).get("s", "1") == Serp([1, 0, 0])
@@ -245,37 +237,31 @@ class TestParseRun:
         run = parse_run(io.StringIO(text), truncate=2)
         assert _docs(run, "1") == ["a", "e"]
         assert _docs(run, "2") == ["z", "y"]
-        strict = parse_run(io.StringIO(text), truncate=2, strict_ranks=True)
-        assert _docs(strict, "1") == ["a", "b"]
-        assert _docs(strict, "2") == ["x", "y"]
-        for options in ({}, {"strict_ranks": True}):
-            expected = trec_reference.parse_run(io.StringIO(text), truncate=2, **options)
-            assert decoded(parse_run(io.StringIO(text), truncate=2, **options)) == expected
+        expected = trec_reference.parse_run(io.StringIO(text), truncate=2)
+        assert decoded(run) == expected
 
     @pytest.mark.parametrize("truncate", [1, 2, 100])
-    @pytest.mark.parametrize("strict_ranks", [False, True])
-    def test_equal_keys_on_interleaved_topics_order_as_the_reference(self, strict_ranks, truncate):
+    def test_equal_keys_on_interleaved_topics_order_as_the_reference(self, truncate):
         # the keys are ranked across all topics at once; each topic's ties must stay together
         text = "".join(f"{topic} Q0 {doc} {rank} {score} s\n" for topic, doc, rank, score in [
             ("1", "b", 2, 5.0), ("3", "b", 2, 5.0), ("2", "a", 2, 5.0), ("1", "c", 1, 7.0),
             ("3", "c", 2, 5.0), ("2", "c", 1, 7.0), ("1", "a", 2, 5.0), ("3", "a", 1, 5.0),
             ("2", "b", 2, -0.0), ("1", "d", 3, 0.0), ("3", "d", 3, 0.0), ("2", "d", 1, 5.0),
         ])
-        options = {"truncate": truncate, "strict_ranks": strict_ranks}
-        expected = trec_reference.parse_run(io.StringIO(text), **options)
-        assert decoded(parse_run(io.StringIO(text), **options)) == expected
+        expected = trec_reference.parse_run(io.StringIO(text), truncate=truncate)
+        assert decoded(parse_run(io.StringIO(text), truncate=truncate)) == expected
 
     @pytest.mark.parametrize("truncate", [1, 2, 100])
     def test_ranks_past_int64_on_interleaved_topics_order_as_the_reference(self, truncate):
+        # every score ties, so doc ids order each topic; the rank column keeps its exact ints
         big = ["99999999999999999999", "-99999999999999999999", "9223372036854775808"]
         text = "".join(f"{topic} Q0 {doc} {rank} 1.0 s\n" for topic, doc, rank in [
             ("1", "a", big[0]), ("2", "a", big[1]), ("1", "b", 5), ("2", "b", big[0]),
             ("1", "c", big[2]), ("2", "c", 5), ("1", "d", big[1]), ("2", "d", big[1]),
             ("1", "e", 5), ("2", "e", big[2]),
         ])
-        options = {"truncate": truncate, "strict_ranks": True}
-        expected = trec_reference.parse_run(io.StringIO(text), **options)
-        assert decoded(parse_run(io.StringIO(text), **options)) == expected
+        expected = trec_reference.parse_run(io.StringIO(text), truncate=truncate)
+        assert decoded(parse_run(io.StringIO(text), truncate=truncate)) == expected
 
     def test_problem_in_a_later_chunk_precedes_a_field_count_error(self):
         text = "".join(f"1 Q0 d{i} {i} 1.0 s\n" for i in range(6))
@@ -386,10 +372,9 @@ class TestTwoReaders:
     def test_numbers_past_int64_stay_exact_ints(self):
         # beside small ints, np.array would turn 2**63 into a float
         text = "1 Q0 d1 1 5.0 s\n1 Q0 d2 9223372036854775808 4.0 s\n"
-        for options in ({}, {"strict_ranks": True}):
-            run = parse_run(io.StringIO(text), **options)
-            assert decoded(run) == trec_reference.parse_run(io.StringIO(text), **options)
-            assert [type(rank) for _, rank, _ in decoded(run)[2]["1"]] == [int, int]
+        run = parse_run(io.StringIO(text))
+        assert decoded(run) == trec_reference.parse_run(io.StringIO(text))
+        assert [type(rank) for _, rank, _ in decoded(run)[2]["1"]] == [int, int]
         judgments = {("1", "d1"): 1, ("1", "d2"): 2 ** 63}
         text = "".join(f"{t} 0 {d} {g}\n" for (t, d), g in judgments.items())
         assert decoded(parse_qrels(io.StringIO(text))) == judgments

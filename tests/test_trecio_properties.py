@@ -135,13 +135,11 @@ def test_run_parser_matches_reference(monkeypatch):
     rows=records(_run_record),
     data=st.data(),
     truncate=st.integers(1, 10),
-    strict_ranks=st.booleans(),
 )
-def _run_parser_matches_reference(rows, data, truncate, strict_ranks):
+def _run_parser_matches_reference(rows, data, truncate):
     text = _text(*data.draw(lines_of(rows)))
-    options = {"truncate": truncate, "strict_ranks": strict_ranks}
-    expected = trec_reference.parse_run(io.StringIO(text), **options)
-    actual = parse_run(io.StringIO(text), **options)
+    expected = trec_reference.parse_run(io.StringIO(text), truncate=truncate)
+    actual = parse_run(io.StringIO(text), truncate=truncate)
     assert decoded(actual) == expected and list(decoded(actual)[2]) == list(expected[2])
     # ranks past int64 are kept as Python ints
     assert actual.columns.ranks.dtype in (np.int64, object) and actual.columns.scores.dtype == float

@@ -47,7 +47,7 @@ def _lines(source):
         yield lineno, [field.decode() for field in line.encode().split()]
 
 
-def parse_run(source, truncate: int = DEFAULT_TRUNCATION, strict_ranks: bool = False) -> tuple:
+def parse_run(source, truncate: int = DEFAULT_TRUNCATION) -> tuple:
     if truncate < 1:
         raise ValueError(f"truncate must be >= 1, got {truncate}")
     system_tag = None
@@ -86,10 +86,7 @@ def parse_run(source, truncate: int = DEFAULT_TRUNCATION, strict_ranks: bool = F
         raise TrecParseError("run contains no entries")
     rankings = {}
     for topic_id, docs in raw.items():
-        if strict_ranks:
-            docs = sorted(docs, key=lambda e: (e[1], e[0]))
-        else:
-            docs = sorted(docs, key=lambda e: (e[2], e[0]), reverse=True)
+        docs = sorted(docs, key=lambda e: (e[2], e[0]), reverse=True)
         rankings[topic_id] = docs[:truncate]
     return system_tag, truncate, rankings
 
