@@ -8,6 +8,11 @@ through `to_text`.  Metric labels go to the library as typed, where a
 bare family (`AP`) takes `--k` and a full label (`AP@10`) keeps its
 depth; `metrics.read_depth` sets how deep the runs are parsed.  Exit
 codes: 0 success, 1 input parse failure, 2 invalid arguments.
+
+compare, topics, sweep and coverage deal their run and qrels files
+round-robin to min(files, usable CPUs) processes: this one and children
+made by os.fork, on Linux only and while no other thread is alive.  The
+output, error and exit code are a serial parse's; library calls never fork.
 """
 
 from __future__ import annotations
@@ -39,14 +44,74 @@ def _tokens(text: str) -> list:
     return [token.strip() for token in text.split(",") if token.strip()]
 
 
-def _load_runs_dir(directory: str, truncate: int = DEFAULT_TRUNCATION) -> list:
+def _run_paths(directory: str) -> list:
     paths = sorted(
         p for p in Path(directory).iterdir()
         if p.is_file() and not p.name.startswith(".")
     )
     if not paths:
         raise ValueError(f"no run files found in {directory}")
-    return [parse_run(p, truncate=truncate) for p in paths]
+    return paths
+
+
+def _share(calls: list, start: int, step: int) -> list:
+    """(index, outcome) of calls[start::step], up to and including the first exception raised."""
+    outcomes = []
+    for index in range(start, len(calls), step):
+        try:
+            outcomes.append((index, calls[index]()))
+        except Exception as exc:
+            return outcomes + [(index, exc)]
+    return outcomes
+
+
+def _parse_inputs(run_paths: list, qrels, truncate: int) -> tuple:
+    """(runs, qrels), parsed in up to one process per usable CPU (see the module docstring)."""
+    import os
+    import pickle
+    import signal
+    import threading
+
+    calls = [functools.partial(parse_run, path, truncate=truncate) for path in run_paths]
+    calls.append(functools.partial(parse_qrels, qrels))
+    cpus = len(os.sched_getaffinity(0)) if sys.platform == "linux" else 1
+    n = min(len(calls), cpus) if threading.active_count() == 1 else 1
+    outcomes, children, finished = [], [], False
+    try:
+        for share in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # this process parses the shares left
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                try:
+                    os.close(read)
+                    data = pickle.dumps(_share(calls, share, n), protocol=5)
+                    with open(write, "wb") as pipe:
+                        pipe.write(data)
+                finally:
+                    os._exit(0)  # never flushing stdio or running atexit handlers
+            children.append((share, pid, open(read, "rb")))
+            os.close(write)
+        for share in (0, *range(len(children) + 1, n)):
+            outcomes += _share(calls, share, n)
+        for share, _, pipe in children:  # a child that sent nothing has its share parsed here
+            outcomes += pickle.loads(data) if (data := pipe.read()) else _share(calls, share, n)
+        finished = True
+    finally:  # a child blocked on a full pipe sees it closed, or is killed
+        for _, pid, pipe in children:
+            pipe.close()
+            if not finished:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    # each share stops at its first exception, so the first in argument order is the serial one
+    outcomes = [outcome for _, outcome in sorted(outcomes, key=lambda pair: pair[0])]
+    if failed := next((o for o in outcomes if isinstance(o, Exception)), None):
+        raise failed
+    return outcomes[:-1], outcomes[-1]
 
 
 #: Encoder chunks joined into one stdout write: json.dump writes each
@@ -89,9 +154,9 @@ def _cmd_hasse(args):
 def _pair_inputs(args, metrics) -> tuple:
     """run_a, run_b and the qrels, the runs parsed only to the job's read_depth.  Every row
     tied at that cut is kept until the doc-id sort, so the runs rank as a full parse does."""
-    depth = read_depth([args.k], metrics)
-    return (parse_run(args.run_a, truncate=depth), parse_run(args.run_b, truncate=depth),
-            parse_qrels(args.qrels))
+    runs, qrels = _parse_inputs([args.run_a, args.run_b], args.qrels,
+                                read_depth([args.k], metrics))
+    return (*runs, qrels)
 
 
 def _cmd_compare(args):
@@ -107,13 +172,13 @@ def _cmd_topics(args):
 def _cmd_sweep(args):
     k_values = [int(token) for token in _tokens(args.k)]
     metrics = _tokens(args.metrics)
-    runs = _load_runs_dir(args.runs, truncate=read_depth(k_values, metrics))
-    return sweep_all_pairs(runs, parse_qrels(args.qrels), k_values, metrics,
-                           _tokens(args.tests), alpha=args.alpha)
+    depth = read_depth(k_values, metrics)
+    runs, qrels = _parse_inputs(_run_paths(args.runs), args.qrels, depth)
+    return sweep_all_pairs(runs, qrels, k_values, metrics, _tokens(args.tests), alpha=args.alpha)
 
 
 def _cmd_coverage(args):
-    return judgment_coverage(_load_runs_dir(args.runs), parse_qrels(args.qrels))
+    return judgment_coverage(*_parse_inputs(_run_paths(args.runs), args.qrels, DEFAULT_TRUNCATION))
 
 
 def _add_format(parser, extra=()) -> None:

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import errno
 import hashlib
 import importlib.util
 import io
@@ -9,8 +10,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -389,7 +392,7 @@ class TestJsonBlocks:
     def test_unbuffered_sweep_prints_json_dumps(self):
         depths = list(range(1, 11))  # 360 rows: more chunks than one block holds
         metrics, tests = ["P", "AP", "NDCG", "RBP0.8"], ["t", "sign", "wilcoxon"]
-        runs, qrels = cli._load_runs_dir(RUNS, truncate=10), cli.parse_qrels(QRELS)
+        runs, qrels = cli._parse_inputs(cli._run_paths(RUNS), QRELS, 10)
         payload = cli.sweep_all_pairs(runs, qrels, depths, metrics, tests).to_dict()
         chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
         assert chunks > cli._JSON_BLOCK
@@ -496,7 +499,7 @@ class TestCsvBlocks:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_unbuffered_sweep_prints_rowwise_csv(self):
         depths, metrics, tests = list(range(1, 11)), ["P", "AP", "NDCG", "RBP0.8"], ["t", "sign"]
-        runs, qrels = cli._load_runs_dir(RUNS, truncate=10), cli.parse_qrels(QRELS)
+        runs, qrels = cli._parse_inputs(cli._run_paths(RUNS), QRELS, 10)
         expected = _rowwise_sweep_csv(cli.sweep_all_pairs(runs, qrels, depths, metrics, tests))
         src = str(Path(ipso.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONUNBUFFERED": "1",
@@ -708,15 +711,175 @@ FORMAT_GOLDEN = {
 }
 
 
+def report_cpus(monkeypatch, n: int) -> list:
+    """Have os.sched_getaffinity report n CPUs; return the list each fork's child pid joins."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+#: How the parse is reached: forked over four reported CPUs, or serial because one CPU is
+#: reported or because another thread is alive.
+PARSE_MODES = ("forked", "one_cpu", "thread")
+
+
 @pytest.mark.filterwarnings("ignore:system charlie")
-@pytest.mark.parametrize("name", FORMAT_CASES)
-def test_every_format_prints_its_golden_bytes_twice(capsys, name):
+@pytest.mark.parametrize("name, mode", [
+    pytest.param(name, mode, id=name if mode == "forked" else f"{name}-{mode}")
+    for mode in PARSE_MODES for name in FORMAT_CASES])
+def test_every_format_prints_its_golden_bytes_twice(capsys, monkeypatch, name, mode):
     """Each output matches its digest, and a second run in the same process prints it again."""
-    first, second = (run_cli(capsys, *map(str, FORMAT_CASES[name])) for _ in range(2))
+    forks = report_cpus(monkeypatch, 1 if mode == "one_cpu" else 4)
+    with contextlib.ExitStack() as stack:
+        if mode == "thread":
+            stop = threading.Event()
+            thread = threading.Thread(target=stop.wait)
+            thread.start()
+            stack.callback(thread.join)
+            stack.callback(stop.set)
+        first, second = (run_cli(capsys, *map(str, FORMAT_CASES[name])) for _ in range(2))
     assert first[0] == 0, first[2]
     assert first == second
     assert hashlib.sha256(first[1].encode()).hexdigest() == FORMAT_GOLDEN[name]
+    parses = name.startswith(("compare", "topics", "sweep", "coverage"))
+    assert bool(forks) == (parses and mode == "forked" and sys.platform == "linux")
 
+
+def bad_lines(text: str, line: int) -> str:
+    """text's first line - 1 lines, then one line that no TREC reader takes."""
+    return "".join(text.splitlines(keepends=True)[:line - 1]) + "two fields\n"
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    """argv per (command, case): two malformed inputs, or a missing file; the exit code and
+    the text naming the first bad input in argument order.  Run B (the second run) is
+    malformed at line 3 and the qrels at line 2."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    for name in ("alpha", "bravo", "charlie"):
+        text = (RUNS / f"{name}.run").read_text()
+        (runs / f"{name}.run").write_text(bad_lines(text, 3) if name == "bravo" else text)
+    qrels, missing = tmp_path / "qrels.txt", tmp_path / "missing.txt"
+    qrels.write_text(bad_lines(QRELS.read_text(), 2))
+    cases = {}
+    for command in ("compare", "topics"):
+        for case, run_b, expected in (("malformed", runs / "bravo.run", (1, "line 3:")),
+                                      ("missing", missing, (2, repr(str(missing))))):
+            argv = [command, "--run-a", runs / "alpha.run", "--run-b", run_b,
+                    "--qrels", qrels, "--k", "5"]
+            cases[command, case] = argv, expected
+    for command in ("sweep", "coverage"):
+        k = ["--k", "5"] if command == "sweep" else []
+        cases[command, "malformed"] = [command, "--runs", runs, "--qrels", qrels, *k], (1, "line 3:")
+        cases[command, "missing"] = ([command, "--runs", RUNS, "--qrels", missing, *k],
+                                     (2, repr(str(missing))))
+    return {key: ([str(a) for a in argv], expected) for key, (argv, expected) in cases.items()}
+
+
+@pytest.mark.parametrize("command", ["compare", "topics", "sweep", "coverage"])
+@pytest.mark.parametrize("case", ["malformed", "missing"])
+def test_forked_parse_fails_as_the_serial_parse(capsys, monkeypatch, bad_inputs, command, case):
+    """The first bad input in argument order is reported, with the serial exit code and
+    stderr, whichever process parsed it; a missing file's OSError keeps its filename."""
+    argv, (code, named) = bad_inputs[command, case]
+    forks = report_cpus(monkeypatch, 1)
+    serial = run_cli(capsys, *argv)
+    assert (serial[0], forks) == (code, [])
+    assert named in serial[2]
+    for cpus in (2, 4):
+        forks = report_cpus(monkeypatch, cpus)
+        assert run_cli(capsys, *argv) == serial, cpus
+        assert forks or sys.platform != "linux"
+
+
+class Interrupted(BaseException):
+    """Raised by a stand-in parse outside the exceptions a share sends back."""
+
+
+def pair_argv(run_a=RUNS / "alpha.run", run_b=RUNS / "bravo.run") -> list:
+    return ["compare", "--run-a", str(run_a), "--run-b", str(run_b), "--qrels", str(QRELS),
+            "--k", "5", "--format", "json"]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the parse forks on Linux only")
+@pytest.mark.parametrize("case", ["success", "child_error", "parent_error",
+                                  "parent_interrupted", "fork_fails"])
+def test_no_child_outlives_the_command(capsys, monkeypatch, tmp_path, case):
+    """Every child is reaped when main returns or raises, and a failed fork parses serially."""
+    bad = tmp_path / "bad.run"
+    bad.write_text(bad_lines((RUNS / "alpha.run").read_text(), 2))
+    expected = run_cli(capsys, *pair_argv())
+    forks = report_cpus(monkeypatch, 4)
+    if case == "success":
+        assert run_cli(capsys, *pair_argv()) == expected
+    elif case in ("child_error", "parent_error"):  # run A is this process's share, run B not
+        argv = pair_argv(run_b=bad) if case == "child_error" else pair_argv(run_a=bad)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "") and "line 2:" in err
+    elif case == "parent_interrupted":  # a child blocks on a full pipe until closed or killed
+        parent = os.getpid()
+
+        def stand_in(source, **options):
+            if os.getpid() == parent:
+                raise Interrupted
+            return bytes(1 << 20)
+
+        def overdue(signum, frame):
+            raise TimeoutError("main waited on a child blocked on its pipe")
+
+        monkeypatch.setattr(cli, "parse_run", stand_in)
+        previous = signal.signal(signal.SIGALRM, overdue)
+        signal.alarm(30)
+        try:
+            with pytest.raises(Interrupted):
+                main(pair_argv())
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    else:
+        def no_fork():
+            forks.append(None)
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_cli(capsys, *pair_argv()) == expected
+    assert len(forks) == (1 if case == "fork_fails" else 2)  # at most min(3 files, 4 CPUs) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the parse forks on Linux only")
+def test_children_leave_the_stdout_buffer_to_the_parent():
+    """Text in a buffered sys.stdout before main is printed once: children never flush it."""
+    script = f"""
+import os, sys
+import ipso.cli
+fork = os.fork
+def counted():
+    pid = fork()
+    if pid:
+        sys.stderr.write("forked\\n")
+    return pid
+os.fork, os.sched_getaffinity = counted, lambda pid: set(range(4))
+sys.stdout.write("before main\\n")
+sys.exit(ipso.cli.main({[str(a) for a in pair_argv()]!r}))
+"""
+    src = str(Path(ipso.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "forked\n" * 2)
+    assert result.stdout.startswith("before main\n{")
+    assert result.stdout.count("before main") == 1
 
 
 def write_forty_topic_pair(directory: Path) -> tuple:
